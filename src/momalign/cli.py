@@ -80,7 +80,7 @@ class RunConfig:
         )
 
 
-_INT_TUPLE_KEYS = {"taus", "grids", "metrics"}
+_INT_TUPLE_KEYS = {"taus", "grids"}
 
 
 def load_config(path: str | Path) -> dict:
@@ -99,36 +99,33 @@ def load_config(path: str | Path) -> dict:
 
 def _coerce(cfg: RunConfig, overrides: dict) -> RunConfig:
     kwargs = {}
-    valid = {f.name: f.type for f in fields(RunConfig)}
+    names = {f.name for f in fields(RunConfig)}
     for key, value in overrides.items():
         if value is None:
             continue
-        if key not in valid:
+        if key not in names:
             raise ValueError(f"unknown config key '{key}'")
-        current = getattr(cfg, key)
-        if key == "metrics":
-            kwargs[key] = tuple(
-                str(value).split(",") if isinstance(value, str) else value
-            )
-        elif key in _INT_TUPLE_KEYS:
-            kwargs[key] = tuple(
-                int(v) for v in (value.split(",") if isinstance(value, str) else value)
-            )
-        elif isinstance(current, bool):
-            kwargs[key] = str(value).lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            kwargs[key] = int(value)
-        elif isinstance(current, float):
-            kwargs[key] = float(value)
-        else:
-            kwargs[key] = value
+        try:
+            if key == "metrics":
+                kwargs[key] = tuple(value.split(","))
+            elif key in _INT_TUPLE_KEYS:
+                kwargs[key] = tuple(int(v) for v in value.split(","))
+            elif isinstance(getattr(cfg, key), float):
+                kwargs[key] = float(value)
+            else:
+                kwargs[key] = int(value)
+        except ValueError as exc:
+            raise ValueError(f"key '{key}': {exc}") from None
     return replace(cfg, **kwargs)
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
-        cfg = _coerce(cfg, load_config(args.config))
+        try:
+            cfg = _coerce(cfg, load_config(args.config))
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
     cli_overrides = {
         key: getattr(args, key, None)
         for key in ("seed", "episodes", "workers", "ways", "shots", "queries")
@@ -218,7 +215,11 @@ def _print_report(report: episode.Report) -> None:
         )
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def _run_evaluation(
+    args: argparse.Namespace, metrics: list[str] | None, print_report
+) -> int:
+    """Read the manifest, evaluate it under the run config, print the report
+    with ``print_report`` and the wall-clock time to stderr."""
     cfg = build_run_config(args)
     try:
         manifest = seqio.read_manifest(args.manifest)
@@ -234,16 +235,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
             cfg.queries,
             cfg.episodes,
             cfg.seed,
-            metrics=list(cfg.metrics),
+            metrics=list(metrics or cfg.metrics),
             scales=cfg.scale_configs(),
             workers=cfg.workers,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _print_report(report)
+    print_report(report)
     print(f"wall-clock {time.perf_counter() - started:.2f}s", file=sys.stderr)
     return 0
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    return _run_evaluation(args, None, _print_report)
 
 
 #: Ablation rows mirroring the component grid: first-order baseline, plain
@@ -256,31 +261,7 @@ ABLATION_ROWS = (
 )
 
 
-def cmd_ablate(args: argparse.Namespace) -> int:
-    cfg = build_run_config(args)
-    try:
-        manifest = seqio.read_manifest(args.manifest)
-    except (seqio.SeqIOError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    started = time.perf_counter()
-    metrics = [metric for _, metric in ABLATION_ROWS]
-    try:
-        # One evaluation with all metrics shares episode seeds across rows.
-        report = episode.evaluate(
-            manifest,
-            cfg.ways,
-            cfg.shots,
-            cfg.queries,
-            cfg.episodes,
-            cfg.seed,
-            metrics=metrics,
-            scales=cfg.scale_configs(),
-            workers=cfg.workers,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def _print_ablation(report: episode.Report) -> None:
     by_metric = {r.metric: r for r in report.results}
     print(
         f"# ablate ways={report.ways} shots={report.shots} episodes={report.episodes} "
@@ -296,8 +277,11 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             f"RECORD row={row} metric={metric} accuracy={r.mean_accuracy:.6f} "
             f"ci95={r.ci95:.6f} episodes={report.episodes} seed={report.seed}"
         )
-    print(f"wall-clock {time.perf_counter() - started:.2f}s", file=sys.stderr)
-    return 0
+
+
+def cmd_ablate(args: argparse.Namespace) -> int:
+    # One evaluation with all metrics shares episode seeds across rows.
+    return _run_evaluation(args, [metric for _, metric in ABLATION_ROWS], _print_ablation)
 
 
 def build_parser() -> argparse.ArgumentParser:

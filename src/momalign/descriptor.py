@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import seqio
 from .linalg import newton_schulz_sqrt, second_moment, vectorize_spd
 
 # Desk-scale defaults keep the property suites fast; the full-size
@@ -83,7 +82,6 @@ class ScaleConfig:
     offset_b1: np.ndarray
     offset_w2: np.ndarray
     offset_b2: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         if self.tau < 1:
@@ -151,7 +149,6 @@ class ScaleConfig:
             offset_b1=np.zeros(hidden),
             offset_w2=np.zeros((hidden, 2 * n_points)),
             offset_b2=np.zeros(2 * n_points),
-            seed=seed,
         )
 
     @staticmethod
@@ -256,30 +253,6 @@ def offset_mlp(diff: FeatureClip, cfg: ScaleConfig) -> np.ndarray:
     return off
 
 
-def bilinear_sample(plane: np.ndarray, x: float, y: float) -> float:
-    """Bilinear interpolation at (x, y) = (column, row) with zero padding.
-
-    Neighbor pixels outside the grid contribute 0.
-    """
-    plane = np.asarray(plane, dtype=np.float64)
-    h, w = plane.shape
-    x0 = int(np.floor(x))
-    y0 = int(np.floor(y))
-    fx = x - x0
-    fy = y - y0
-    total = 0.0
-    for dy_, dx_, wgt in (
-        (0, 0, (1 - fy) * (1 - fx)),
-        (0, 1, (1 - fy) * fx),
-        (1, 0, fy * (1 - fx)),
-        (1, 1, fy * fx),
-    ):
-        yy, xx = y0 + dy_, x0 + dx_
-        if 0 <= yy < h and 0 <= xx < w:
-            total += wgt * plane[yy, xx]
-    return total
-
-
 def _bilinear_grid(planes: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Vectorized zero-padded bilinear sampling.
 
@@ -345,12 +318,28 @@ def deformable_conv(
     return out
 
 
-def scale_moment(clip: FeatureClip, cfg: ScaleConfig) -> list[np.ndarray]:
-    """Per-frame second moments for one scale: T - tau + 1 PSD matrices."""
+def scale_frames(clip: FeatureClip, cfg: ScaleConfig) -> list[np.ndarray]:
+    """The per-scale pipeline: temporal conv, temporal-difference offsets and
+    deformable conv. Returns T - tau + 1 frames, each C_out x M."""
     xt = temporal_conv(clip, cfg)
     offsets = offset_mlp(temporal_difference(xt), cfg)
-    frames = deformable_conv(xt, offsets, cfg)
-    return [second_moment(f) for f in frames]
+    return deformable_conv(xt, offsets, cfg)
+
+
+def _per_scale_sequence(
+    clip: FeatureClip, scales: list[ScaleConfig], reduce
+) -> DescriptorSequence:
+    """Reduce every frame of every scale to one vector, ordered scale-major,
+    time-minor."""
+    vectors = []
+    scale_ids = []
+    times = []
+    for b, cfg in enumerate(scales):
+        for t, frame in enumerate(scale_frames(clip, cfg)):
+            vectors.append(reduce(frame))
+            scale_ids.append(b)
+            times.append(t)
+    return DescriptorSequence(np.array(vectors), np.array(scale_ids), np.array(times))
 
 
 def multi_scale_descriptors(
@@ -358,7 +347,7 @@ def multi_scale_descriptors(
     scales: list[ScaleConfig],
     sqrt_iterations: int = 5,
 ) -> DescriptorSequence:
-    """Normalized, vectorized moments across all scales.
+    """Normalized, vectorized second moments across all scales.
 
     Entries are ordered scale-major, time-minor; L = sum_b (T - tau_b + 1).
     """
@@ -367,15 +356,11 @@ def multi_scale_descriptors(
     c_out = scales[0].c_out
     if any(s.c_out != c_out for s in scales):
         raise ValueError("multi_scale_descriptors: all scales must share c_out")
-    vectors = []
-    scale_ids = []
-    times = []
-    for b, cfg in enumerate(scales):
-        for t, moment in enumerate(scale_moment(clip, cfg)):
-            vectors.append(vectorize_spd(newton_schulz_sqrt(moment, sqrt_iterations)))
-            scale_ids.append(b)
-            times.append(t)
-    return DescriptorSequence(np.array(vectors), np.array(scale_ids), np.array(times))
+    return _per_scale_sequence(
+        clip,
+        scales,
+        lambda frame: vectorize_spd(newton_schulz_sqrt(second_moment(frame), sqrt_iterations)),
+    )
 
 
 def cov_mn_descriptors(clip: FeatureClip, sqrt_iterations: int = 5) -> DescriptorSequence:
@@ -405,17 +390,7 @@ def multi_scale_first_order(
     deformable pipeline runs as usual but each frame is spatially averaged."""
     if not scales:
         raise ValueError("multi_scale_first_order: no scales given")
-    vectors = []
-    scale_ids = []
-    times = []
-    for b, cfg in enumerate(scales):
-        xt = temporal_conv(clip, cfg)
-        offsets = offset_mlp(temporal_difference(xt), cfg)
-        for t, frame in enumerate(deformable_conv(xt, offsets, cfg)):
-            vectors.append(frame.mean(axis=1))
-            scale_ids.append(b)
-            times.append(t)
-    return DescriptorSequence(np.array(vectors), np.array(scale_ids), np.array(times))
+    return _per_scale_sequence(clip, scales, lambda frame: frame.mean(axis=1))
 
 
 def default_scales(
@@ -434,38 +409,3 @@ def default_scales(
         ScaleConfig.from_seed(tau, grid, c_in, c_prime, c_out, seed=seed)
         for tau, grid in zip(taus, grids)
     ]
-
-
-def save_scale_weights(scales: list[ScaleConfig], path) -> None:
-    """Persist scale weights in the FSQ1 container, keyed by scale index and
-    stage name."""
-    tensors: dict[str, np.ndarray] = {}
-    for b, cfg in enumerate(scales):
-        tensors[f"scale{b}/meta"] = np.array([cfg.tau, cfg.grid], dtype=np.float64)
-        tensors[f"scale{b}/theta_t"] = cfg.theta_t
-        tensors[f"scale{b}/theta_s"] = cfg.theta_s
-        tensors[f"scale{b}/offset_w1"] = cfg.offset_w1
-        tensors[f"scale{b}/offset_b1"] = cfg.offset_b1
-        tensors[f"scale{b}/offset_w2"] = cfg.offset_w2
-        tensors[f"scale{b}/offset_b2"] = cfg.offset_b2
-    seqio.write_container(tensors, path)
-
-
-def load_scale_weights(path) -> list[ScaleConfig]:
-    tensors = seqio.read_container(path)
-    scales = []
-    for b in range(len([k for k in tensors if k.endswith("/meta")])):
-        meta = tensors[f"scale{b}/meta"]
-        scales.append(
-            ScaleConfig(
-                tau=int(meta[0]),
-                grid=int(meta[1]),
-                theta_t=tensors[f"scale{b}/theta_t"],
-                theta_s=tensors[f"scale{b}/theta_s"],
-                offset_w1=tensors[f"scale{b}/offset_w1"],
-                offset_b1=tensors[f"scale{b}/offset_b1"],
-                offset_w2=tensors[f"scale{b}/offset_w2"],
-                offset_b2=tensors[f"scale{b}/offset_b2"],
-            )
-        )
-    return scales

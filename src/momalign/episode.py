@@ -10,20 +10,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import alignment, descriptor, synthgen
-from .descriptor import DescriptorSequence, FeatureClip, ScaleConfig
+from .descriptor import DescriptorSequence, ScaleConfig
 from .seqio import Manifest, ManifestEntry
 
-#: Metric selectors: representation pathway x scoring rule.
-METRICS = ("a2", "pp", "cr", "gap-a2", "cov-mn-a2", "ms-a2")
-
-_METRIC_REPR = {
-    "a2": "m2",
-    "pp": "m2",
-    "cr": "m2",
-    "gap-a2": "gap",
-    "cov-mn-a2": "covmn",
-    "ms-a2": "ms1",
+#: Metric selector -> (representation, scorer). The representation names the
+#: ``descriptor`` function that extracts a clip's sequence, the scorer the
+#: ``alignment`` function that scores a query against a prototype. Both are
+#: looked up by name when called.
+_METRIC_TABLE = {
+    "a2": ("multi_scale_descriptors", "emd_score"),
+    "pp": ("multi_scale_descriptors", "fixed_alignment_pp"),
+    "cr": ("multi_scale_descriptors", "fixed_alignment_cross"),
+    "gap-a2": ("gap_descriptor", "emd_score"),
+    "cov-mn-a2": ("cov_mn_descriptors", "emd_score"),
+    "ms-a2": ("multi_scale_first_order", "emd_score"),
 }
+
+#: Metric selectors: representation pathway x scoring rule.
+METRICS = tuple(_METRIC_TABLE)
+
+#: Representations computed from the scale configurations.
+_MULTI_SCALE = {"multi_scale_descriptors", "multi_scale_first_order"}
 
 
 @dataclass(frozen=True)
@@ -116,13 +123,9 @@ def build_prototypes(
 
 
 def score_pair(q: DescriptorSequence, s: DescriptorSequence, metric: str) -> float:
-    if metric in ("a2", "gap-a2", "cov-mn-a2", "ms-a2"):
-        return alignment.emd_score(q, s)
-    if metric == "pp":
-        return alignment.fixed_alignment_pp(q, s)
-    if metric == "cr":
-        return alignment.fixed_alignment_cross(q, s)
-    raise ValueError(f"score_pair: unknown metric '{metric}'")
+    if metric not in _METRIC_TABLE:
+        raise ValueError(f"score_pair: unknown metric '{metric}'")
+    return getattr(alignment, _METRIC_TABLE[metric][1])(q, s)
 
 
 def classify_query(
@@ -138,58 +141,21 @@ def classify_query(
     return int(np.argmax(logits)), logits
 
 
-class DescriptorExtractor:
-    """Maps clips to descriptor sequences per representation, with caching.
-
-    Representations: "m2" multi-scale second-order, "gap" first-order
-    average pooling, "covmn" single-scale plain second moments, "ms1"
-    multi-scale first-order.
-    """
-
-    def __init__(self, scales: list[ScaleConfig]):
-        self.scales = scales
-        self._cache: dict[tuple[str, str], DescriptorSequence] = {}
-
-    def extract(self, clip: FeatureClip, representation: str) -> DescriptorSequence:
-        if representation == "m2":
-            return descriptor.multi_scale_descriptors(clip, self.scales)
-        if representation == "gap":
-            return descriptor.gap_descriptor(clip)
-        if representation == "covmn":
-            return descriptor.cov_mn_descriptors(clip)
-        if representation == "ms1":
-            return descriptor.multi_scale_first_order(clip, self.scales)
-        raise ValueError(f"unknown representation '{representation}'")
-
-    def cached(
-        self, clip_id: str, representation: str, loader
-    ) -> DescriptorSequence:
-        key = (clip_id, representation)
-        if key not in self._cache:
-            self._cache[key] = self.extract(loader(), representation)
-        return self._cache[key]
-
-
 def _episode_accuracy(
     episode: Episode,
-    manifest: Manifest,
-    extractor: DescriptorExtractor,
+    descriptors: dict[tuple[str, str], DescriptorSequence],
     metrics: list[str],
 ) -> dict[str, float]:
-    def loader(entry):
-        return lambda: synthgen.load_clip(manifest, entry)
-
     accs = {}
     for metric in metrics:
-        rep = _METRIC_REPR[metric]
+        rep = _METRIC_TABLE[metric][0]
         by_class: list[list[DescriptorSequence]] = [[] for _ in range(episode.ways)]
         for entry, ci in episode.support:
-            by_class[ci].append(extractor.cached(entry.clip_id, rep, loader(entry)))
+            by_class[ci].append(descriptors[(entry.clip_id, rep)])
         prototypes = build_prototypes(by_class, episode.shots)
         correct = 0
         for entry, ci in episode.query:
-            qdesc = extractor.cached(entry.clip_id, rep, loader(entry))
-            pred, _ = classify_query(qdesc, prototypes, metric)
+            pred, _ = classify_query(descriptors[(entry.clip_id, rep)], prototypes, metric)
             correct += int(pred == ci)
         accs[metric] = correct / len(episode.query)
     return accs
@@ -219,7 +185,6 @@ def evaluate(
             raise ValueError(f"evaluate: unknown metric '{m}' (choose from {METRICS})")
     if scales is None:
         scales = descriptor.default_scales(seed=seed)
-    extractor = DescriptorExtractor(scales)
 
     episode_seeds = [
         int(np.random.SeedSequence([seed, e]).generate_state(1)[0])
@@ -227,18 +192,24 @@ def evaluate(
     ]
     sampled = [sample_episode(manifest, n, k, z, s) for s in episode_seeds]
 
-    # Pre-warm the descriptor cache serially so threads only read it.
-    needed_reps = {_METRIC_REPR[m] for m in metrics}
-    clip_ids: dict[str, ManifestEntry] = {}
+    # One serial extraction pass, so threads only read the descriptors: each
+    # clip is loaded once and extracted once per representation.
+    reps = sorted({_METRIC_TABLE[m][0] for m in metrics})
+    entries: dict[str, ManifestEntry] = {}
     for ep in sampled:
         for entry, _ in ep.support + ep.query:
-            clip_ids.setdefault(entry.clip_id, entry)
-    for clip_id, entry in sorted(clip_ids.items()):
-        for rep in sorted(needed_reps):
-            extractor.cached(clip_id, rep, lambda e=entry: synthgen.load_clip(manifest, e))
+            entries.setdefault(entry.clip_id, entry)
+    descriptors: dict[tuple[str, str], DescriptorSequence] = {}
+    for clip_id in sorted(entries):
+        clip = synthgen.load_clip(manifest, entries[clip_id])
+        for rep in reps:
+            extract = getattr(descriptor, rep)
+            descriptors[(clip_id, rep)] = (
+                extract(clip, scales) if rep in _MULTI_SCALE else extract(clip)
+            )
 
     def run(ep: Episode) -> dict[str, float]:
-        return _episode_accuracy(ep, manifest, extractor, metrics)
+        return _episode_accuracy(ep, descriptors, metrics)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

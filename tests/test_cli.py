@@ -58,6 +58,14 @@ class TestConfig:
         assert code != 0
         assert "bogus" in err
 
+    def test_bad_value_names_file_and_key(self, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_text("episodes = abc\n")
+        code, _, err = run_cli(capsys, "eval", "--config", str(p), "--manifest", "x")
+        assert code != 0
+        assert f"{p}: key 'episodes': " in err
+        assert "'abc'" in err
+
 
 class TestSynth:
     def test_writes_dataset(self, dataset):

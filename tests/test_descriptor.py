@@ -8,20 +8,18 @@ from momalign.descriptor import (
     DescriptorSequence,
     FeatureClip,
     ScaleConfig,
-    bilinear_sample,
     cov_mn_descriptors,
     default_scales,
     deformable_conv,
     gap_descriptor,
-    load_scale_weights,
     multi_scale_descriptors,
     multi_scale_first_order,
     offset_mlp,
-    save_scale_weights,
-    scale_moment,
+    scale_frames,
     temporal_conv,
     temporal_difference,
 )
+from momalign.linalg import second_moment
 
 
 def random_clip(rng, t=8, c=6, h=4, w=5):
@@ -135,6 +133,28 @@ class TestOffsetMlp:
                     assert np.allclose(off[t, :, i, j], expect, atol=1e-12)
 
 
+def bilinear_sample(plane: np.ndarray, x: float, y: float) -> float:
+    """Oracle: scalar bilinear interpolation at (x, y) = (column, row) with
+    zero padding. Neighbor pixels outside the grid contribute 0."""
+    plane = np.asarray(plane, dtype=np.float64)
+    h, w = plane.shape
+    x0 = int(np.floor(x))
+    y0 = int(np.floor(y))
+    fx = x - x0
+    fy = y - y0
+    total = 0.0
+    for dy_, dx_, wgt in (
+        (0, 0, (1 - fy) * (1 - fx)),
+        (0, 1, (1 - fy) * fx),
+        (1, 0, fy * (1 - fx)),
+        (1, 1, fy * fx),
+    ):
+        yy, xx = y0 + dy_, x0 + dx_
+        if 0 <= yy < h and 0 <= xx < w:
+            total += wgt * plane[yy, xx]
+    return total
+
+
 class TestBilinearSample:
     def test_integer_coordinates_exact(self):
         plane = np.arange(12.0).reshape(3, 4)
@@ -236,24 +256,28 @@ class TestDeformableConv:
 
 
 class TestScaleMoment:
+    """Per-frame second moments of one scale's deformable frames."""
+
     def test_frame_count(self):
         rng = np.random.default_rng(14)
         cfg = random_cfg(rng, 3, 1)
-        moments = scale_moment(random_clip(rng, t=8), cfg)
-        assert len(moments) == 6
+        frames = scale_frames(random_clip(rng, t=8), cfg)
+        assert len(frames) == 6
+        assert all(f.shape == (cfg.c_out, 4 * 5) for f in frames)
 
     def test_moments_are_psd(self):
         rng = np.random.default_rng(15)
         cfg = random_cfg(rng, 3, 3)
-        for m in scale_moment(random_clip(rng, t=5), cfg):
+        for f in scale_frames(random_clip(rng, t=5), cfg):
+            m = second_moment(f)
             assert np.array_equal(m, m.T)
             assert np.linalg.eigvalsh(m).min() >= -1e-6
 
     def test_zero_clip_zero_moments(self):
         rng = np.random.default_rng(16)
         cfg = random_cfg(rng, 1, 1)
-        for m in scale_moment(FeatureClip(np.zeros((4, 6, 3, 3))), cfg):
-            assert np.all(m == 0.0)
+        for f in scale_frames(FeatureClip(np.zeros((4, 6, 3, 3))), cfg):
+            assert np.all(second_moment(f) == 0.0)
 
 
 class TestMultiScaleDescriptors:
@@ -325,6 +349,14 @@ class TestMultiScaleFirstOrder:
         assert np.array_equal(first.times, second.times)
         assert first.dim == scales[0].c_out
 
+    def test_vectors_are_spatial_means_of_scale_frames(self):
+        rng = np.random.default_rng(24)
+        clip = random_clip(rng, t=6)
+        scales = [random_cfg(rng, 1, 1), random_cfg(rng, 3, 3)]
+        means = [f.mean(axis=1) for cfg in scales for f in scale_frames(clip, cfg)]
+        first = multi_scale_first_order(clip, scales)
+        assert np.array_equal(first.vectors, np.array(means))
+
 
 class TestScaleConfig:
     def test_from_seed_deterministic(self):
@@ -341,18 +373,6 @@ class TestScaleConfig:
     def test_rejects_even_grid(self):
         with pytest.raises(ValueError):
             ScaleConfig.from_seed(1, 2)
-
-    def test_weight_file_round_trip(self, tmp_path):
-        scales = default_scales(seed=4)
-        p = tmp_path / "weights.fsq"
-        save_scale_weights(scales, p)
-        back = load_scale_weights(p)
-        assert len(back) == len(scales)
-        for orig, loaded in zip(scales, back):
-            assert loaded.tau == orig.tau
-            assert loaded.grid == orig.grid
-            assert np.array_equal(loaded.theta_t, orig.theta_t)
-            assert np.array_equal(loaded.theta_s, orig.theta_s)
 
     def test_descriptor_sequence_structure_check(self):
         v = np.zeros((3, 4))

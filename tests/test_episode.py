@@ -1,9 +1,11 @@
 """Episodic evaluation: sampling, prototypes, classification, determinism."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from momalign import synthgen
+from momalign import episode, synthgen
 from momalign.descriptor import DescriptorSequence
 from momalign.episode import (
     METRICS,
@@ -201,3 +203,37 @@ class TestEvaluate:
             small_dataset, 3, 1, 3, episodes=2, seed=0, metrics=list(METRICS)
         )
         assert len(report.results) == len(METRICS)
+
+    def test_each_clip_loaded_once(self, small_dataset, monkeypatch):
+        loads = Counter()
+        used = set()
+        load_clip = synthgen.load_clip
+        sample = episode.sample_episode
+
+        def counting_load(manifest, entry):
+            loads[entry.clip_id] += 1
+            return load_clip(manifest, entry)
+
+        def recording_sample(*args):
+            ep = sample(*args)
+            used.update(e.clip_id for e, _ in ep.support + ep.query)
+            return ep
+
+        monkeypatch.setattr(synthgen, "load_clip", counting_load)
+        monkeypatch.setattr(episode, "sample_episode", recording_sample)
+        reports = []
+        for workers in (1, 4):
+            loads.clear()
+            reports.append(
+                evaluate(
+                    small_dataset, 3, 1, 3, episodes=4, seed=2, metrics=list(METRICS),
+                    workers=workers,
+                )
+            )
+            assert loads == Counter(dict.fromkeys(used, 1))
+        serial, threaded = reports
+        for rs, rt in zip(serial.results, threaded.results, strict=True):
+            assert rs.metric == rt.metric
+            assert rs.mean_accuracy == rt.mean_accuracy
+            assert rs.ci95 == rt.ci95
+            assert np.array_equal(rs.episode_accuracies, rt.episode_accuracies)
