@@ -3,10 +3,14 @@ marginal masses, and an exact balanced-transportation EMD solver, plus the
 fixed-alignment baselines.
 
 The solver is a transportation simplex with northwest-corner initialization
-and MODI pricing. Supplies are epsilon-perturbed for the pivot phase so every
-pivot strictly decreases the objective (no degenerate cycling); the final
-basis tree is then re-solved against the unperturbed masses, so the reported
-plan and objective are exact.
+and MODI pricing. Its basis tree (adjacency, parent, depth and potentials,
+rooted at row 0) persists across pivots: a pivot walks up from both ends of
+the entering edge to their common ancestor to find the cycle, then re-hangs
+only the subtree the leaving edge cuts off, so its work beyond pricing is the
+cycle plus that subtree. Supplies are epsilon-perturbed for the pivot phase
+so every pivot strictly decreases the objective (no degenerate cycling); the
+final basis tree is then re-solved against the unperturbed masses, so the
+reported plan and objective are exact.
 """
 
 from __future__ import annotations
@@ -51,6 +55,10 @@ class TransportPlan:
 
     values: np.ndarray
     objective: float
+    #: Pivots made, and the minimum reduced cost at the terminating optimality
+    #: check (>= -_OPT_TOL): a cheap certificate that the basis is optimal.
+    pivots: int
+    min_reduced_cost: float
 
 
 def similarity_matrix(q: DescriptorSequence, s: DescriptorSequence) -> np.ndarray:
@@ -132,75 +140,16 @@ def _northwest_corner(supply: np.ndarray, demand: np.ndarray):
     return basis, flows
 
 
-def _tree_adjacency(basis, m, n):
-    """Adjacency of the bipartite basis tree; rows 0..m-1, cols m..m+n-1."""
-    adj: dict[int, list[tuple[int, int]]] = {k: [] for k in range(m + n)}
-    for e, (i, j) in enumerate(basis):
-        adj[i].append((m + j, e))
-        adj[m + j].append((i, e))
-    return adj
-
-
-def _potentials(basis, cost, m, n):
-    u = np.full(m, np.nan)
-    v = np.full(n, np.nan)
-    u[0] = 0.0
-    adj = _tree_adjacency(basis, m, n)
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        for nxt, e in adj[node]:
-            i, j = basis[e]
-            if nxt < m:
-                if np.isnan(u[nxt]):
-                    u[nxt] = cost[i, j] - v[j]
-                    stack.append(nxt)
-            else:
-                jj = nxt - m
-                if np.isnan(v[jj]):
-                    v[jj] = cost[i, j] - u[i]
-                    stack.append(nxt)
-    return u, v
-
-
-def _find_cycle(basis, enter, m, n):
-    """Path through the basis tree closing the cycle opened by ``enter``."""
-    i0, j0 = enter
-    adj = _tree_adjacency(basis, m, n)
-    target = m + j0
-    parent: dict[int, tuple[int, int]] = {i0: (-1, -1)}
-    stack = [i0]
-    while stack:
-        node = stack.pop()
-        if node == target:
-            break
-        for nxt, e in adj[node]:
-            if nxt not in parent:
-                parent[nxt] = (node, e)
-                stack.append(nxt)
-    path_edges = []
-    node = target
-    while node != i0:
-        prev, e = parent[node]
-        path_edges.append(e)
-        node = prev
-    path_edges.reverse()
-    return path_edges
-
-
-def _solve_tree_flows(basis, supply, demand, m, n):
+def _solve_tree_flows(basis, adj, supply, demand, m):
     """Exact flows on a spanning tree by leaf stripping."""
     flows = np.zeros(len(basis))
     residual = np.concatenate([supply, demand]).astype(np.float64)
-    degree = np.zeros(m + n, dtype=np.int64)
-    adj = _tree_adjacency(basis, m, n)
-    for node, edges in adj.items():
-        degree[node] = len(edges)
+    degree = [len(nbrs) for nbrs in adj]
     removed = [False] * len(basis)
-    leaves = [node for node in range(m + n) if degree[node] == 1]
+    leaves = [node for node, d in enumerate(degree) if d == 1]
     while leaves:
         node = leaves.pop()
-        edge = next((e for nxt, e in adj[node] if not removed[e]), None)
+        edge = next((e for e in adj[node].values() if not removed[e]), None)
         if edge is None:
             continue
         removed[edge] = True
@@ -241,21 +190,62 @@ def solve_emd(sim: np.ndarray, masses: Masses) -> TransportPlan:
     demand[-1] += m * delta
 
     basis, flows = _northwest_corner(supply, demand)
-    flows = list(flows)
-    in_basis = set(basis)
+    basic = np.zeros((m, n), dtype=bool)
+    # Basis tree on nodes rows 0..m-1, cols m..m+n-1: adjacency maps each
+    # neighbour to the basis slot of the joining edge.
+    adj: list[dict[int, int]] = [{} for _ in range(m + n)]
+    for e, (i, j) in enumerate(basis):
+        basic[i, j] = True
+        adj[i][m + j] = adj[m + j][i] = e
+    edge_cost = [float(cost[i, j]) for i, j in basis]
+    # Rooted at row 0: parent node, slot of the edge to it, depth, and the
+    # MODI potential (u = pot[:m], v = pot[m:]).
+    parent = [-1] * (m + n)
+    up_edge = [-1] * (m + n)
+    depth = [0] * (m + n)
+    pot = [0.0] * (m + n)
 
-    max_pivots = 200 * (m + n) + 1000
-    for _ in range(max_pivots):
-        u, v = _potentials(basis, cost, m, n)
-        reduced = cost - u[:, None] - v[None, :]
-        for i, j in basis:
-            reduced[i, j] = 0.0
+    def hang(top, above, slot):
+        # Hang top's subtree under above by edge slot; each potential is its
+        # edge cost minus its parent's, as the root-path recurrence gives it.
+        parent[top], up_edge[top] = above, slot
+        depth[top] = depth[above] + 1
+        pot[top] = edge_cost[slot] - pot[above]
+        stack = [top]
+        while stack:
+            node = stack.pop()
+            par, below, base = parent[node], depth[node] + 1, pot[node]
+            for nxt, e in adj[node].items():
+                if nxt != par:
+                    parent[nxt], up_edge[nxt], depth[nxt] = node, e, below
+                    pot[nxt] = edge_cost[e] - base
+                    stack.append(nxt)
+
+    for nxt, e in adj[0].items():
+        hang(nxt, 0, e)
+
+    for pivots in range(200 * (m + n) + 1000):
+        p = np.array(pot)
+        reduced = cost - p[:m, None] - p[None, m:]
+        reduced[basic] = 0.0
         # Row-major argmin gives the lowest-index tie-break for free.
         flat = int(np.argmin(reduced))
-        if reduced.flat[flat] >= -_OPT_TOL:
+        min_reduced_cost = float(reduced.flat[flat])
+        if min_reduced_cost >= -_OPT_TOL:
             break
-        entering = (flat // n, flat % n)
-        cycle = _find_cycle(basis, entering, m, n)
+        i0, j0 = divmod(flat, n)
+        # The tree path from row i0 to column j0 closes the cycle: up from
+        # each end to the common ancestor, then joined in i0 -> j0 order.
+        a, b = i0, m + j0
+        up, down = [], []
+        while a != b:
+            if depth[a] >= depth[b]:
+                up.append(up_edge[a])
+                a = parent[a]
+            else:
+                down.append(up_edge[b])
+                b = parent[b]
+        cycle = up + down[::-1]
         # The entering edge carries +theta; tree edges along the closing path
         # alternate starting with -theta.
         minus_edges = cycle[0::2]
@@ -263,14 +253,24 @@ def solve_emd(sim: np.ndarray, masses: Masses) -> TransportPlan:
         leaving = min(e for e in minus_edges if flows[e] == theta)
         for k, e in enumerate(cycle):
             flows[e] += theta if k % 2 == 1 else -theta
-        in_basis.discard(basis[leaving])
-        basis[leaving] = entering
+        li, lj = basis[leaving]
+        del adj[li][m + lj], adj[m + lj][li]
+        basic[li, lj] = False
+        basis[leaving] = (i0, j0)
+        edge_cost[leaving] = float(cost[i0, j0])
         flows[leaving] = theta
-        in_basis.add(entering)
+        basic[i0, j0] = True
+        adj[i0][m + j0] = adj[m + j0][i0] = leaving
+        # Cutting the leaving edge detaches the entering edge's end on its
+        # side of the cycle; only that subtree is re-hung.
+        if leaving in up:
+            hang(i0, m + j0, leaving)
+        else:
+            hang(m + j0, i0, leaving)
     else:
         raise RuntimeError("solve_emd: pivot limit exceeded")
 
-    exact = _solve_tree_flows(basis, masses.mu, masses.gamma, m, n)
+    exact = _solve_tree_flows(basis, adj, masses.mu, masses.gamma, m)
     if np.min(exact) < -1e-9:
         raise RuntimeError("solve_emd: negative flow beyond tolerance on final basis")
     exact = np.maximum(exact, 0.0)
@@ -278,7 +278,7 @@ def solve_emd(sim: np.ndarray, masses: Masses) -> TransportPlan:
     for e, (i, j) in enumerate(basis):
         plan[i, j] += exact[e]
     objective = float(np.sum(cost * plan))
-    return TransportPlan(plan, objective)
+    return TransportPlan(plan, objective, pivots, min_reduced_cost)
 
 
 def alignment_score(sim: np.ndarray, plan: TransportPlan) -> float:

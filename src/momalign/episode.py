@@ -179,6 +179,10 @@ def evaluate(
     ``workers``: per-episode seeds derive from (seed, episode index) and
     results are reduced in episode order.
     """
+    sizes = {"ways": n, "shots": k, "queries": z, "episodes": episodes, "workers": workers}
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"evaluate: {name} must be >= 1, got {value}")
     metrics = list(metrics or ["a2"])
     for m in metrics:
         if m not in METRICS:

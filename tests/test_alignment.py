@@ -1,13 +1,15 @@
-"""Alignment: similarity, cross-reference masses, exact EMD vs an LP oracle,
-and the fixed-alignment baselines."""
+"""Alignment: similarity, cross-reference masses, exact EMD vs an LP oracle
+and vs the reference simplex bit for bit, and the fixed-alignment baselines."""
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from momalign.alignment import (
+    _OPT_TOL,
     EPS_MASS,
     Masses,
+    _northwest_corner,
     alignment_score,
     cross_reference_products,
     emd_score,
@@ -58,6 +60,175 @@ def random_masses(rng, m, n):
     mu = rng.uniform(0.05, 1.0, m)
     gamma = rng.uniform(0.05, 1.0, n)
     return Masses(mu / mu.sum(), gamma / gamma.sum())
+
+
+#: Inputs with many tied reduced costs or degenerate flows.
+TIE_FAMILIES = ("constant", "duplicate", "rounded", "uniform-masses")
+
+
+def emd_instance(rng, m, n, family=None):
+    """Random similarity and masses, reshaped into ``family`` when given."""
+    sim = rng.uniform(-1, 1, size=(m, n))
+    masses = random_masses(rng, m, n)
+    if family == "constant":
+        sim = np.full((m, n), float(rng.uniform(-1, 1)))
+    elif family == "duplicate":
+        sim = sim[rng.integers(0, m, m)][:, rng.integers(0, n, n)]
+    elif family == "rounded":
+        sim = np.round(sim, 1)
+    elif family == "uniform-masses":
+        masses = Masses(np.full(m, 1.0 / m), np.full(n, 1.0 / n))
+    return sim, masses
+
+
+def emd_instances(seed, draws, max_size=40):
+    """``draws`` random shapes up to ``max_size``, each plain and in every tie
+    family."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        m = int(rng.integers(1, max_size + 1))
+        n = int(rng.integers(1, max_size + 1))
+        for family in (None,) + TIE_FAMILIES:
+            yield emd_instance(rng, m, n, family)
+
+
+# Reference transportation simplex: the solver as it was before it kept its
+# basis tree across pivots. Every pivot rebuilds the tree adjacency, every
+# potential by DFS from row 0 and the cycle by DFS. It is kept unchanged (it
+# also returns its pivot count) as the bitwise reference for the pivot rule.
+
+
+def _tree_adjacency(basis, m, n):
+    """Adjacency of the bipartite basis tree; rows 0..m-1, cols m..m+n-1."""
+    adj: dict[int, list[tuple[int, int]]] = {k: [] for k in range(m + n)}
+    for e, (i, j) in enumerate(basis):
+        adj[i].append((m + j, e))
+        adj[m + j].append((i, e))
+    return adj
+
+
+def _potentials(basis, cost, m, n):
+    u = np.full(m, np.nan)
+    v = np.full(n, np.nan)
+    u[0] = 0.0
+    adj = _tree_adjacency(basis, m, n)
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        for nxt, e in adj[node]:
+            i, j = basis[e]
+            if nxt < m:
+                if np.isnan(u[nxt]):
+                    u[nxt] = cost[i, j] - v[j]
+                    stack.append(nxt)
+            else:
+                jj = nxt - m
+                if np.isnan(v[jj]):
+                    v[jj] = cost[i, j] - u[i]
+                    stack.append(nxt)
+    return u, v
+
+
+def _find_cycle(basis, enter, m, n):
+    """Path through the basis tree closing the cycle opened by ``enter``."""
+    i0, j0 = enter
+    adj = _tree_adjacency(basis, m, n)
+    target = m + j0
+    parent: dict[int, tuple[int, int]] = {i0: (-1, -1)}
+    stack = [i0]
+    while stack:
+        node = stack.pop()
+        if node == target:
+            break
+        for nxt, e in adj[node]:
+            if nxt not in parent:
+                parent[nxt] = (node, e)
+                stack.append(nxt)
+    path_edges = []
+    node = target
+    while node != i0:
+        prev, e = parent[node]
+        path_edges.append(e)
+        node = prev
+    path_edges.reverse()
+    return path_edges
+
+
+def _solve_tree_flows(basis, supply, demand, m, n):
+    """Exact flows on a spanning tree by leaf stripping."""
+    flows = np.zeros(len(basis))
+    residual = np.concatenate([supply, demand]).astype(np.float64)
+    degree = np.zeros(m + n, dtype=np.int64)
+    adj = _tree_adjacency(basis, m, n)
+    for node, edges in adj.items():
+        degree[node] = len(edges)
+    removed = [False] * len(basis)
+    leaves = [node for node in range(m + n) if degree[node] == 1]
+    while leaves:
+        node = leaves.pop()
+        edge = next((e for nxt, e in adj[node] if not removed[e]), None)
+        if edge is None:
+            continue
+        removed[edge] = True
+        flows[edge] = residual[node]
+        other = basis[edge][0] if node >= m else m + basis[edge][1]
+        residual[other] -= residual[node]
+        residual[node] = 0.0
+        degree[node] -= 1
+        degree[other] -= 1
+        if degree[other] == 1:
+            leaves.append(other)
+    return flows
+
+
+def reference_solve_emd(sim, masses):
+    """Plan values, objective and pivot count of the reference simplex."""
+    sim = np.asarray(sim, dtype=np.float64)
+    m, n = sim.shape
+    cost = 1.0 - sim
+
+    total = float(masses.mu.sum())
+    delta = 1e-13 * max(total, 1.0)
+    supply = masses.mu + delta
+    demand = masses.gamma.copy()
+    demand[-1] += m * delta
+
+    basis, flows = _northwest_corner(supply, demand)
+    flows = list(flows)
+    in_basis = set(basis)
+
+    max_pivots = 200 * (m + n) + 1000
+    for pivots in range(max_pivots):
+        u, v = _potentials(basis, cost, m, n)
+        reduced = cost - u[:, None] - v[None, :]
+        for i, j in basis:
+            reduced[i, j] = 0.0
+        flat = int(np.argmin(reduced))
+        if reduced.flat[flat] >= -_OPT_TOL:
+            break
+        entering = (flat // n, flat % n)
+        cycle = _find_cycle(basis, entering, m, n)
+        minus_edges = cycle[0::2]
+        theta = min(flows[e] for e in minus_edges)
+        leaving = min(e for e in minus_edges if flows[e] == theta)
+        for k, e in enumerate(cycle):
+            flows[e] += theta if k % 2 == 1 else -theta
+        in_basis.discard(basis[leaving])
+        basis[leaving] = entering
+        flows[leaving] = theta
+        in_basis.add(entering)
+    else:
+        raise RuntimeError("solve_emd: pivot limit exceeded")
+
+    exact = _solve_tree_flows(basis, masses.mu, masses.gamma, m, n)
+    if np.min(exact) < -1e-9:
+        raise RuntimeError("solve_emd: negative flow beyond tolerance on final basis")
+    exact = np.maximum(exact, 0.0)
+    plan = np.zeros((m, n))
+    for e, (i, j) in enumerate(basis):
+        plan[i, j] += exact[e]
+    objective = float(np.sum(cost * plan))
+    return plan, objective, pivots
 
 
 class TestSimilarityMatrix:
@@ -154,27 +325,37 @@ class TestSolveEmd:
         assert plan.objective == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_lp_oracle(self):
-        rng = np.random.default_rng(6)
-        for _ in range(60):
-            m = int(rng.integers(1, 7))
-            n = int(rng.integers(1, 7))
-            sim = rng.uniform(-1, 1, size=(m, n))
-            masses = random_masses(rng, m, n)
+        for sim, masses in emd_instances(seed=6, draws=12):
             plan = solve_emd(sim, masses)
             oracle = lp_oracle(sim, masses.mu, masses.gamma)
             assert abs(plan.objective - oracle) < 1e-6
 
     def test_plan_feasible(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            m = int(rng.integers(1, 8))
-            n = int(rng.integers(1, 8))
-            sim = rng.uniform(-1, 1, size=(m, n))
-            masses = random_masses(rng, m, n)
+        for sim, masses in emd_instances(seed=7, draws=20):
             plan = solve_emd(sim, masses)
             assert plan.values.min() >= 0.0
             assert np.allclose(plan.values.sum(axis=1), masses.mu, atol=1e-8)
             assert np.allclose(plan.values.sum(axis=0), masses.gamma, atol=1e-8)
+
+    def test_matches_reference_pivot_rule(self):
+        rng = np.random.default_rng(18)
+        cases = list(emd_instances(seed=19, draws=12))
+        for m, n in [(1, 1), (1, 40), (40, 1), (40, 40)]:
+            cases += [emd_instance(rng, m, n, f) for f in (None,) + TIE_FAMILIES]
+        cases.append(emd_instance(rng, 78, 78))
+        for sim, masses in cases:
+            plan = solve_emd(sim, masses)
+            values, objective, pivots = reference_solve_emd(sim, masses)
+            assert plan.values.tobytes() == values.tobytes()
+            assert plan.objective.hex() == objective.hex()
+            assert plan.pivots == pivots
+
+    def test_optimality_certificate(self):
+        for sim, masses in emd_instances(seed=20, draws=10):
+            m, n = sim.shape
+            plan = solve_emd(sim, masses)
+            assert -_OPT_TOL <= plan.min_reduced_cost <= 0.0
+            assert 0 <= plan.pivots < 200 * (m + n) + 1000
 
     def test_degenerate_ties_terminate(self):
         # Uniform costs and equal masses: heavily degenerate, must not cycle.

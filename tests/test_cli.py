@@ -173,6 +173,19 @@ class TestEval:
         assert "wall-clock" not in out
         assert "wall-clock" in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--episodes", "0"), ("--episodes", "-1"), ("--queries", "0"), ("--shots", "0")],
+    )
+    def test_size_below_one_fails(self, dataset, capsys, flag, value):
+        manifest = str(dataset / "data" / "manifest.tsv")
+        code, out, err = run_cli(
+            capsys, "eval", "--manifest", manifest, "--metric", "gap-a2", flag, value
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: evaluate: {flag[2:]} must be >= 1")
+
     def test_bad_manifest_fails(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--manifest", "/no/manifest.tsv")
         assert code != 0

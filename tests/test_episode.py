@@ -198,6 +198,23 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="unknown metric"):
             evaluate(small_dataset, 4, 1, 4, episodes=2, seed=0, metrics=["bogus"])
 
+    @pytest.mark.parametrize(
+        "kwarg, value, name",
+        [
+            ("n", 0, "ways"),
+            ("k", 0, "shots"),
+            ("z", 0, "queries"),
+            ("episodes", 0, "episodes"),
+            ("episodes", -1, "episodes"),
+            ("workers", 0, "workers"),
+        ],
+    )
+    def test_rejects_sizes_below_one(self, small_dataset, kwarg, value, name):
+        args = dict(n=3, k=1, z=3, episodes=2, seed=0, metrics=["gap-a2"])
+        args[kwarg] = value
+        with pytest.raises(ValueError, match=f"evaluate: {name} must be >= 1, got {value}"):
+            evaluate(small_dataset, **args)
+
     def test_all_selectors_run(self, small_dataset):
         report = evaluate(
             small_dataset, 3, 1, 3, episodes=2, seed=0, metrics=list(METRICS)
