@@ -223,11 +223,7 @@ def _run_evaluation(
     cfg = build_run_config(args)
     try:
         manifest = seqio.read_manifest(args.manifest)
-    except (seqio.SeqIOError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    started = time.perf_counter()
-    try:
+        started = time.perf_counter()
         report = episode.evaluate(
             manifest,
             cfg.ways,
@@ -239,7 +235,11 @@ def _run_evaluation(
             scales=cfg.scale_configs(),
             workers=cfg.workers,
         )
-    except ValueError as exc:
+    except OSError as exc:
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 1
+    except (seqio.SeqIOError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print_report(report)

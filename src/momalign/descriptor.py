@@ -253,42 +253,17 @@ def offset_mlp(diff: FeatureClip, cfg: ScaleConfig) -> np.ndarray:
     return off
 
 
-def _bilinear_grid(planes: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Vectorized zero-padded bilinear sampling.
-
-    ``planes`` is (C, H, W); ``rows``/``cols`` are (H, W) fractional
-    coordinates. Returns (C, H, W).
-    """
-    c, h, w = planes.shape
-    r0 = np.floor(rows).astype(np.int64)
-    c0 = np.floor(cols).astype(np.int64)
-    fr = rows - r0
-    fc = cols - c0
-    out = np.zeros((c, h, w))
-    flat = planes.reshape(c, -1)
-    for dr, dc, wgt in (
-        (0, 0, (1 - fr) * (1 - fc)),
-        (0, 1, (1 - fr) * fc),
-        (1, 0, fr * (1 - fc)),
-        (1, 1, fr * fc),
-    ):
-        rr = r0 + dr
-        cc = c0 + dc
-        valid = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
-        idx = np.where(valid, rr * w + cc, 0)
-        vals = flat[:, idx.ravel()].reshape(c, h, w)
-        out += (wgt * valid) * vals
-    return out
-
-
 def deformable_conv(
     clip: FeatureClip, offsets: np.ndarray, cfg: ScaleConfig
 ) -> list[np.ndarray]:
     """Deformable spatial convolution with zero padding, same-size output.
 
-    For each frame returns a C_out x M matrix (M = H * W). With all-zero
-    offsets the result equals a standard grid convolution with the same
-    kernel.
+    For each frame returns a C_out x M matrix (M = H * W). Sampling is
+    bilinear: each frame makes one row gather per corner (00, 01, 10, 11)
+    for all grid^2 kernel points at once, from its M x C pixel matrix, and
+    accumulates the weighted corners into a (point, channel, location) patch;
+    a corner outside the frame reads zero. With all-zero offsets the result
+    equals a standard grid convolution with the same kernel.
     """
     x = clip.data
     t, c, h, w = x.shape
@@ -300,21 +275,35 @@ def deformable_conv(
             f"deformable_conv: offset field shape {offsets.shape} inconsistent "
             f"with clip {(t, 2 * n_points, h, w)}"
         )
-    r = cfg.grid // 2
-    base_rows, base_cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    kernel_pts = [(ki, kj) for ki in range(-r, r + 1) for kj in range(-r, r + 1)]
-
+    m = h * w
+    # Kernel points row-major over the grid; offsets are (dx, dy) per point.
+    k = np.arange(-(cfg.grid // 2), cfg.grid // 2 + 1)
+    base_rows = np.repeat(k, cfg.grid)[:, None, None] + np.arange(h)[:, None]
+    base_cols = np.tile(k, cfg.grid)[:, None, None] + np.arange(w)
+    gathered = np.empty((n_points, m, c))
     out: list[np.ndarray] = []
     for ti in range(t):
-        patch = np.empty((n_points * c, h, w))
-        for p, (ki, kj) in enumerate(kernel_pts):
-            dx = offsets[ti, 2 * p]
-            dy = offsets[ti, 2 * p + 1]
-            rows = base_rows + ki + dy
-            cols = base_cols + kj + dx
-            patch[p * c : (p + 1) * c] = _bilinear_grid(x[ti], rows, cols)
-        frame = np.einsum("po,phw->ohw", cfg.theta_s, patch)
-        out.append(frame.reshape(cfg.c_out, h * w))
+        rows = base_rows + offsets[ti, 1::2]
+        cols = base_cols + offsets[ti, 0::2]
+        r0 = np.floor(rows).astype(np.int64)
+        c0 = np.floor(cols).astype(np.int64)
+        fr = rows - r0
+        fc = cols - c0
+        pixels = np.ascontiguousarray(x[ti].reshape(c, m).T)
+        patch = np.zeros((n_points, c, m))
+        for rr, cc, wgt in (
+            (r0, c0, (1 - fr) * (1 - fc)),
+            (r0, c0 + 1, (1 - fr) * fc),
+            (r0 + 1, c0, fr * (1 - fc)),
+            (r0 + 1, c0 + 1, fr * fc),
+        ):
+            valid = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
+            idx = np.where(valid, rr * w + cc, 0).reshape(n_points, m)
+            np.take(pixels, idx, axis=0, out=gathered)
+            gathered *= (wgt * valid).reshape(n_points, m, 1)
+            patch += gathered.transpose(0, 2, 1)
+        frame = np.einsum("po,phw->ohw", cfg.theta_s, patch.reshape(n_points * c, h, w))
+        out.append(frame.reshape(cfg.c_out, m))
     return out
 
 

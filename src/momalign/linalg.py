@@ -6,6 +6,9 @@ All functions are pure and operate on float64 numpy arrays.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
 #: Default number of coupled Newton-Schulz iterations. Validated against an
@@ -42,7 +45,7 @@ def _spectral_norm_estimate(a: np.ndarray, fro: float, iters: int = 50) -> float
     v = np.full(n, 1.0 / np.sqrt(n))
     for _ in range(iters):
         w = a @ v
-        nw = float(np.linalg.norm(w))
+        nw = math.sqrt(w @ w)
         if nw <= 0.0:
             break
         v = w / nw
@@ -111,7 +114,12 @@ def second_moment(features: np.ndarray) -> np.ndarray:
     return 0.5 * (q + q.T)
 
 
-_SQRT2 = np.sqrt(2.0)
+@lru_cache(maxsize=16)
+def _triu_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat row-major indices of the n x n upper triangle and its scale
+    vector (1 on the diagonal, sqrt(2) off it); internal, never mutated."""
+    iu, ju = np.triu_indices(n)
+    return iu * n + ju, np.where(iu == ju, 1.0, np.sqrt(2.0))
 
 
 def vectorize_spd(a: np.ndarray) -> np.ndarray:
@@ -122,11 +130,8 @@ def vectorize_spd(a: np.ndarray) -> np.ndarray:
     matrices.
     """
     a = _check_square_symmetric(a, "vectorize_spd")
-    n = a.shape[0]
-    iu, ju = np.triu_indices(n)
-    v = a[iu, ju].copy()
-    v[iu != ju] *= _SQRT2
-    return v
+    flat, scale = _triu_layout(a.shape[0])
+    return a.take(flat) * scale
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

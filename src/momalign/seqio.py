@@ -18,6 +18,7 @@ used as reproducibility checks.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -120,11 +121,13 @@ def read_container(path: str | Path) -> dict[str, np.ndarray]:
             metas.append((name, dims, _TAG_TO_DTYPE[tag], off))
     except struct.error as exc:
         raise TruncatedPayloadError(f"{path}: truncated header") from exc
+    except UnicodeDecodeError as exc:
+        raise SeqIOError(f"{path}: tensor name is not valid UTF-8") from exc
 
     spans = []
     out: dict[str, np.ndarray] = {}
     for name, dims, dtype, off in metas:
-        n_elems = int(np.prod(dims, dtype=np.int64)) if dims else 1
+        n_elems = math.prod(dims)  # exact: a fixed-width product can wrap
         nbytes = n_elems * dtype.itemsize
         if off + nbytes > len(data) or off < pos:
             raise TruncatedPayloadError(

@@ -220,5 +220,8 @@ def generate_dataset(cfg: SynthConfig, out_dir: str | Path) -> seqio.Manifest:
 
 
 def load_clip(manifest: seqio.Manifest, entry: seqio.ManifestEntry) -> FeatureClip:
-    tensors = seqio.read_container(manifest.resolve(entry))
+    path = manifest.resolve(entry)
+    tensors = seqio.read_container(path)
+    if "clip" not in tensors:
+        raise seqio.SeqIOError(f"{path}: container has no 'clip' tensor")
     return FeatureClip(np.asarray(tensors["clip"], dtype=np.float64))

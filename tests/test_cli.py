@@ -1,10 +1,13 @@
 """Command-line front end: exit codes, report formats, reproducibility."""
 
 import hashlib
+import re
+import shutil
 
 import numpy as np
 import pytest
 
+from momalign import seqio
 from momalign.cli import RunConfig, build_parser, load_config, main
 
 
@@ -29,6 +32,14 @@ def dataset(tmp_path_factory):
     code = main(["synth", "--config", str(cfg), "--out", str(out / "data")])
     assert code == 0
     return out
+
+
+def truncate_clip(path):
+    path.write_bytes(path.read_bytes()[:-16])
+
+
+def drop_clip_tensor(path):
+    seqio.write_container({"labels": seqio.read_container(path)["labels"]}, path)
 
 
 class TestConfig:
@@ -185,6 +196,27 @@ class TestEval:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: evaluate: {flag[2:]} must be >= 1")
+
+    @pytest.mark.parametrize(
+        "damage, reason",
+        [
+            (truncate_clip, "payload for 'labels' out of bounds"),
+            (lambda clip: clip.unlink(), "No such file or directory"),
+            (drop_clip_tensor, "container has no 'clip' tensor"),
+        ],
+    )
+    def test_bad_clip_fails_with_path(self, dataset, tmp_path, capsys, damage, reason):
+        data = tmp_path / "data"
+        shutil.copytree(dataset / "data", data)
+        for clip in (data / "clips").iterdir():
+            damage(clip)
+        code, out, err = run_cli(
+            capsys, "eval", "--manifest", str(data / "manifest.tsv"), "--metric", "gap-a2"
+        )
+        assert code == 1
+        assert out == ""
+        pattern = rf"error: {re.escape(str(data / 'clips'))}/c\d{{3}}_i\d{{3}}\.fsq: "
+        assert re.match(pattern + re.escape(reason), err), err
 
     def test_bad_manifest_fails(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--manifest", "/no/manifest.tsv")

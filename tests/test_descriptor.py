@@ -194,6 +194,72 @@ def naive_standard_conv(x, theta_s, grid):
     return out
 
 
+def reference_bilinear_grid(planes, rows, cols):
+    """The per-kernel-point sampler ``deformable_conv`` used before it
+    gathered all kernel points at once, kept as the bitwise reference.
+
+    ``planes`` is (C, H, W); ``rows``/``cols`` are (H, W) fractional
+    coordinates. Returns (C, H, W).
+    """
+    c, h, w = planes.shape
+    r0 = np.floor(rows).astype(np.int64)
+    c0 = np.floor(cols).astype(np.int64)
+    fr = rows - r0
+    fc = cols - c0
+    out = np.zeros((c, h, w))
+    flat = planes.reshape(c, -1)
+    for dr, dc, wgt in (
+        (0, 0, (1 - fr) * (1 - fc)),
+        (0, 1, (1 - fr) * fc),
+        (1, 0, fr * (1 - fc)),
+        (1, 1, fr * fc),
+    ):
+        rr = r0 + dr
+        cc = c0 + dc
+        valid = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
+        idx = np.where(valid, rr * w + cc, 0)
+        vals = flat[:, idx.ravel()].reshape(c, h, w)
+        out += (wgt * valid) * vals
+    return out
+
+
+def reference_deformable_conv(clip, offsets, cfg):
+    """Reference: one ``reference_bilinear_grid`` call per (frame, kernel
+    point), as ``deformable_conv`` ran before its single-gather rewrite."""
+    x = clip.data
+    t, c, h, w = x.shape
+    n_points = cfg.grid * cfg.grid
+    r = cfg.grid // 2
+    base_rows, base_cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    kernel_pts = [(ki, kj) for ki in range(-r, r + 1) for kj in range(-r, r + 1)]
+
+    out = []
+    for ti in range(t):
+        patch = np.empty((n_points * c, h, w))
+        for p, (ki, kj) in enumerate(kernel_pts):
+            dx = offsets[ti, 2 * p]
+            dy = offsets[ti, 2 * p + 1]
+            rows = base_rows + ki + dy
+            cols = base_cols + kj + dx
+            patch[p * c : (p + 1) * c] = reference_bilinear_grid(x[ti], rows, cols)
+        frame = np.einsum("po,phw->ohw", cfg.theta_s, patch)
+        out.append(frame.reshape(cfg.c_out, h * w))
+    return out
+
+
+def mixed_offsets(rng, shape):
+    """Seeded (T, 2P, H, W) offset field mixing fractional in-frame shifts,
+    shifts that leave the frame partly, whole-pixel shifts and very large
+    shifts."""
+    reach = max(shape[-2:]) + 2
+    small = rng.uniform(-1.5, 1.5, shape)
+    edge = rng.uniform(-reach, reach, shape)
+    whole = np.round(edge)
+    large = rng.standard_normal(shape) * 1e6
+    kind = rng.integers(0, 4, shape)
+    return np.choose(kind, [small, edge, whole, large])
+
+
 class TestDeformableConv:
     def test_zero_offsets_1x1_is_pointwise(self):
         rng = np.random.default_rng(9)
@@ -239,6 +305,23 @@ class TestDeformableConv:
                         )
                 expect = patch @ cfg.theta_s
                 assert np.allclose(frames[0][:, i * 4 + j], expect, atol=1e-9)
+
+    @pytest.mark.parametrize("c_prime", [32, 256])
+    @pytest.mark.parametrize("t", [1, 8, 28])
+    @pytest.mark.parametrize("grid", [1, 3, 5])
+    def test_matches_reference_bitwise(self, grid, t, c_prime):
+        rng = np.random.default_rng([grid, t, c_prime])
+        h, w = 4, 5
+        cfg = random_cfg(rng, 1, grid, c_in=c_prime, c_prime=c_prime, c_out=3)
+        clip = FeatureClip(rng.standard_normal((t, c_prime, h, w)))
+        off = mixed_offsets(rng, (t, 2 * grid * grid, h, w))
+        frames = deformable_conv(clip, off, cfg)
+        expect = reference_deformable_conv(clip, off, cfg)
+        assert len(frames) == len(expect) == t
+        for got, ref in zip(frames, expect):
+            assert got.shape == (3, h * w)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, ref)
 
     def test_zero_clip_zero_output(self):
         rng = np.random.default_rng(12)

@@ -26,6 +26,55 @@ def eigen_sqrt(a):
     return (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
 
 
+def reference_newton_schulz_sqrt(a, iterations=5):
+    """The square root as computed before the power iteration took its
+    norm as ``math.sqrt(w @ w)``: ``np.linalg.norm`` throughout, input
+    validation left out. Kept as the bitwise reference."""
+    n = a.shape[0]
+    ident = np.eye(n)
+    eps = 1e-5 * float(np.trace(a)) / n
+    shifted = a + eps * ident
+    fro = float(np.linalg.norm(shifted))
+    v = np.full(n, 1.0 / np.sqrt(n))
+    for _ in range(50):
+        w = shifted @ v
+        nw = float(np.linalg.norm(w))
+        if nw <= 0.0:
+            break
+        v = w / nw
+    rayleigh = float(v @ shifted @ v)
+    norm = min(max(rayleigh, fro / np.sqrt(n)), fro)
+    y = shifted / norm
+    z = ident
+    for _ in range(iterations):
+        t = 0.5 * (3.0 * ident - z @ y)
+        y = y @ t
+        z = t @ z
+    out = y * np.sqrt(norm)
+    return 0.5 * (out + out.T)
+
+
+def reference_vectorize_spd(a):
+    """The vectorization before its triangle index and scale were cached."""
+    n = a.shape[0]
+    iu, ju = np.triu_indices(n)
+    v = a[iu, ju].copy()
+    v[iu != ju] *= np.sqrt(2.0)
+    return v
+
+
+def reference_inputs(rng):
+    """Full-rank, rank-deficient and rank-one second moments at the channel
+    counts the pipeline uses, plus small and zero-padded cases."""
+    for dim in (1, 2, 3, 16, 64, 128):
+        yield random_spd(rng, dim)
+        for m in (1, max(1, dim // 2), 36):
+            yield second_moment(rng.standard_normal((dim, m)) * rng.uniform(0.01, 100.0))
+    padded = np.zeros((16, 16))
+    padded[:4, :4] = random_spd(rng, 4)
+    yield padded
+
+
 class TestNewtonSchulzSqrt:
     def test_identity_fixed_point(self):
         y = newton_schulz_sqrt(np.eye(8))
@@ -72,6 +121,13 @@ class TestNewtonSchulzSqrt:
         a = np.outer(np.arange(1.0, 5.0), np.arange(1.0, 5.0))
         y = newton_schulz_sqrt(a)
         assert np.all(np.isfinite(y))
+
+    def test_matches_reference_bitwise(self):
+        rng = np.random.default_rng(40)
+        for a in reference_inputs(rng):
+            for iterations in (1, 5):
+                got = newton_schulz_sqrt(a, iterations)
+                assert np.array_equal(got, reference_newton_schulz_sqrt(a, iterations))
 
     def test_rejects_non_finite(self):
         a = np.eye(4)
@@ -157,6 +213,13 @@ class TestVectorizeSpd:
             frob = float(np.sum(a * b))
             got = float(np.dot(vectorize_spd(a), vectorize_spd(b)))
             assert abs(got - frob) <= 1e-9 * (1 + abs(frob))
+
+    def test_matches_reference_bitwise(self):
+        rng = np.random.default_rng(41)
+        for a in reference_inputs(rng):
+            got = vectorize_spd(a)
+            assert np.array_equal(got, reference_vectorize_spd(a))
+            assert got.flags.c_contiguous
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):

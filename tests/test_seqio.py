@@ -141,6 +141,35 @@ class TestContainerCorruption:
         with pytest.raises(OverlappingOffsetsError):
             read_container(p)
 
+    @staticmethod
+    def _header(name, dims):
+        """A one-tensor f32 header with the given raw name bytes and dims,
+        its offset just past the header, and 8 payload bytes."""
+        size = 8 + 4 + len(name) + 4 + 4 * len(dims) + 4 + 8
+        raw = bytearray(seqio.MAGIC + struct.pack("<I", 1))
+        raw += struct.pack("<I", len(name)) + name
+        raw += struct.pack(f"<I{len(dims)}I", len(dims), *dims)
+        raw += struct.pack("<IQ", 0, size)
+        return bytes(raw) + bytes(8)
+
+    def test_element_count_overflow(self, tmp_path):
+        # 2^31 * 2^31 * 4 wraps a 64-bit element count to 0.
+        p = tmp_path / "huge.fsq"
+        p.write_bytes(self._header(b"x", (2**31, 2**31, 4)))
+        with pytest.raises(TruncatedPayloadError, match="out of bounds"):
+            read_container(p)
+
+    def test_name_not_utf8(self, tmp_path):
+        p = tmp_path / "name.fsq"
+        p.write_bytes(self._header(b"\xff\xfe", (2,)))
+        with pytest.raises(seqio.SeqIOError, match="UTF-8"):
+            read_container(p)
+
+    def test_crafted_header_reads_when_valid(self, tmp_path):
+        p = tmp_path / "ok.fsq"
+        p.write_bytes(self._header(b"x", (2,)))
+        assert np.array_equal(read_container(p)["x"], np.zeros(2, dtype=np.float32))
+
 
 class TestManifest:
     def test_two_line_file(self, tmp_path):
