@@ -22,7 +22,7 @@ from .descriptor import (
     multi_scale_descriptors,
 )
 from .episode import Episode, Report, classify_query, evaluate, sample_episode
-from .linalg import cosine, newton_schulz_sqrt, second_moment, vectorize_spd
+from .linalg import newton_schulz_sqrt, second_moment, vectorize_spd
 from .seqio import Manifest, read_container, read_manifest, write_container
 from .synthgen import SynthConfig, generate_class_library, generate_dataset, render_instance
 
@@ -48,7 +48,6 @@ __all__ = [
     "classify_query",
     "evaluate",
     "sample_episode",
-    "cosine",
     "newton_schulz_sqrt",
     "second_moment",
     "vectorize_spd",

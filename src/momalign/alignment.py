@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptor import DescriptorSequence
-from .linalg import cosine
 
 #: Lower clamp applied to raw cross-reference masses before normalization.
 EPS_MASS = 1e-6
@@ -301,9 +300,7 @@ def fixed_alignment_pp(q: DescriptorSequence, s: DescriptorSequence) -> float:
     entries, averaged."""
     if not q.same_structure(s):
         raise ValueError("fixed_alignment_pp: sequences must share scale/length structure")
-    return float(
-        np.mean([cosine(q.vectors[i], s.vectors[i]) for i in range(len(q))])
-    )
+    return float(np.mean(np.diagonal(similarity_matrix(q, s))))
 
 
 def fixed_alignment_cross(q: DescriptorSequence, s: DescriptorSequence) -> float:

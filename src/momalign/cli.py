@@ -23,7 +23,6 @@ from .descriptor import (
     PAPER_C_IN,
     PAPER_C_OUT,
     PAPER_C_PRIME,
-    FeatureClip,
 )
 
 
@@ -154,19 +153,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_clip_file(path: str) -> FeatureClip:
-    tensors = seqio.read_container(path)
-    if "clip" not in tensors:
-        raise seqio.SeqIOError(f"{path}: container has no 'clip' tensor")
-    return FeatureClip(np.asarray(tensors["clip"], dtype=np.float64))
-
-
 def cmd_align(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     try:
-        clip_a = _load_clip_file(args.clip_a)
-        clip_b = _load_clip_file(args.clip_b)
-    except (seqio.SeqIOError, ValueError, OSError) as exc:
+        clip_a = synthgen.load_clip(args.clip_a)
+        clip_b = synthgen.load_clip(args.clip_b)
+    except (seqio.SeqIOError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     scales = cfg.scale_configs()
@@ -311,25 +303,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_align.add_argument("clip_b")
     p_align.set_defaults(func=cmd_align)
 
+    def episodic(p):
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--episodes", type=int)
+        p.add_argument(
+            "--workers", type=int, help="checked to be >= 1; scoring is serial, so no effect"
+        )
+        p.add_argument("--ways", type=int)
+        p.add_argument("--shots", type=int)
+        p.add_argument("--queries", type=int)
+
     p_eval = sub.add_parser("eval", help="episodic evaluation over a manifest")
     common(p_eval)
-    p_eval.add_argument("--manifest", required=True)
-    p_eval.add_argument("--episodes", type=int)
+    episodic(p_eval)
     p_eval.add_argument("--metric", help="comma-separated metric selector")
-    p_eval.add_argument("--workers", type=int)
-    p_eval.add_argument("--ways", type=int)
-    p_eval.add_argument("--shots", type=int)
-    p_eval.add_argument("--queries", type=int)
     p_eval.set_defaults(func=cmd_eval)
 
     p_abl = sub.add_parser("ablate", help="component-grid comparison table")
     common(p_abl)
-    p_abl.add_argument("--manifest", required=True)
-    p_abl.add_argument("--episodes", type=int)
-    p_abl.add_argument("--workers", type=int)
-    p_abl.add_argument("--ways", type=int)
-    p_abl.add_argument("--shots", type=int)
-    p_abl.add_argument("--queries", type=int)
+    episodic(p_abl)
     p_abl.set_defaults(func=cmd_ablate)
     return parser
 

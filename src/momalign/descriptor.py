@@ -332,9 +332,7 @@ def _per_scale_sequence(
 
 
 def multi_scale_descriptors(
-    clip: FeatureClip,
-    scales: list[ScaleConfig],
-    sqrt_iterations: int = 5,
+    clip: FeatureClip, scales: list[ScaleConfig]
 ) -> DescriptorSequence:
     """Normalized, vectorized second moments across all scales.
 
@@ -348,18 +346,16 @@ def multi_scale_descriptors(
     return _per_scale_sequence(
         clip,
         scales,
-        lambda frame: vectorize_spd(newton_schulz_sqrt(second_moment(frame), sqrt_iterations)),
+        lambda frame: vectorize_spd(newton_schulz_sqrt(second_moment(frame))),
     )
 
 
-def cov_mn_descriptors(clip: FeatureClip, sqrt_iterations: int = 5) -> DescriptorSequence:
+def cov_mn_descriptors(clip: FeatureClip) -> DescriptorSequence:
     """Single-scale baseline: plain per-frame second moments, normalized and
     vectorized. Bit-identical to the identity-weight multi-scale pathway."""
     t, c, h, w = clip.data.shape
     vectors = [
-        vectorize_spd(
-            newton_schulz_sqrt(second_moment(clip.data[i].reshape(c, h * w)), sqrt_iterations)
-        )
+        vectorize_spd(newton_schulz_sqrt(second_moment(clip.data[i].reshape(c, h * w))))
         for i in range(t)
     ]
     return DescriptorSequence(np.array(vectors), np.zeros(t, dtype=np.int64), np.arange(t))

@@ -4,7 +4,6 @@ alignment score, and accuracy aggregation with confidence intervals."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,9 +174,9 @@ def evaluate(
     """Mean accuracy and 95% normal-approximation confidence interval over
     ``episodes`` independently sampled episodes.
 
-    Deterministic for fixed (manifest, config, seed) regardless of
-    ``workers``: per-episode seeds derive from (seed, episode index) and
-    results are reduced in episode order.
+    Deterministic for fixed (manifest, config, seed): per-episode seeds derive
+    from (seed, episode index) and episodes are scored serially, in order.
+    ``workers`` is checked to be >= 1 and changes nothing else.
     """
     sizes = {"ways": n, "shots": k, "queries": z, "episodes": episodes, "workers": workers}
     for name, value in sizes.items():
@@ -196,8 +195,7 @@ def evaluate(
     ]
     sampled = [sample_episode(manifest, n, k, z, s) for s in episode_seeds]
 
-    # One serial extraction pass, so threads only read the descriptors: each
-    # clip is loaded once and extracted once per representation.
+    # Each clip is loaded once and extracted once per representation.
     reps = sorted({_METRIC_TABLE[m][0] for m in metrics})
     entries: dict[str, ManifestEntry] = {}
     for ep in sampled:
@@ -205,21 +203,14 @@ def evaluate(
             entries.setdefault(entry.clip_id, entry)
     descriptors: dict[tuple[str, str], DescriptorSequence] = {}
     for clip_id in sorted(entries):
-        clip = synthgen.load_clip(manifest, entries[clip_id])
+        clip = synthgen.load_clip(manifest.resolve(entries[clip_id]))
         for rep in reps:
             extract = getattr(descriptor, rep)
             descriptors[(clip_id, rep)] = (
                 extract(clip, scales) if rep in _MULTI_SCALE else extract(clip)
             )
 
-    def run(ep: Episode) -> dict[str, float]:
-        return _episode_accuracy(ep, descriptors, metrics)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_episode = list(pool.map(run, sampled))
-    else:
-        per_episode = [run(ep) for ep in sampled]
+    per_episode = [_episode_accuracy(ep, descriptors, metrics) for ep in sampled]
 
     results = []
     for m in metrics:

@@ -1,5 +1,5 @@
 """Dense SPD primitives: second-moment aggregation, iterative matrix square
-root, Frobenius-faithful vectorization, and cosine similarity.
+root, and Frobenius-faithful vectorization.
 
 All functions are pure and operate on float64 numpy arrays.
 """
@@ -133,16 +133,3 @@ def vectorize_spd(a: np.ndarray) -> np.ndarray:
     flat, scale = _triu_layout(a.shape[0])
     return a.take(flat) * scale
 
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; defined as 0 when either norm is below 1e-12."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.shape != v.shape:
-        raise ValueError(f"cosine: length mismatch {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu < 1e-12 or nv < 1e-12:
-        return 0.0
-    c = float(np.dot(u, v) / (nu * nv))
-    return min(1.0, max(-1.0, c))

@@ -18,6 +18,7 @@ used as reproducibility checks.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -163,7 +164,6 @@ class Manifest:
     """
 
     entries: tuple[ManifestEntry, ...]
-    split: str = ""
     root: str = "."
 
     def labels(self) -> list[str]:
@@ -179,7 +179,7 @@ class Manifest:
         return Path(self.root) / entry.path
 
 
-def read_manifest(path: str | Path, split: str = "") -> Manifest:
+def read_manifest(path: str | Path) -> Manifest:
     """Parse a line-delimited ``id<TAB>class<TAB>relative-path`` manifest.
 
     Blank lines and lines starting with ``#`` are skipped. Duplicate ids and
@@ -187,20 +187,26 @@ def read_manifest(path: str | Path, split: str = "") -> Manifest:
     """
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or not all(p.strip() for p in parts):
-                raise ManifestError(f"{path}:{lineno}: malformed manifest line")
-            clip_id, label, rel = parts
-            if clip_id in seen:
-                raise ManifestError(f"{path}:{lineno}: duplicate id '{clip_id}'")
-            seen.add(clip_id)
-            entries.append(ManifestEntry(clip_id, label, rel))
-    return Manifest(tuple(entries), split=split, root=str(Path(path).parent))
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ManifestError(f"{path}:{lineno}: manifest is not valid UTF-8") from None
+    # Universal newlines, as a text-mode open() reads them.
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3 or not all(p.strip() for p in parts):
+            raise ManifestError(f"{path}:{lineno}: malformed manifest line")
+        clip_id, label, rel = parts
+        if clip_id in seen:
+            raise ManifestError(f"{path}:{lineno}: duplicate id '{clip_id}'")
+        seen.add(clip_id)
+        entries.append(ManifestEntry(clip_id, label, rel))
+    return Manifest(tuple(entries), root=str(Path(path).parent))
 
 
 def write_manifest(manifest: Manifest, path: str | Path) -> None:

@@ -214,14 +214,17 @@ def generate_dataset(cfg: SynthConfig, out_dir: str | Path) -> seqio.Manifest:
                 out / rel,
             )
             entries.append(seqio.ManifestEntry(clip_id, class_def.label, rel))
-    manifest = seqio.Manifest(tuple(entries), split="synthetic", root=str(out))
+    manifest = seqio.Manifest(tuple(entries), root=str(out))
     seqio.write_manifest(manifest, out / "manifest.tsv")
     return manifest
 
 
-def load_clip(manifest: seqio.Manifest, entry: seqio.ManifestEntry) -> FeatureClip:
-    path = manifest.resolve(entry)
+def load_clip(path: str | Path) -> FeatureClip:
+    """The stored ``clip`` tensor; bad content raises ``SeqIOError`` naming the file."""
     tensors = seqio.read_container(path)
     if "clip" not in tensors:
         raise seqio.SeqIOError(f"{path}: container has no 'clip' tensor")
-    return FeatureClip(np.asarray(tensors["clip"], dtype=np.float64))
+    try:
+        return FeatureClip(np.asarray(tensors["clip"], dtype=np.float64))
+    except ValueError as exc:
+        raise seqio.SeqIOError(f"{path}: {exc}") from None

@@ -20,7 +20,20 @@ from momalign.alignment import (
     solve_emd,
 )
 from momalign.descriptor import DescriptorSequence
-from momalign.linalg import cosine
+
+
+def cosine(u: np.ndarray, v: np.ndarray) -> float:
+    """Cosine similarity; defined as 0 when either norm is below 1e-12."""
+    u = np.asarray(u, dtype=np.float64).ravel()
+    v = np.asarray(v, dtype=np.float64).ravel()
+    if u.shape != v.shape:
+        raise ValueError(f"cosine: length mismatch {u.shape} vs {v.shape}")
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu < 1e-12 or nv < 1e-12:
+        return 0.0
+    c = float(np.dot(u, v) / (nu * nv))
+    return min(1.0, max(-1.0, c))
 
 
 def make_seq(vectors, scale_ids=None, times=None):

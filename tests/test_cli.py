@@ -42,6 +42,12 @@ def drop_clip_tensor(path):
     seqio.write_container({"labels": seqio.read_container(path)["labels"]}, path)
 
 
+def nan_clip(path):
+    tensors = seqio.read_container(path)
+    tensors["clip"].flat[0] = np.nan
+    seqio.write_container(tensors, path)
+
+
 class TestConfig:
     def test_load_key_value(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -135,6 +141,16 @@ class TestAlign:
         assert code != 0
         assert "error" in err
 
+    def test_non_finite_clip_fails_with_path(self, dataset, tmp_path, capsys):
+        good = dataset / "data" / "clips" / "c000_i000.fsq"
+        bad = tmp_path / "nan.fsq"
+        shutil.copyfile(good, bad)
+        nan_clip(bad)
+        code, out, err = run_cli(capsys, "align", str(good), str(bad))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {bad}: FeatureClip: non-finite entries\n"
+
 
 class TestEval:
     def test_report_rows_per_metric(self, dataset, capsys):
@@ -203,6 +219,7 @@ class TestEval:
             (truncate_clip, "payload for 'labels' out of bounds"),
             (lambda clip: clip.unlink(), "No such file or directory"),
             (drop_clip_tensor, "container has no 'clip' tensor"),
+            (nan_clip, "FeatureClip: non-finite entries"),
         ],
     )
     def test_bad_clip_fails_with_path(self, dataset, tmp_path, capsys, damage, reason):

@@ -24,7 +24,7 @@ def toy_manifest(classes=10, per_class=4):
             entries.append(
                 ManifestEntry(f"c{c}_i{i}", f"class{c:03d}", f"clips/c{c}_i{i}.fsq")
             )
-    return Manifest(tuple(entries), split="test")
+    return Manifest(tuple(entries))
 
 
 def make_seq(vectors):
@@ -157,7 +157,7 @@ class TestEvaluate:
             ManifestEntry(e.clip_id, labels[int(rng.integers(len(labels)))], e.path)
             for e in small_dataset.entries
         )
-        shuffled = Manifest(entries, split="test", root=small_dataset.root)
+        shuffled = Manifest(entries, root=small_dataset.root)
         report = evaluate(shuffled, 2, 1, 4, episodes=60, seed=1, metrics=["gap-a2"])
         r = report.results[0]
         assert abs(r.mean_accuracy - 0.5) <= max(3 * r.ci95 / 1.96, 0.15)
@@ -227,13 +227,13 @@ class TestEvaluate:
         load_clip = synthgen.load_clip
         sample = episode.sample_episode
 
-        def counting_load(manifest, entry):
-            loads[entry.clip_id] += 1
-            return load_clip(manifest, entry)
+        def counting_load(path):
+            loads[path] += 1
+            return load_clip(path)
 
         def recording_sample(*args):
             ep = sample(*args)
-            used.update(e.clip_id for e, _ in ep.support + ep.query)
+            used.update(small_dataset.resolve(e) for e, _ in ep.support + ep.query)
             return ep
 
         monkeypatch.setattr(synthgen, "load_clip", counting_load)

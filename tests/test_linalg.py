@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from momalign.linalg import (
-    cosine,
     newton_schulz_sqrt,
     second_moment,
     vectorize_spd,
 )
+from test_alignment import cosine
 
 
 def random_spd(rng, dim, cond=100.0):
@@ -227,6 +227,8 @@ class TestVectorizeSpd:
 
 
 class TestCosine:
+    """The per-vector cosine oracle that the alignment tests score against."""
+
     def test_identical_direction(self):
         assert cosine([1.0, 0.0], [1.0, 0.0]) == 1.0
 

@@ -1,6 +1,7 @@
 """Container round trips, corruption handling, and manifest parsing."""
 
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -195,6 +196,12 @@ class TestManifest:
         p = tmp_path / "m.tsv"
         p.write_text("a\tcat\tx.fsq\nbroken line\n")
         with pytest.raises(ManifestError, match=":2"):
+            read_manifest(p)
+
+    def test_non_utf8_names_file_and_line(self, tmp_path):
+        p = tmp_path / "m.tsv"
+        p.write_bytes(b"a\tcat\tx.fsq\nb\t\xffdog\ty.fsq\n")
+        with pytest.raises(ManifestError, match=f"^{re.escape(str(p))}:2: .*UTF-8"):
             read_manifest(p)
 
     def test_round_trip(self, tmp_path):

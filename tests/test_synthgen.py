@@ -175,7 +175,7 @@ class TestGenerateDataset:
     def test_clips_load_back(self, tmp_path):
         cfg = clean_cfg(instances_per_class=2)
         man = generate_dataset(cfg, tmp_path)
-        clip = load_clip(man, man.entries[0])
+        clip = load_clip(man.resolve(man.entries[0]))
         assert clip.frames == cfg.frames
         assert clip.channels == cfg.c_in
 
@@ -183,7 +183,7 @@ class TestGenerateDataset:
         cfg = clean_cfg(classes=3, c_in=12, instances_per_class=3)
         man = generate_dataset(cfg, tmp_path)
         descs = {
-            e.clip_id: descriptor.gap_descriptor(load_clip(man, e))
+            e.clip_id: descriptor.gap_descriptor(load_clip(man.resolve(e)))
             for e in man.entries
         }
         by_label = man.by_label()
