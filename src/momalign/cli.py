@@ -153,12 +153,21 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_os_error(exc: OSError) -> None:
+    """``error: <filename>: <strerror>``, the one form of a failed read."""
+    where = f"{exc.filename}: " if exc.filename else ""
+    print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+
+
 def cmd_align(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     try:
         clip_a = synthgen.load_clip(args.clip_a)
         clip_b = synthgen.load_clip(args.clip_b)
-    except (seqio.SeqIOError, OSError) as exc:
+    except OSError as exc:
+        _print_os_error(exc)
+        return 1
+    except seqio.SeqIOError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     scales = cfg.scale_configs()
@@ -228,8 +237,7 @@ def _run_evaluation(
             workers=cfg.workers,
         )
     except OSError as exc:
-        where = f"{exc.filename}: " if exc.filename else ""
-        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        _print_os_error(exc)
         return 1
     except (seqio.SeqIOError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

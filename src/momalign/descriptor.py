@@ -209,7 +209,13 @@ class DescriptorSequence:
 
 
 def temporal_conv(clip: FeatureClip, cfg: ScaleConfig) -> FeatureClip:
-    """Valid temporal convolution: T output frames become T - tau + 1."""
+    """Valid temporal convolution: T output frames become T - tau + 1.
+
+    The clip is laid out pixel-major, one (T * M, C_in) matrix with M = H * W,
+    so tap k is one GEMM over all output frames at once:
+    ``acc += P[k*M : (k + T')*M] @ theta_t[k]``. The result is a (T', C', H, W)
+    view of the pixel-major (T', H, W, C') product.
+    """
     x = clip.data
     if cfg.tau > clip.frames:
         raise ValueError(
@@ -220,11 +226,14 @@ def temporal_conv(clip: FeatureClip, cfg: ScaleConfig) -> FeatureClip:
             f"temporal_conv: channel mismatch (clip {clip.channels}, kernel {cfg.c_in})"
         )
     t_out = clip.frames - cfg.tau + 1
-    out = np.empty((t_out, cfg.c_prime, clip.height, clip.width))
-    for t in range(t_out):
-        # sum_k theta_t[k] applied to frame t+k, mapping c_in -> c_prime
-        out[t] = np.einsum("kcd,kchw->dhw", cfg.theta_t, x[t : t + cfg.tau])
-    return FeatureClip(out)
+    m = clip.height * clip.width
+    pixels = x.transpose(0, 2, 3, 1).reshape(clip.frames * m, cfg.c_in)
+    acc = pixels[: t_out * m] @ cfg.theta_t[0]
+    for k in range(1, cfg.tau):
+        acc += pixels[k * m : (k + t_out) * m] @ cfg.theta_t[k]
+    return FeatureClip(
+        acc.reshape(t_out, clip.height, clip.width, cfg.c_prime).transpose(0, 3, 1, 2)
+    )
 
 
 def temporal_difference(clip: FeatureClip) -> FeatureClip:
@@ -240,17 +249,20 @@ def offset_mlp(diff: FeatureClip, cfg: ScaleConfig) -> np.ndarray:
     """Per-location offsets from the temporal difference signal.
 
     Returns a (T, 2 * grid^2, H, W) field: for every frame, location and
-    kernel point, an (dx, dy) pair stored at channels (2p, 2p + 1).
+    kernel point, an (dx, dy) pair stored at channels (2p, 2p + 1). Both
+    layers are GEMMs over the pixel-major (T * H * W, C') matrix, and the
+    field is a view of the pixel-major (T, H, W, 2 * grid^2) result.
     """
     x = diff.data
-    if x.shape[1] != cfg.c_prime:
+    t, c, h, w = x.shape
+    if c != cfg.c_prime:
         raise ValueError("offset_mlp: channel mismatch with scale config")
-    hidden = np.einsum("ce,tchw->tehw", cfg.offset_w1, x)
-    hidden += cfg.offset_b1[np.newaxis, :, np.newaxis, np.newaxis]
+    hidden = x.transpose(0, 2, 3, 1).reshape(t * h * w, c) @ cfg.offset_w1
+    hidden += cfg.offset_b1
     np.maximum(hidden, 0.0, out=hidden)
-    off = np.einsum("eo,tehw->tohw", cfg.offset_w2, hidden)
-    off += cfg.offset_b2[np.newaxis, :, np.newaxis, np.newaxis]
-    return off
+    off = hidden @ cfg.offset_w2
+    off += cfg.offset_b2
+    return off.reshape(t, h, w, -1).transpose(0, 3, 1, 2)
 
 
 def deformable_conv(
@@ -262,8 +274,10 @@ def deformable_conv(
     bilinear: each frame makes one row gather per corner (00, 01, 10, 11)
     for all grid^2 kernel points at once, from its M x C pixel matrix, and
     accumulates the weighted corners into a (point, channel, location) patch;
-    a corner outside the frame reads zero. With all-zero offsets the result
-    equals a standard grid convolution with the same kernel.
+    a corner outside the frame reads zero. The patch meets the kernel in one
+    GEMM, ``theta_s.T @ patch``. The pixel matrix is free when the clip is a
+    pixel-major view, as ``temporal_conv`` returns. With all-zero offsets the
+    result equals a standard grid convolution with the same kernel.
     """
     x = clip.data
     t, c, h, w = x.shape
@@ -302,8 +316,7 @@ def deformable_conv(
             np.take(pixels, idx, axis=0, out=gathered)
             gathered *= (wgt * valid).reshape(n_points, m, 1)
             patch += gathered.transpose(0, 2, 1)
-        frame = np.einsum("po,phw->ohw", cfg.theta_s, patch.reshape(n_points * c, h, w))
-        out.append(frame.reshape(cfg.c_out, m))
+        out.append(cfg.theta_s.T @ patch.reshape(n_points * c, m))
     return out
 
 

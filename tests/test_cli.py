@@ -141,6 +141,12 @@ class TestAlign:
         assert code != 0
         assert "error" in err
 
+    def test_missing_clip_names_file(self, capsys):
+        code, out, err = run_cli(capsys, "align", "/no/a.fsq", "/no/b.fsq")
+        assert code == 1
+        assert out == ""
+        assert err == "error: /no/a.fsq: No such file or directory\n"
+
     def test_non_finite_clip_fails_with_path(self, dataset, tmp_path, capsys):
         good = dataset / "data" / "clips" / "c000_i000.fsq"
         bad = tmp_path / "nan.fsq"

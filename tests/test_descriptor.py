@@ -1,5 +1,7 @@
 """Descriptor pipeline: shapes, naive oracles, and baseline reductions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,17 @@ class TestFeatureClip:
             FeatureClip(data)
 
 
+def reference_temporal_conv(clip, cfg):
+    """Reference: one einsum over the tau-frame window per output frame, as
+    ``temporal_conv`` ran before its GEMM-per-tap rewrite."""
+    x = clip.data
+    t_out = clip.frames - cfg.tau + 1
+    out = np.empty((t_out, cfg.c_prime, clip.height, clip.width))
+    for t in range(t_out):
+        out[t] = np.einsum("kcd,kchw->dhw", cfg.theta_t, x[t : t + cfg.tau])
+    return out
+
+
 class TestTemporalConv:
     def test_pointwise_kernel_keeps_length(self):
         rng = np.random.default_rng(0)
@@ -79,6 +92,23 @@ class TestTemporalConv:
                             for c in range(3):
                                 acc += cfg.theta_t[k, c, d] * clip.data[t + k, c, i, j]
                         assert abs(out[t, d, i, j] - acc) < 1e-12
+
+    def test_matches_reference_at_paper_like_width(self):
+        # C_in = 256 and a random (non-factorized) kernel over tau = 5 taps:
+        # measured at most 3.5e-15 * max|ref| per frame over 20 seeds.
+        rng = np.random.default_rng(21)
+        clip = random_clip(rng, t=8, c=256, h=4, w=5)
+        cfg = random_cfg(rng, 5, 1, c_in=256, c_prime=32)
+        out = temporal_conv(clip, cfg).data
+        expect = reference_temporal_conv(clip, cfg)
+        assert out.shape == expect.shape == (4, 32, 4, 5)
+        for got, ref in zip(out, expect):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_output_is_pixel_major(self):
+        rng = np.random.default_rng(22)
+        out = temporal_conv(random_clip(rng, t=6), random_cfg(rng, 3, 1)).data
+        assert out.transpose(0, 2, 3, 1).flags.c_contiguous
 
     def test_zero_clip_zero_output(self):
         rng = np.random.default_rng(3)
@@ -131,6 +161,29 @@ class TestOffsetMlp:
                     hidden = np.maximum(x @ cfg.offset_w1 + cfg.offset_b1, 0.0)
                     expect = hidden @ cfg.offset_w2 + cfg.offset_b2
                     assert np.allclose(off[t, :, i, j], expect, atol=1e-12)
+
+    def test_matches_per_pixel_oracle_at_paper_width(self):
+        # c_prime = 256, hidden 128 and a nonzero head: measured at most
+        # 1.4e-15 * max|expect| per pixel over 20 seeds.
+        rng = np.random.default_rng(23)
+        cfg = dataclasses.replace(
+            ScaleConfig.from_seed(1, 3, c_in=4, c_prime=256, c_out=3, seed=2),
+            offset_b1=rng.standard_normal(128),
+            offset_w2=rng.standard_normal((128, 18)),
+            offset_b2=rng.standard_normal(18),
+        )
+        diff = FeatureClip(rng.standard_normal((2, 256, 3, 4)))
+        off = offset_mlp(diff, cfg)
+        assert off.shape == (2, 18, 3, 4)
+        assert np.any(off != 0.0)
+        for t in range(2):
+            for i in range(3):
+                for j in range(4):
+                    x = diff.data[t, :, i, j]
+                    hidden = np.maximum(x @ cfg.offset_w1 + cfg.offset_b1, 0.0)
+                    expect = hidden @ cfg.offset_w2 + cfg.offset_b2
+                    got = off[t, :, i, j]
+                    assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 def bilinear_sample(plane: np.ndarray, x: float, y: float) -> float:
@@ -321,7 +374,9 @@ class TestDeformableConv:
         for got, ref in zip(frames, expect):
             assert got.shape == (3, h * w)
             assert got.flags.c_contiguous
-            assert np.array_equal(got, ref)
+            # BLAS sums the theta_s product in its own order: measured at
+            # most 8.2e-16 * max|ref| per frame over these 18 cases.
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_zero_clip_zero_output(self):
         rng = np.random.default_rng(12)
