@@ -271,13 +271,17 @@ def deformable_conv(
     """Deformable spatial convolution with zero padding, same-size output.
 
     For each frame returns a C_out x M matrix (M = H * W). Sampling is
-    bilinear: each frame makes one row gather per corner (00, 01, 10, 11)
-    for all grid^2 kernel points at once, from its M x C pixel matrix, and
-    accumulates the weighted corners into a (point, channel, location) patch;
-    a corner outside the frame reads zero. The patch meets the kernel in one
-    GEMM, ``theta_s.T @ patch``. The pixel matrix is free when the clip is a
-    pixel-major view, as ``temporal_conv`` returns. With all-zero offsets the
-    result equals a standard grid convolution with the same kernel.
+    bilinear, so a frame's sampling is one linear map from its M pixels to
+    its M * grid^2 (location, kernel point) samples: each sample's four
+    corner weights (00, 01, 10, 11) go into its row of an (M * grid^2, M)
+    interpolation matrix, and a corner outside the frame gets weight 0.
+    The patch is ``interp @ pixels`` from the frame's M x C pixel matrix,
+    and it meets the kernel in one GEMM, ``theta_s.T @ patch.T``. The pixel
+    matrix is free when the clip is a pixel-major view, as ``temporal_conv``
+    returns. The interpolation matrix takes M^2 * grid^2 * 8 bytes per
+    frame (260 KB at 6x6 with grid 5), so it grows quadratically with the
+    frame area. With all-zero offsets the result equals a standard grid
+    convolution with the same kernel.
     """
     x = clip.data
     t, c, h, w = x.shape
@@ -289,12 +293,17 @@ def deformable_conv(
             f"deformable_conv: offset field shape {offsets.shape} inconsistent "
             f"with clip {(t, 2 * n_points, h, w)}"
         )
+    if not np.all(np.isfinite(offsets)):
+        raise ValueError("deformable_conv: non-finite offsets")
     m = h * w
     # Kernel points row-major over the grid; offsets are (dx, dy) per point.
     k = np.arange(-(cfg.grid // 2), cfg.grid // 2 + 1)
     base_rows = np.repeat(k, cfg.grid)[:, None, None] + np.arange(h)[:, None]
     base_cols = np.tile(k, cfg.grid)[:, None, None] + np.arange(w)
-    gathered = np.empty((n_points, m, c))
+    # First cell of each (point, location) sample's interpolation row; rows
+    # run location-major so the patch reshapes to (M, grid^2 * C), the
+    # ``point * c_prime + channel`` order of theta_s.
+    row_start = (np.arange(m) * n_points + np.arange(n_points)[:, None]) * m
     out: list[np.ndarray] = []
     for ti in range(t):
         rows = base_rows + offsets[ti, 1::2]
@@ -303,8 +312,8 @@ def deformable_conv(
         c0 = np.floor(cols).astype(np.int64)
         fr = rows - r0
         fc = cols - c0
-        pixels = np.ascontiguousarray(x[ti].reshape(c, m).T)
-        patch = np.zeros((n_points, c, m))
+        cells = []
+        weights = []
         for rr, cc, wgt in (
             (r0, c0, (1 - fr) * (1 - fc)),
             (r0, c0 + 1, (1 - fr) * fc),
@@ -313,10 +322,19 @@ def deformable_conv(
         ):
             valid = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
             idx = np.where(valid, rr * w + cc, 0).reshape(n_points, m)
-            np.take(pixels, idx, axis=0, out=gathered)
-            gathered *= (wgt * valid).reshape(n_points, m, 1)
-            patch += gathered.transpose(0, 2, 1)
-        out.append(cfg.theta_s.T @ patch.reshape(n_points * c, m))
+            cells.append(row_start + idx)
+            weights.append(wgt * valid)
+        # An invalid corner lands on its row's cell 0 with weight 0, maybe
+        # beside a valid corner: bincount adds them, where assignment would
+        # keep only the last write.
+        interp = np.bincount(
+            np.concatenate(cells, axis=None),
+            weights=np.concatenate(weights, axis=None),
+            minlength=m * n_points * m,
+        ).reshape(m * n_points, m)
+        pixels = np.ascontiguousarray(x[ti].reshape(c, m).T)
+        patch = interp @ pixels
+        out.append(cfg.theta_s.T @ patch.reshape(m, n_points * c).T)
     return out
 
 

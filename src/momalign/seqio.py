@@ -103,6 +103,7 @@ def read_container(path: str | Path) -> dict[str, np.ndarray]:
     (count,) = struct.unpack_from("<I", data, 4)
     pos = 8
     metas = []
+    names: set[str] = set()
     try:
         for _ in range(count):
             (nlen,) = struct.unpack_from("<I", data, pos)
@@ -119,6 +120,9 @@ def read_container(path: str | Path) -> dict[str, np.ndarray]:
             pos += 8
             if tag not in _TAG_TO_DTYPE:
                 raise SeqIOError(f"{path}: unknown dtype tag {tag}")
+            if name in names:
+                raise SeqIOError(f"{path}: duplicate tensor name '{name}'")
+            names.add(name)
             metas.append((name, dims, _TAG_TO_DTYPE[tag], off))
     except struct.error as exc:
         raise TruncatedPayloadError(f"{path}: truncated header") from exc

@@ -1,6 +1,7 @@
 """Descriptor pipeline: shapes, naive oracles, and baseline reductions."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,9 +375,54 @@ class TestDeformableConv:
         for got, ref in zip(frames, expect):
             assert got.shape == (3, h * w)
             assert got.flags.c_contiguous
-            # BLAS sums the theta_s product in its own order: measured at
-            # most 8.2e-16 * max|ref| per frame over these 18 cases.
+            # BLAS sums the interpolation and theta_s products in its own
+            # order: measured at most 8.6e-16 * max|ref| per frame over these
+            # 18 cases.
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("grid", [1, 3, 5])
+    @pytest.mark.parametrize("h, w", [(1, 5), (5, 1)])
+    def test_matches_reference_on_one_row_or_column(self, h, w, grid):
+        # Every fractional sample straddles the frame's thin side, so a valid
+        # corner and its invalid neighbours often share interpolation cell 0:
+        # the matrix build must add their weights, not overwrite them.
+        rng = np.random.default_rng([h, w, grid])
+        cfg = random_cfg(rng, 1, grid, c_in=8, c_prime=8, c_out=3)
+        clip = FeatureClip(rng.standard_normal((3, 8, h, w)))
+        off = rng.uniform(-1.5, 1.5, (3, 2 * grid * grid, h, w))
+        frames = deformable_conv(clip, off, cfg)
+        expect = reference_deformable_conv(clip, off, cfg)
+        for got, ref in zip(frames, expect, strict=True):
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_offsets(self, bad):
+        rng = np.random.default_rng(14)
+        cfg = random_cfg(rng, 1, 3, c_prime=4)
+        clip = FeatureClip(rng.standard_normal((2, 4, 3, 3)))
+        off = np.zeros((2, 18, 3, 3))
+        off[1, 5, 2, 0] = bad
+        with pytest.raises(ValueError, match="deformable_conv: non-finite offsets"):
+            deformable_conv(clip, off, cfg)
+
+    def test_working_set_does_not_grow_with_frames(self):
+        # The sampling index math and interpolation matrix are per frame, so
+        # beyond its output the call's peak memory must not scale with T.
+        rng = np.random.default_rng(15)
+        cfg = random_cfg(rng, 1, 5, c_in=32, c_prime=32, c_out=16)
+
+        def working_set(t):
+            clip = FeatureClip(rng.standard_normal((t, 32, 6, 6)))
+            off = rng.uniform(-1.5, 1.5, (t, 50, 6, 6))
+            tracemalloc.start()
+            try:
+                frames = deformable_conv(clip, off, cfg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak - sum(f.nbytes for f in frames)
+
+        assert working_set(28) <= 1.25 * working_set(2)
 
     def test_zero_clip_zero_output(self):
         rng = np.random.default_rng(12)

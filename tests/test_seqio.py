@@ -166,6 +166,19 @@ class TestContainerCorruption:
         with pytest.raises(seqio.SeqIOError, match="UTF-8"):
             read_container(p)
 
+    def test_duplicate_tensor_name(self, tmp_path):
+        # Same-length names, so renaming "clop" keeps every offset valid and
+        # the payloads apart: only the repeated name is wrong.
+        p = tmp_path / "dup.fsq"
+        write_container({"clip": np.zeros((2, 3)), "clop": np.ones((2, 3))}, p)
+        raw = p.read_bytes()
+        assert raw.count(b"clop") == 1
+        p.write_bytes(raw.replace(b"clop", b"clip"))
+        with pytest.raises(
+            seqio.SeqIOError, match=re.escape(f"{p}: duplicate tensor name 'clip'")
+        ):
+            read_container(p)
+
     def test_crafted_header_reads_when_valid(self, tmp_path):
         p = tmp_path / "ok.fsq"
         p.write_bytes(self._header(b"x", (2,)))
