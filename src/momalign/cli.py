@@ -113,6 +113,8 @@ def _coerce(cfg: RunConfig, overrides: dict) -> RunConfig:
                 kwargs[key] = float(value)
             else:
                 kwargs[key] = int(value)
+            if key == "top_pairs" and kwargs[key] < 0:
+                raise ValueError(f"must be >= 0, got {kwargs[key]}")
         except ValueError as exc:
             raise ValueError(f"key '{key}': {exc}") from None
     return replace(cfg, **kwargs)

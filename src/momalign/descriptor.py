@@ -61,6 +61,12 @@ class FeatureClip:
         return self.data.shape[3]
 
 
+def _check_widths(**widths: int) -> None:
+    for name, value in widths.items():
+        if value < 1:
+            raise ValueError(f"ScaleConfig: {name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class ScaleConfig:
     """Weights and geometry for one spatio-temporal scale.
@@ -95,6 +101,7 @@ class ScaleConfig:
             object.__setattr__(self, name, arr)
         if self.theta_t.ndim != 3 or self.theta_t.shape[0] != self.tau:
             raise ValueError("ScaleConfig: theta_t must have shape (tau, c_in, c_prime)")
+        _check_widths(c_in=self.c_in, c_prime=self.c_prime, c_out=self.c_out)
         n_points = self.grid * self.grid
         if self.theta_s.shape != (n_points * self.c_prime, self.c_out):
             raise ValueError("ScaleConfig: theta_s shape inconsistent with grid/c_prime")
@@ -131,6 +138,7 @@ class ScaleConfig:
         offset head's final layer (and both biases) start at zero, so the
         deformable stage warm-starts as a standard convolution.
         """
+        _check_widths(c_in=c_in, c_prime=c_prime, c_out=c_out)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, tau, grid])))
         n_points = grid * grid
         hidden = max(1, c_prime // 2)
@@ -149,25 +157,6 @@ class ScaleConfig:
             offset_b1=np.zeros(hidden),
             offset_w2=np.zeros((hidden, 2 * n_points)),
             offset_b2=np.zeros(2 * n_points),
-        )
-
-    @staticmethod
-    def identity(channels: int) -> "ScaleConfig":
-        """tau=1, 1x1 grid, identity theta stages and zero offsets.
-
-        Reduces the full pipeline to plain per-frame second moments of the
-        raw features (the single-scale covariance baseline).
-        """
-        eye = np.eye(channels)
-        return ScaleConfig(
-            tau=1,
-            grid=1,
-            theta_t=eye[np.newaxis, :, :],
-            theta_s=eye,
-            offset_w1=np.zeros((channels, 1)),
-            offset_b1=np.zeros(1),
-            offset_w2=np.zeros((1, 2)),
-            offset_b2=np.zeros(2),
         )
 
 
@@ -346,19 +335,41 @@ def scale_frames(clip: FeatureClip, cfg: ScaleConfig) -> list[np.ndarray]:
     return deformable_conv(xt, offsets, cfg)
 
 
-def _per_scale_sequence(
-    clip: FeatureClip, scales: list[ScaleConfig], reduce
+def _second_order(frame: np.ndarray) -> np.ndarray:
+    return vectorize_spd(newton_schulz_sqrt(second_moment(frame)))
+
+
+def _first_order(frame: np.ndarray) -> np.ndarray:
+    return frame.mean(axis=1)
+
+
+def _sequence(
+    what: str, clip: FeatureClip, scales: list[ScaleConfig] | None, reduce
 ) -> DescriptorSequence:
-    """Reduce every frame of every scale to one vector, ordered scale-major,
-    time-minor."""
+    """Reduce every C x M frame of every scale to one vector, ordered
+    scale-major, time-minor. ``scales=None`` takes the raw clip frames as a
+    single scale; otherwise each scale's frames come from ``scale_frames``,
+    one scale at a time, so only one scale's frames are held at once."""
+    if scales is None:
+        m = clip.height * clip.width
+        frames = ((0, t, x.reshape(clip.channels, m)) for t, x in enumerate(clip.data))
+    else:
+        if not scales:
+            raise ValueError(f"{what}: no scales given")
+        if any(s.c_out != scales[0].c_out for s in scales):
+            raise ValueError(f"{what}: all scales must share c_out")
+        frames = (
+            (b, t, x)
+            for b, cfg in enumerate(scales)
+            for t, x in enumerate(scale_frames(clip, cfg))
+        )
     vectors = []
     scale_ids = []
     times = []
-    for b, cfg in enumerate(scales):
-        for t, frame in enumerate(scale_frames(clip, cfg)):
-            vectors.append(reduce(frame))
-            scale_ids.append(b)
-            times.append(t)
+    for b, t, frame in frames:
+        vectors.append(reduce(frame))
+        scale_ids.append(b)
+        times.append(t)
     return DescriptorSequence(np.array(vectors), np.array(scale_ids), np.array(times))
 
 
@@ -369,34 +380,18 @@ def multi_scale_descriptors(
 
     Entries are ordered scale-major, time-minor; L = sum_b (T - tau_b + 1).
     """
-    if not scales:
-        raise ValueError("multi_scale_descriptors: no scales given")
-    c_out = scales[0].c_out
-    if any(s.c_out != c_out for s in scales):
-        raise ValueError("multi_scale_descriptors: all scales must share c_out")
-    return _per_scale_sequence(
-        clip,
-        scales,
-        lambda frame: vectorize_spd(newton_schulz_sqrt(second_moment(frame))),
-    )
+    return _sequence("multi_scale_descriptors", clip, scales, _second_order)
 
 
 def cov_mn_descriptors(clip: FeatureClip) -> DescriptorSequence:
     """Single-scale baseline: plain per-frame second moments, normalized and
     vectorized. Bit-identical to the identity-weight multi-scale pathway."""
-    t, c, h, w = clip.data.shape
-    vectors = [
-        vectorize_spd(newton_schulz_sqrt(second_moment(clip.data[i].reshape(c, h * w))))
-        for i in range(t)
-    ]
-    return DescriptorSequence(np.array(vectors), np.zeros(t, dtype=np.int64), np.arange(t))
+    return _sequence("cov_mn_descriptors", clip, None, _second_order)
 
 
 def gap_descriptor(clip: FeatureClip) -> DescriptorSequence:
     """First-order baseline: per-frame spatial global average pooling."""
-    means = clip.data.mean(axis=(2, 3))
-    t = means.shape[0]
-    return DescriptorSequence(means, np.zeros(t, dtype=np.int64), np.arange(t))
+    return _sequence("gap_descriptor", clip, None, _first_order)
 
 
 def multi_scale_first_order(
@@ -404,9 +399,7 @@ def multi_scale_first_order(
 ) -> DescriptorSequence:
     """Multi-scale ablation arm without the second-order moment: the
     deformable pipeline runs as usual but each frame is spatially averaged."""
-    if not scales:
-        raise ValueError("multi_scale_first_order: no scales given")
-    return _per_scale_sequence(clip, scales, lambda frame: frame.mean(axis=1))
+    return _sequence("multi_scale_first_order", clip, scales, _first_order)
 
 
 def default_scales(

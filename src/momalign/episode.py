@@ -176,7 +176,8 @@ def evaluate(
 
     Deterministic for fixed (manifest, config, seed): per-episode seeds derive
     from (seed, episode index) and episodes are scored serially, in order.
-    ``workers`` is checked to be >= 1 and changes nothing else.
+    ``workers`` is checked to be >= 1 and changes nothing else. A
+    ``ValueError`` from extracting a clip is re-raised naming the clip's path.
     """
     sizes = {"ways": n, "shots": k, "queries": z, "episodes": episodes, "workers": workers}
     for name, value in sizes.items():
@@ -203,12 +204,16 @@ def evaluate(
             entries.setdefault(entry.clip_id, entry)
     descriptors: dict[tuple[str, str], DescriptorSequence] = {}
     for clip_id in sorted(entries):
-        clip = synthgen.load_clip(manifest.resolve(entries[clip_id]))
-        for rep in reps:
-            extract = getattr(descriptor, rep)
-            descriptors[(clip_id, rep)] = (
-                extract(clip, scales) if rep in _MULTI_SCALE else extract(clip)
-            )
+        path = manifest.resolve(entries[clip_id])
+        clip = synthgen.load_clip(path)
+        try:
+            for rep in reps:
+                extract = getattr(descriptor, rep)
+                descriptors[(clip_id, rep)] = (
+                    extract(clip, scales) if rep in _MULTI_SCALE else extract(clip)
+                )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     per_episode = [_episode_accuracy(ep, descriptors, metrics) for ep in sampled]
 

@@ -25,16 +25,19 @@ def _check_square_symmetric(a: np.ndarray, what: str) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{what}: expected a square matrix, got shape {a.shape}")
+    if a.size == 0:
+        raise ValueError(f"{what}: empty matrix")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{what}: non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    if a.size and float(np.max(np.abs(a - a.T))) > 1e-8 * scale:
+    scale = max(1.0, float(np.max(np.abs(a))))
+    if float(np.max(np.abs(a - a.T))) > 1e-8 * scale:
         raise ValueError(f"{what}: matrix is not symmetric within tolerance")
     return a
 
 
-def _spectral_norm_estimate(a: np.ndarray, fro: float, iters: int = 50) -> float:
-    """Largest-eigenvalue estimate for a PSD matrix by power iteration.
+def _spectral_norm_estimate(a: np.ndarray, fro: float) -> float:
+    """Largest-eigenvalue estimate for a PSD matrix by 50 steps of power
+    iteration.
 
     Deterministic (fixed all-ones start). The Rayleigh quotient is clamped to
     [fro / sqrt(n), fro], the interval that always contains the true largest
@@ -43,7 +46,7 @@ def _spectral_norm_estimate(a: np.ndarray, fro: float, iters: int = 50) -> float
     """
     n = a.shape[0]
     v = np.full(n, 1.0 / np.sqrt(n))
-    for _ in range(iters):
+    for _ in range(50):
         w = a @ v
         nw = math.sqrt(w @ w)
         if nw <= 0.0:
@@ -53,16 +56,12 @@ def _spectral_norm_estimate(a: np.ndarray, fro: float, iters: int = 50) -> float
     return min(max(rayleigh, fro / np.sqrt(n)), fro)
 
 
-def newton_schulz_sqrt(
-    a: np.ndarray,
-    iterations: int = DEFAULT_SQRT_ITERATIONS,
-    eps: float | None = None,
-) -> np.ndarray:
+def newton_schulz_sqrt(a: np.ndarray) -> np.ndarray:
     """Approximate square root of an SPD matrix by coupled Newton-Schulz.
 
-    The input is shifted by ``eps * I`` (default ``1e-5 * trace / dim``),
-    pre-normalized by an estimate of its largest eigenvalue, iterated with
-    the coupled scheme
+    The input is shifted by ``eps * I`` with ``eps = DEFAULT_EPS_SCALE *
+    trace / dim``, pre-normalized by an estimate of its largest eigenvalue,
+    iterated ``DEFAULT_SQRT_ITERATIONS`` times with the coupled scheme
 
         T_k = (3 I - Z_k Y_k) / 2,   Y_{k+1} = Y_k T_k,   Z_{k+1} = T_k Z_k,
 
@@ -72,23 +71,21 @@ def newton_schulz_sqrt(
     meet the documented residual bound at condition numbers up to 100. The
     estimate comes from deterministic power iteration, so the whole routine
     stays free of eigendecompositions. The result is symmetrized before
-    return.
+    return. An empty, non-finite or asymmetric input, or one whose shifted
+    trace or norm is not positive (such as a zero matrix), raises
+    ``ValueError``.
     """
     a = _check_square_symmetric(a, "newton_schulz_sqrt")
-    if iterations < 1:
-        raise ValueError("newton_schulz_sqrt: iterations must be >= 1")
     n = a.shape[0]
     ident = np.eye(n)
-    if eps is None:
-        eps = DEFAULT_EPS_SCALE * float(np.trace(a)) / n
-    shifted = a + eps * ident
+    shifted = a + DEFAULT_EPS_SCALE * float(np.trace(a)) / n * ident
     fro = float(np.linalg.norm(shifted))
     if fro <= 0.0 or float(np.trace(shifted)) <= 0.0:
         raise ValueError("newton_schulz_sqrt: non-positive input after eps shift")
     norm = _spectral_norm_estimate(shifted, fro)
     y = shifted / norm
     z = ident
-    for _ in range(iterations):
+    for _ in range(DEFAULT_SQRT_ITERATIONS):
         t = 0.5 * (3.0 * ident - z @ y)
         y = y @ t
         z = t @ z

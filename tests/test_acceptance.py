@@ -15,6 +15,7 @@ from momalign import alignment, descriptor, episode, seqio, synthgen
 from momalign.cli import RunConfig, main
 from momalign.descriptor import DescriptorSequence, FeatureClip, ScaleConfig
 from momalign.linalg import DEFAULT_EPS_SCALE, newton_schulz_sqrt, second_moment
+from test_descriptor import identity_scale
 
 
 def report(capsys, criterion: int, summary: str, ok: bool) -> None:
@@ -250,7 +251,7 @@ def test_criterion_7_pipeline_reductions(capsys):
             )
 
     clip = FeatureClip(rng.standard_normal((4, 8, 5, 5)))
-    via_identity = descriptor.multi_scale_descriptors(clip, [ScaleConfig.identity(8)])
+    via_identity = descriptor.multi_scale_descriptors(clip, [identity_scale(8)])
     direct = descriptor.cov_mn_descriptors(clip)
     bitwise = np.array_equal(via_identity.vectors, direct.vectors)
 

@@ -2,7 +2,9 @@
 
 import hashlib
 import re
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +85,15 @@ class TestConfig:
         assert f"{p}: key 'episodes': " in err
         assert "'abc'" in err
 
+    def test_negative_top_pairs_rejected(self, dataset, tmp_path, capsys):
+        p = tmp_path / "top.cfg"
+        p.write_text("top_pairs = -1\n")
+        clip = str(dataset / "data" / "clips" / "c000_i000.fsq")
+        code, out, err = run_cli(capsys, "align", "--config", str(p), clip, clip)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {p}: key 'top_pairs': must be >= 0, got -1\n"
+
 
 class TestSynth:
     def test_writes_dataset(self, dataset):
@@ -156,6 +167,16 @@ class TestAlign:
         assert code == 1
         assert out == ""
         assert err == f"error: {bad}: FeatureClip: non-finite entries\n"
+
+    @pytest.mark.parametrize("width", ["c_prime", "c_out"])
+    def test_zero_width_fails_without_traceback(self, dataset, tmp_path, capsys, width):
+        p = tmp_path / "zero.cfg"
+        p.write_text(f"{width} = 0\n")
+        clip = str(dataset / "data" / "clips" / "c000_i000.fsq")
+        code, out, err = run_cli(capsys, "align", "--config", str(p), clip, clip)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: ScaleConfig: {width} must be >= 1, got 0\n"
 
 
 class TestEval:
@@ -241,6 +262,21 @@ class TestEval:
         pattern = rf"error: {re.escape(str(data / 'clips'))}/c\d{{3}}_i\d{{3}}\.fsq: "
         assert re.match(pattern + re.escape(reason), err), err
 
+    def test_extraction_error_names_clip(self, tmp_path, capsys):
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text("classes = 5\ninstances_per_class = 2\nc_in = 32\n")
+        code, _, _ = run_cli(capsys, "synth", "--config", str(cfg), "--out", str(tmp_path / "data"))
+        assert code == 0
+        code, out, err = run_cli(
+            capsys, "eval", "--manifest", str(tmp_path / "data" / "manifest.tsv"),
+            "--episodes", "1", "--metric", "a2",
+        )
+        assert code == 1
+        assert out == ""
+        pattern = rf"error: {re.escape(str(tmp_path / 'data' / 'clips'))}/c\d{{3}}_i\d{{3}}\.fsq: "
+        reason = "temporal_conv: channel mismatch (clip 32, kernel 64)\n"
+        assert re.fullmatch(pattern + re.escape(reason), err), err
+
     def test_bad_manifest_fails(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--manifest", "/no/manifest.tsv")
         assert code != 0
@@ -280,3 +316,19 @@ class TestPaperDims:
         cfg = build_run_config(args)
         assert (cfg.c_in, cfg.c_prime, cfg.c_out) == (2048, 256, 128)
         assert cfg.frames == 8
+
+
+class TestReadme:
+    def test_quick_start_runs_as_written(self, tmp_path, monkeypatch, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        commands = [
+            shlex.split(line)
+            for line in readme.splitlines()
+            if line.startswith(("momalign synth ", "momalign align "))
+        ]
+        assert [argv[1] for argv in commands] == ["synth", "align"]
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            code, out, err = run_cli(capsys, *argv[1:])
+            assert code == 0, f"{shlex.join(argv)}: {err}"
+            assert out

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from momalign import descriptor
 from momalign.descriptor import (
     DESK_C_IN,
     DescriptorSequence,
@@ -22,7 +23,7 @@ from momalign.descriptor import (
     temporal_conv,
     temporal_difference,
 )
-from momalign.linalg import second_moment
+from momalign.linalg import newton_schulz_sqrt, second_moment, vectorize_spd
 
 
 def random_clip(rng, t=8, c=6, h=4, w=5):
@@ -42,6 +43,56 @@ def random_cfg(rng, tau, grid, c_in=6, c_prime=4, c_out=3):
         offset_w2=rng.standard_normal((hidden, 2 * n_points)),
         offset_b2=rng.standard_normal(2 * n_points),
     )
+
+
+def identity_scale(channels):
+    """tau=1, 1x1 grid, identity theta stages and zero offsets: reduces the
+    full pipeline to plain per-frame second moments of the raw features."""
+    eye = np.eye(channels)
+    return ScaleConfig(
+        tau=1,
+        grid=1,
+        theta_t=eye[np.newaxis, :, :],
+        theta_s=eye,
+        offset_w1=np.zeros((channels, 1)),
+        offset_b1=np.zeros(1),
+        offset_w2=np.zeros((1, 2)),
+        offset_b2=np.zeros(2),
+    )
+
+
+def reference_cov_mn_descriptors(clip):
+    """The per-frame loop ``cov_mn_descriptors`` ran before the shared
+    sequence builder; kept as the bitwise reference."""
+    t, c, h, w = clip.data.shape
+    vectors = [
+        vectorize_spd(newton_schulz_sqrt(second_moment(clip.data[i].reshape(c, h * w))))
+        for i in range(t)
+    ]
+    return DescriptorSequence(np.array(vectors), np.zeros(t, dtype=np.int64), np.arange(t))
+
+
+def reference_gap_descriptor(clip):
+    """The vectorized spatial mean ``gap_descriptor`` ran before the shared
+    sequence builder; kept as the bitwise reference."""
+    means = clip.data.mean(axis=(2, 3))
+    t = means.shape[0]
+    return DescriptorSequence(means, np.zeros(t, dtype=np.int64), np.arange(t))
+
+
+def reference_clips(rng):
+    """Clips of the shapes stored clips take, plus odd sizes. They are
+    contiguous, as ``load_clip`` returns them: on a transposed view the old
+    ``mean(axis=(2, 3))`` sums in another order than a per-frame mean."""
+    for shape in ((8, DESK_C_IN, 6, 6), (28, 16, 6, 6), (1, 3, 1, 1), (4, 5, 13, 11)):
+        yield FeatureClip(rng.standard_normal(shape) * rng.uniform(0.01, 100.0))
+
+
+def assert_same_sequence(got, ref):
+    assert got.vectors.shape == ref.vectors.shape
+    assert np.array_equal(got.vectors, ref.vectors)
+    assert np.array_equal(got.scale_ids, ref.scale_ids)
+    assert np.array_equal(got.times, ref.times)
 
 
 class TestFeatureClip:
@@ -476,7 +527,7 @@ class TestMultiScaleDescriptors:
     def test_identity_single_scale_equals_cov_mn_bitwise(self):
         rng = np.random.default_rng(18)
         clip = FeatureClip(rng.standard_normal((5, 6, 3, 4)))
-        seq = multi_scale_descriptors(clip, [ScaleConfig.identity(6)])
+        seq = multi_scale_descriptors(clip, [identity_scale(6)])
         base = cov_mn_descriptors(clip)
         assert np.array_equal(seq.vectors, base.vectors)
         assert np.array_equal(seq.times, base.times)
@@ -499,7 +550,24 @@ class TestMultiScaleDescriptors:
             multi_scale_descriptors(random_clip(rng), scales)
 
 
+class TestCovMnDescriptors:
+    def test_matches_reference_bitwise(self):
+        rng = np.random.default_rng(25)
+        for clip in reference_clips(rng):
+            assert_same_sequence(cov_mn_descriptors(clip), reference_cov_mn_descriptors(clip))
+
+    def test_rejects_zero_channels(self):
+        # A 0 x 0 moment: rejected by the sqrt instead of dividing by zero.
+        with pytest.raises(ValueError, match="empty matrix"):
+            cov_mn_descriptors(FeatureClip(np.zeros((2, 0, 3, 3))))
+
+
 class TestGapDescriptor:
+    def test_matches_reference_bitwise(self):
+        rng = np.random.default_rng(26)
+        for clip in reference_clips(rng):
+            assert_same_sequence(gap_descriptor(clip), reference_gap_descriptor(clip))
+
     def test_uniform_frame(self):
         clip = FeatureClip(np.full((3, 4, 2, 2), 2.5))
         seq = gap_descriptor(clip)
@@ -541,6 +609,17 @@ class TestMultiScaleFirstOrder:
         first = multi_scale_first_order(clip, scales)
         assert np.array_equal(first.vectors, np.array(means))
 
+    def test_rejects_mixed_c_out(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        scales = [random_cfg(rng, 1, 1, c_out=3), random_cfg(rng, 1, 1, c_out=4)]
+        ran = []
+        monkeypatch.setattr(
+            descriptor, "scale_frames", lambda clip, cfg: ran.append(cfg) or []
+        )
+        with pytest.raises(ValueError, match="all scales must share c_out"):
+            multi_scale_first_order(random_clip(rng), scales)
+        assert ran == []
+
 
 class TestScaleConfig:
     def test_from_seed_deterministic(self):
@@ -557,6 +636,17 @@ class TestScaleConfig:
     def test_rejects_even_grid(self):
         with pytest.raises(ValueError):
             ScaleConfig.from_seed(1, 2)
+
+    @pytest.mark.parametrize("width", ["c_in", "c_prime", "c_out"])
+    def test_from_seed_rejects_zero_width(self, width):
+        with pytest.raises(ValueError, match=f"{width} must be >= 1, got 0"):
+            ScaleConfig.from_seed(1, 1, **{width: 0})
+
+    @pytest.mark.parametrize("width", ["c_in", "c_prime", "c_out"])
+    def test_rejects_zero_width(self, width):
+        rng = np.random.default_rng(28)
+        with pytest.raises(ValueError, match=f"{width} must be >= 1, got 0"):
+            random_cfg(rng, 1, 1, **{width: 0})
 
     def test_descriptor_sequence_structure_check(self):
         v = np.zeros((3, 4))

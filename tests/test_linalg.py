@@ -26,7 +26,7 @@ def eigen_sqrt(a):
     return (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
 
 
-def reference_newton_schulz_sqrt(a, iterations=5):
+def reference_newton_schulz_sqrt(a):
     """The square root as computed before the power iteration took its
     norm as ``math.sqrt(w @ w)``: ``np.linalg.norm`` throughout, input
     validation left out. Kept as the bitwise reference."""
@@ -46,7 +46,7 @@ def reference_newton_schulz_sqrt(a, iterations=5):
     norm = min(max(rayleigh, fro / np.sqrt(n)), fro)
     y = shifted / norm
     z = ident
-    for _ in range(iterations):
+    for _ in range(5):
         t = 0.5 * (3.0 * ident - z @ y)
         y = y @ t
         z = t @ z
@@ -125,9 +125,7 @@ class TestNewtonSchulzSqrt:
     def test_matches_reference_bitwise(self):
         rng = np.random.default_rng(40)
         for a in reference_inputs(rng):
-            for iterations in (1, 5):
-                got = newton_schulz_sqrt(a, iterations)
-                assert np.array_equal(got, reference_newton_schulz_sqrt(a, iterations))
+            assert np.array_equal(newton_schulz_sqrt(a), reference_newton_schulz_sqrt(a))
 
     def test_rejects_non_finite(self):
         a = np.eye(4)
@@ -141,13 +139,15 @@ class TestNewtonSchulzSqrt:
         with pytest.raises(ValueError):
             newton_schulz_sqrt(a)
 
-    def test_rejects_zero_iterations(self):
-        with pytest.raises(ValueError):
-            newton_schulz_sqrt(np.eye(3), iterations=0)
-
     def test_rejects_non_positive_after_shift(self):
         with pytest.raises(ValueError):
-            newton_schulz_sqrt(np.zeros((3, 3)), eps=0.0)
+            newton_schulz_sqrt(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("fn", [newton_schulz_sqrt, vectorize_spd])
+    def test_rejects_empty_matrix(self, fn):
+        # A zero-width moment (C_out = 0) used to divide by zero in the shift.
+        with pytest.raises(ValueError, match="empty matrix"):
+            fn(np.zeros((0, 0)))
 
 
 class TestSecondMoment:
