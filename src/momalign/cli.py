@@ -113,7 +113,7 @@ def _coerce(cfg: RunConfig, overrides: dict) -> RunConfig:
                 kwargs[key] = float(value)
             else:
                 kwargs[key] = int(value)
-            if key == "top_pairs" and kwargs[key] < 0:
+            if key in ("seed", "top_pairs") and kwargs[key] < 0:
                 raise ValueError(f"must be >= 0, got {kwargs[key]}")
         except ValueError as exc:
             raise ValueError(f"key '{key}': {exc}") from None
@@ -147,38 +147,24 @@ def cmd_synth(args: argparse.Namespace) -> int:
     try:
         manifest = synthgen.generate_dataset(cfg.synth_config(), out)
     except OSError as exc:
-        print(f"error: cannot write dataset to {out}: {exc}", file=sys.stderr)
-        return 1
+        # exc names the deepest path that failed, such as a missing parent.
+        raise OSError(exc.errno, f"cannot write dataset: {exc}", str(out)) from None
     print(f"# synth classes={cfg.classes} instances={cfg.instances_per_class} seed={cfg.seed}")
     print(f"manifest\t{out / 'manifest.tsv'}")
     print(f"clips\t{len(manifest.entries)}")
     return 0
 
 
-def _print_os_error(exc: OSError) -> None:
-    """``error: <filename>: <strerror>``, the one form of a failed read."""
-    where = f"{exc.filename}: " if exc.filename else ""
-    print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
-
-
 def cmd_align(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
-    try:
-        clip_a = synthgen.load_clip(args.clip_a)
-        clip_b = synthgen.load_clip(args.clip_b)
-    except OSError as exc:
-        _print_os_error(exc)
-        return 1
-    except seqio.SeqIOError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    clip_a = synthgen.load_clip(args.clip_a)
+    clip_b = synthgen.load_clip(args.clip_b)
     scales = cfg.scale_configs()
     try:
         q = descriptor.multi_scale_descriptors(clip_a, scales)
         s = descriptor.multi_scale_descriptors(clip_b, scales)
     except ValueError as exc:
-        print(f"error: {args.clip_a} / {args.clip_b}: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"{args.clip_a} / {args.clip_b}: {exc}") from None
     sim = alignment.similarity_matrix(q, s)
     masses = alignment.marginal_masses(q, s)
     plan = alignment.solve_emd(sim, masses)
@@ -224,26 +210,19 @@ def _run_evaluation(
     """Read the manifest, evaluate it under the run config, print the report
     with ``print_report`` and the wall-clock time to stderr."""
     cfg = build_run_config(args)
-    try:
-        manifest = seqio.read_manifest(args.manifest)
-        started = time.perf_counter()
-        report = episode.evaluate(
-            manifest,
-            cfg.ways,
-            cfg.shots,
-            cfg.queries,
-            cfg.episodes,
-            cfg.seed,
-            metrics=list(metrics or cfg.metrics),
-            scales=cfg.scale_configs(),
-            workers=cfg.workers,
-        )
-    except OSError as exc:
-        _print_os_error(exc)
-        return 1
-    except (seqio.SeqIOError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    manifest = seqio.read_manifest(args.manifest)
+    started = time.perf_counter()
+    report = episode.evaluate(
+        manifest,
+        cfg.ways,
+        cfg.shots,
+        cfg.queries,
+        cfg.episodes,
+        cfg.seed,
+        metrics=list(metrics or cfg.metrics),
+        scales=cfg.scale_configs(),
+        workers=cfg.workers,
+    )
     print_report(report)
     print(f"wall-clock {time.perf_counter() - started:.2f}s", file=sys.stderr)
     return 0
@@ -337,12 +316,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand. Every failure is reported here, as one
+    ``error: <where>: <what>`` line on stderr and exit status 1; commands
+    that know where a failure happened re-raise with that location."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except OSError as exc:
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+    except (seqio.SeqIOError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 1
 
 
 if __name__ == "__main__":

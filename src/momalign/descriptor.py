@@ -61,10 +61,12 @@ class FeatureClip:
         return self.data.shape[3]
 
 
-def _check_widths(**widths: int) -> None:
-    for name, value in widths.items():
+def _check_sizes(tau: int, grid: int, **widths: int) -> None:
+    for name, value in {"tau": tau, **widths}.items():
         if value < 1:
             raise ValueError(f"ScaleConfig: {name} must be >= 1, got {value}")
+    if grid < 1 or grid % 2 == 0:
+        raise ValueError(f"ScaleConfig: grid side must be odd and >= 1, got {grid}")
 
 
 @dataclass(frozen=True)
@@ -90,23 +92,28 @@ class ScaleConfig:
     offset_b2: np.ndarray
 
     def __post_init__(self):
-        if self.tau < 1:
-            raise ValueError("ScaleConfig: tau must be >= 1")
-        if self.grid < 1 or self.grid % 2 == 0:
-            raise ValueError("ScaleConfig: grid side must be odd and >= 1")
         for name in ("theta_t", "theta_s", "offset_w1", "offset_b1", "offset_w2", "offset_b2"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"ScaleConfig: non-finite entries in {name}")
             object.__setattr__(self, name, arr)
-        if self.theta_t.ndim != 3 or self.theta_t.shape[0] != self.tau:
-            raise ValueError("ScaleConfig: theta_t must have shape (tau, c_in, c_prime)")
-        _check_widths(c_in=self.c_in, c_prime=self.c_prime, c_out=self.c_out)
-        n_points = self.grid * self.grid
-        if self.theta_s.shape != (n_points * self.c_prime, self.c_out):
-            raise ValueError("ScaleConfig: theta_s shape inconsistent with grid/c_prime")
-        if self.offset_w2.shape[1] != 2 * n_points:
-            raise ValueError("ScaleConfig: offset head must emit 2 values per kernel point")
+        for name, ndim in (("theta_t", 3), ("theta_s", 2), ("offset_w1", 2)):
+            if getattr(self, name).ndim != ndim:
+                raise ValueError(f"ScaleConfig: {name} must be {ndim}-D")
+        _check_sizes(self.tau, self.grid, c_in=self.c_in, c_prime=self.c_prime, c_out=self.c_out)
+        n_points, hidden = self.grid * self.grid, self.offset_w1.shape[1]
+        for name, shape in (
+            ("theta_t", (self.tau, self.c_in, self.c_prime)),
+            ("theta_s", (n_points * self.c_prime, self.c_out)),
+            ("offset_w1", (self.c_prime, hidden)),
+            ("offset_b1", (hidden,)),
+            ("offset_w2", (hidden, 2 * n_points)),
+            ("offset_b2", (2 * n_points,)),
+        ):
+            if getattr(self, name).shape != shape:
+                raise ValueError(
+                    f"ScaleConfig: {name} must have shape {shape}, got {getattr(self, name).shape}"
+                )
 
     @property
     def c_in(self) -> int:
@@ -138,7 +145,7 @@ class ScaleConfig:
         offset head's final layer (and both biases) start at zero, so the
         deformable stage warm-starts as a standard convolution.
         """
-        _check_widths(c_in=c_in, c_prime=c_prime, c_out=c_out)
+        _check_sizes(tau, grid, c_in=c_in, c_prime=c_prime, c_out=c_out)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, tau, grid])))
         n_points = grid * grid
         hidden = max(1, c_prime // 2)

@@ -65,12 +65,17 @@ class SynthConfig:
     instances_per_class: int = 12
 
     def __post_init__(self):
+        for name in ("duration_jitter", "reorder_prob", "noise_sigma", "distractor_amp"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"SynthConfig: {name} must be finite, got {getattr(self, name)}")
+        for name in ("classes", "subactions", "frames", "c_in", "height", "width",
+                     "instances_per_class"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"SynthConfig: {name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.reorder_prob <= 1.0:
             raise ValueError("SynthConfig: reorder_prob must be in [0, 1]")
         if self.duration_jitter < 1.0:
             raise ValueError("SynthConfig: duration_jitter must be >= 1")
-        if min(self.classes, self.subactions, self.frames, self.c_in, self.height, self.width) < 1:
-            raise ValueError("SynthConfig: dimensions must be positive")
         if self.noise_sigma < 0.0:
             raise ValueError("SynthConfig: noise_sigma must be >= 0")
         if self.distractor_amp < 0.0:

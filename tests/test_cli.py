@@ -94,6 +94,51 @@ class TestConfig:
         assert out == ""
         assert err == f"error: {p}: key 'top_pairs': must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("command", ["synth", "align", "eval", "ablate"])
+    @pytest.mark.parametrize(
+        "where, reason", [("missing", "No such file or directory"), ("directory", "Is a directory")]
+    )
+    def test_unreadable_config_fails_without_traceback(
+        self, tmp_path, capsys, command, where, reason
+    ):
+        config = tmp_path / "no" / "such.cfg" if where == "missing" else tmp_path
+        rest = {
+            "synth": ["--out", str(tmp_path / "out")],
+            "align": ["/no/a.fsq", "/no/b.fsq"],
+            "eval": ["--manifest", "/no/manifest.tsv"],
+            "ablate": ["--manifest", "/no/manifest.tsv"],
+        }[command]
+        code, out, err = run_cli(capsys, command, "--config", str(config), *rest)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {config}: {reason}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        p = tmp_path / "seed.cfg"
+        p.write_text("seed = -1\n")
+        code, out, err = run_cli(capsys, "synth", "--config", str(p), "--out", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {p}: key 'seed': must be >= 0, got -1\n"
+        code, out, err = run_cli(capsys, "eval", "--seed", "-1", "--manifest", "/no/m.tsv")
+        assert (code, out) == (1, "")
+        assert err == "error: key 'seed': must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("taus = -1,3,5", "tau must be >= 1, got -1"),
+            ("grids = -1,3,5", "grid side must be odd and >= 1, got -1"),
+        ],
+    )
+    def test_negative_scale_rejected(self, dataset, tmp_path, capsys, line, reason):
+        p = tmp_path / "scale.cfg"
+        p.write_text(line + "\n")
+        clip = str(dataset / "data" / "clips" / "c000_i000.fsq")
+        code, out, err = run_cli(capsys, "align", "--config", str(p), clip, clip)
+        assert (code, out) == (1, "")
+        assert err == f"error: ScaleConfig: {reason}\n"
+
 
 class TestSynth:
     def test_writes_dataset(self, dataset):
@@ -119,6 +164,24 @@ class TestSynth:
         )
         assert code != 0
         assert "/proc/definitely/not/writable" in err
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("jitter = nan", "duration_jitter must be finite, got nan"),
+            ("noise = nan", "noise_sigma must be finite, got nan"),
+            ("distractor = inf", "distractor_amp must be finite, got inf"),
+            ("instances_per_class = 0", "instances_per_class must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_value_names_field(self, tmp_path, capsys, line, reason):
+        p = tmp_path / "bad.cfg"
+        p.write_text(line + "\n")
+        out_dir = tmp_path / "data"
+        code, out, err = run_cli(capsys, "synth", "--config", str(p), "--out", str(out_dir))
+        assert (code, out) == (1, "")
+        assert err == f"error: SynthConfig: {reason}\n"
+        assert not out_dir.exists()
 
 
 class TestAlign:
@@ -177,6 +240,15 @@ class TestAlign:
         assert code == 1
         assert out == ""
         assert err == f"error: ScaleConfig: {width} must be >= 1, got 0\n"
+
+    def test_extraction_error_names_clips(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("c_in = 32\n")
+        a = str(dataset / "data" / "clips" / "c000_i000.fsq")
+        b = str(dataset / "data" / "clips" / "c001_i000.fsq")
+        code, out, err = run_cli(capsys, "align", "--config", str(cfg), a, b)
+        assert (code, out) == (1, "")
+        assert err == f"error: {a} / {b}: temporal_conv: channel mismatch (clip 64, kernel 32)\n"
 
 
 class TestEval:

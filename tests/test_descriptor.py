@@ -648,6 +648,35 @@ class TestScaleConfig:
         with pytest.raises(ValueError, match=f"{width} must be >= 1, got 0"):
             random_cfg(rng, 1, 1, **{width: 0})
 
+    @pytest.mark.parametrize(
+        "tau, grid, reason",
+        [
+            (-1, 3, "tau must be >= 1, got -1"),
+            (0, 3, "tau must be >= 1, got 0"),
+            (1, -1, "grid side must be odd and >= 1, got -1"),
+        ],
+    )
+    def test_from_seed_rejects_bad_geometry_before_drawing(self, tau, grid, reason):
+        with pytest.raises(ValueError, match=f"ScaleConfig: {reason}"):
+            ScaleConfig.from_seed(tau, grid)
+
+    @pytest.mark.parametrize(
+        "field, shape",
+        [
+            ("theta_s", (36,)),
+            ("offset_w1", (4,)),
+            ("offset_w1", (3, 2)),
+            ("offset_b1", (3,)),
+            ("offset_w2", (18,)),
+            ("offset_w2", (3, 18)),
+            ("offset_b2", (16,)),
+        ],
+    )
+    def test_rejects_mis_shaped_weights(self, field, shape):
+        cfg = random_cfg(np.random.default_rng(29), 1, 3)
+        with pytest.raises(ValueError, match=f"ScaleConfig: {field} must "):
+            dataclasses.replace(cfg, **{field: np.zeros(shape)})
+
     def test_descriptor_sequence_structure_check(self):
         v = np.zeros((3, 4))
         s = DescriptorSequence(v, np.zeros(3, dtype=int), np.arange(3))

@@ -82,6 +82,20 @@ class TestClassLibrary:
         with pytest.raises(ValueError):
             SynthConfig(duration_jitter=0.5)
 
+    @pytest.mark.parametrize(
+        "field", ["duration_jitter", "reorder_prob", "noise_sigma", "distractor_amp"]
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_float(self, field, value):
+        with pytest.raises(ValueError, match=f"SynthConfig: {field} must be finite"):
+            SynthConfig(**{field: value})
+
+    def test_rejects_zero_instances(self):
+        with pytest.raises(
+            ValueError, match="SynthConfig: instances_per_class must be >= 1, got 0"
+        ):
+            SynthConfig(instances_per_class=0)
+
 
 class TestRenderInstance:
     def test_canonical_clip_deterministic(self):
