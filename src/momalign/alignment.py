@@ -168,7 +168,10 @@ def solve_emd(sim: np.ndarray, masses: Masses) -> TransportPlan:
 
     Deterministic: entering variables are chosen by most negative reduced
     cost with lowest (row, col) index on ties; leaving variables by minimum
-    ratio with lowest edge index on ties.
+    ratio with lowest edge index on ties. The leaving tie only settles a
+    floating-point coincidence: supplies gain delta each and the last demand
+    m * delta (Orden's perturbation), so in exact arithmetic no basic flow is
+    zero and the minimum ratio is attained by one edge.
     """
     sim = np.asarray(sim, dtype=np.float64)
     if sim.ndim != 2:

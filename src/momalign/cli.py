@@ -29,8 +29,8 @@ from .descriptor import (
 @dataclass(frozen=True)
 class RunConfig:
     # scales
-    taus: tuple[int, ...] = (1, 3, 5)
-    grids: tuple[int, ...] = (1, 3, 5)
+    taus: tuple[int, ...] = descriptor.DEFAULT_TAUS
+    grids: tuple[int, ...] = descriptor.DEFAULT_GRIDS
     # channels
     c_in: int = DESK_C_IN
     c_prime: int = DESK_C_PRIME
@@ -79,11 +79,9 @@ class RunConfig:
         )
 
 
-_INT_TUPLE_KEYS = {"taus", "grids"}
-
-
 def load_config(path: str | Path) -> dict:
-    """Flat key=value config file; # comments and blank lines are skipped."""
+    """Flat key=value config file; # comments and blank lines are skipped,
+    and each key may appear once."""
     out: dict = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -92,27 +90,28 @@ def load_config(path: str | Path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value")
         key, value = (p.strip() for p in line.split("=", 1))
+        if key in out:
+            raise ValueError(f"{path}:{lineno}: duplicate key '{key}'")
         out[key] = value
     return out
 
 
 def _coerce(cfg: RunConfig, overrides: dict) -> RunConfig:
+    """``cfg`` with each non-None override parsed by the type of its field's
+    default; a tuple is comma-separated, each item of its first item's type."""
     kwargs = {}
-    names = {f.name for f in fields(RunConfig)}
+    defaults = {f.name: f.default for f in fields(RunConfig)}
     for key, value in overrides.items():
         if value is None:
             continue
-        if key not in names:
+        if key not in defaults:
             raise ValueError(f"unknown config key '{key}'")
+        default = defaults[key]
         try:
-            if key == "metrics":
-                kwargs[key] = tuple(value.split(","))
-            elif key in _INT_TUPLE_KEYS:
-                kwargs[key] = tuple(int(v) for v in value.split(","))
-            elif isinstance(getattr(cfg, key), float):
-                kwargs[key] = float(value)
+            if isinstance(default, tuple):
+                kwargs[key] = tuple(type(default[0])(v) for v in value.split(","))
             else:
-                kwargs[key] = int(value)
+                kwargs[key] = type(default)(value)
             if key in ("seed", "top_pairs") and kwargs[key] < 0:
                 raise ValueError(f"must be >= 0, got {kwargs[key]}")
         except ValueError as exc:
@@ -121,28 +120,23 @@ def _coerce(cfg: RunConfig, overrides: dict) -> RunConfig:
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then the ``--config`` file, then flags named like a field."""
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
+        overrides = load_config(args.config)
         try:
-            cfg = _coerce(cfg, load_config(args.config))
+            cfg = _coerce(cfg, overrides)
         except ValueError as exc:
             raise ValueError(f"{args.config}: {exc}") from None
-    cli_overrides = {
-        key: getattr(args, key, None)
-        for key in ("seed", "episodes", "workers", "ways", "shots", "queries")
-    }
-    if getattr(args, "metric", None):
-        cli_overrides["metrics"] = args.metric
-    cfg = _coerce(cfg, cli_overrides)
-    if getattr(args, "paper_dims", False):
+    cfg = _coerce(cfg, {f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
+    if args.paper_dims:
         cfg = replace(
             cfg, c_in=PAPER_C_IN, c_prime=PAPER_C_PRIME, c_out=PAPER_C_OUT, frames=8
         )
     return cfg
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = build_run_config(args)
+def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = Path(args.out)
     try:
         manifest = synthgen.generate_dataset(cfg.synth_config(), out)
@@ -155,8 +149,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_align(args: argparse.Namespace) -> int:
-    cfg = build_run_config(args)
+def cmd_align(args: argparse.Namespace, cfg: RunConfig) -> int:
     clip_a = synthgen.load_clip(args.clip_a)
     clip_b = synthgen.load_clip(args.clip_b)
     scales = cfg.scale_configs()
@@ -204,12 +197,9 @@ def _print_report(report: episode.Report) -> None:
         )
 
 
-def _run_evaluation(
-    args: argparse.Namespace, metrics: list[str] | None, print_report
-) -> int:
-    """Read the manifest, evaluate it under the run config, print the report
-    with ``print_report`` and the wall-clock time to stderr."""
-    cfg = build_run_config(args)
+def _run_evaluation(args: argparse.Namespace, cfg: RunConfig, print_report) -> int:
+    """Read the manifest, evaluate it under ``cfg``, print the report with
+    ``print_report`` and the wall-clock time to stderr."""
     manifest = seqio.read_manifest(args.manifest)
     started = time.perf_counter()
     report = episode.evaluate(
@@ -219,7 +209,7 @@ def _run_evaluation(
         cfg.queries,
         cfg.episodes,
         cfg.seed,
-        metrics=list(metrics or cfg.metrics),
+        metrics=list(cfg.metrics),
         scales=cfg.scale_configs(),
         workers=cfg.workers,
     )
@@ -228,8 +218,8 @@ def _run_evaluation(
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    return _run_evaluation(args, None, _print_report)
+def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
+    return _run_evaluation(args, cfg, _print_report)
 
 
 #: Ablation rows mirroring the component grid: first-order baseline, plain
@@ -260,9 +250,10 @@ def _print_ablation(report: episode.Report) -> None:
         )
 
 
-def cmd_ablate(args: argparse.Namespace) -> int:
+def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> int:
     # One evaluation with all metrics shares episode seeds across rows.
-    return _run_evaluation(args, [metric for _, metric in ABLATION_ROWS], _print_ablation)
+    cfg = replace(cfg, metrics=tuple(metric for _, metric in ABLATION_ROWS))
+    return _run_evaluation(args, cfg, _print_ablation)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="episodic evaluation over a manifest")
     common(p_eval)
     episodic(p_eval)
-    p_eval.add_argument("--metric", help="comma-separated metric selector")
+    p_eval.add_argument("--metric", dest="metrics", help="comma-separated metric selector")
     p_eval.set_defaults(func=cmd_eval)
 
     p_abl = sub.add_parser("ablate", help="component-grid comparison table")
@@ -321,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     that know where a failure happened re-raise with that location."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, build_run_config(args))
     except OSError as exc:
         where = f"{exc.filename}: " if exc.filename else ""
         print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)

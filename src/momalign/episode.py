@@ -187,6 +187,8 @@ def evaluate(
     for m in metrics:
         if m not in METRICS:
             raise ValueError(f"evaluate: unknown metric '{m}' (choose from {METRICS})")
+        if metrics.count(m) > 1:
+            raise ValueError(f"evaluate: metric '{m}' given twice")
     if scales is None:
         scales = descriptor.default_scales(seed=seed)
 

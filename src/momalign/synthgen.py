@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import seqio
-from .descriptor import FeatureClip
+from .descriptor import DESK_C_IN, FeatureClip
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class SynthConfig:
     classes: int = 8
     subactions: int = 2
     frames: int = 8
-    c_in: int = 64
+    c_in: int = DESK_C_IN
     height: int = 6
     width: int = 6
     duration_jitter: float = 2.0

@@ -9,45 +9,19 @@ import time
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from momalign import alignment, descriptor, episode, seqio, synthgen
 from momalign.cli import RunConfig, main
 from momalign.descriptor import DescriptorSequence, FeatureClip, ScaleConfig
 from momalign.linalg import DEFAULT_EPS_SCALE, newton_schulz_sqrt, second_moment
-from test_descriptor import identity_scale
+from test_alignment import lp_oracle, make_seq, random_seq
+from test_descriptor import identity_scale, naive_standard_conv
 
 
 def report(capsys, criterion: int, summary: str, ok: bool) -> None:
     verdict = "PASS" if ok else "FAIL"
     with capsys.disabled():
         print(f"\nACCEPTANCE {criterion}: {verdict} - {summary}")
-
-
-def make_seq(vectors) -> DescriptorSequence:
-    v = np.asarray(vectors, dtype=np.float64)
-    return DescriptorSequence(
-        v, np.zeros(v.shape[0], dtype=np.int64), np.arange(v.shape[0])
-    )
-
-
-def random_seq(rng, length, dim) -> DescriptorSequence:
-    return make_seq(rng.standard_normal((length, dim)))
-
-
-def lp_oracle(sim: np.ndarray, masses: alignment.Masses) -> float:
-    """Brute-force optimum of the balanced transportation problem."""
-    m, n = sim.shape
-    cost = (1.0 - sim).reshape(-1)
-    a_eq = np.zeros((m + n, m * n))
-    for i in range(m):
-        a_eq[i, i * n : (i + 1) * n] = 1.0
-    for j in range(n):
-        a_eq[m + j, j::n] = 1.0
-    b_eq = np.concatenate([masses.mu, masses.gamma])
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    assert res.status == 0
-    return float(res.fun)
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +62,7 @@ def test_criterion_1_emd_matches_lp_oracle(capsys):
         sim = alignment.similarity_matrix(q, s)
         masses = alignment.marginal_masses(q, s)
         plan = alignment.solve_emd(sim, masses)
-        worst = max(worst, abs(plan.objective - lp_oracle(sim, masses)))
+        worst = max(worst, abs(plan.objective - lp_oracle(sim, masses.mu, masses.gamma)))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-6 and elapsed < 30.0
     report(
@@ -245,7 +219,7 @@ def test_criterion_7_pipeline_reductions(capsys):
         zero_off = np.zeros((2, 2 * grid * grid, 7, 7))
         frames = descriptor.deformable_conv(clip, zero_off, cfg)
         for t in range(2):
-            oracle = _naive_standard_conv(clip.data[t], cfg.theta_s, grid)
+            oracle = naive_standard_conv(clip.data[t], cfg.theta_s, grid)
             worst = max(
                 worst, float(np.max(np.abs(frames[t] - oracle.reshape(5, -1))))
             )
@@ -266,26 +240,6 @@ def test_criterion_7_pipeline_reductions(capsys):
     )
     assert worst <= 1e-9
     assert bitwise
-
-
-def _naive_standard_conv(x, theta_s, grid):
-    """Oracle: zero-padded standard convolution via explicit loops."""
-    c, h, w = x.shape
-    r = grid // 2
-    c_out = theta_s.shape[1]
-    out = np.zeros((c_out, h, w))
-    for i in range(h):
-        for j in range(w):
-            patch = np.zeros(grid * grid * c)
-            p = 0
-            for ki in range(-r, r + 1):
-                for kj in range(-r, r + 1):
-                    ii, jj = i + ki, j + kj
-                    if 0 <= ii < h and 0 <= jj < w:
-                        patch[p * c : (p + 1) * c] = x[:, ii, jj]
-                    p += 1
-            out[:, i, j] = patch @ theta_s
-    return out
 
 
 def test_criterion_8_reproducibility(tmp_path, capsys):

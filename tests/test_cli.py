@@ -71,11 +71,27 @@ class TestConfig:
         cfg.synth_config()
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
+        # scale_configs is a RunConfig attribute but not a field.
+        for key in ("bogus", "scale_configs"):
+            p = tmp_path / "c.cfg"
+            p.write_text(f"{key} = 1\n")
+            code, _, err = run_cli(capsys, "eval", "--config", str(p), "--manifest", "x")
+            assert code != 0
+            assert key in err
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("ways = 3\n# again\nways = 4\n", ":3: duplicate key 'ways'"),
+            ("ways\n", ":1: expected key=value"),
+        ],
+    )
+    def test_bad_line_names_file_once(self, tmp_path, capsys, text, where):
         p = tmp_path / "c.cfg"
-        p.write_text("bogus = 1\n")
-        code, _, err = run_cli(capsys, "eval", "--config", str(p), "--manifest", "x")
-        assert code != 0
-        assert "bogus" in err
+        p.write_text(text)
+        code, out, err = run_cli(capsys, "eval", "--config", str(p), "--manifest", "x")
+        assert (code, out) == (1, "")
+        assert err == f"error: {p}{where}\n"
 
     def test_bad_value_names_file_and_key(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
@@ -349,6 +365,19 @@ class TestEval:
         reason = "temporal_conv: channel mismatch (clip 32, kernel 64)\n"
         assert re.fullmatch(pattern + re.escape(reason), err), err
 
+    @pytest.mark.parametrize(
+        "metrics, reason",
+        [("a2,a2", "metric 'a2' given twice"), ("", "unknown metric ''")],
+    )
+    def test_bad_metric_list_fails(self, dataset, capsys, metrics, reason):
+        manifest = str(dataset / "data" / "manifest.tsv")
+        code, out, err = run_cli(
+            capsys, "eval", "--manifest", manifest, "--episodes", "1", "--metric", metrics
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: evaluate: {reason}")
+        assert err.count("\n") == 1 and err.count("error:") == 1
+
     def test_bad_manifest_fails(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--manifest", "/no/manifest.tsv")
         assert code != 0
@@ -377,6 +406,18 @@ class TestAblate:
         _, out1, _ = run_cli(capsys, "ablate", "--manifest", manifest, "--episodes", "2")
         _, out2, _ = run_cli(capsys, "ablate", "--manifest", manifest, "--episodes", "2")
         assert out1 == out2
+
+
+    def test_config_metrics_key_ignored(self, dataset, tmp_path, capsys):
+        p = tmp_path / "m.cfg"
+        p.write_text("metrics = pp\n")
+        manifest = str(dataset / "data" / "manifest.tsv")
+        _, plain, _ = run_cli(capsys, "ablate", "--manifest", manifest, "--episodes", "2")
+        code, out, _ = run_cli(
+            capsys, "ablate", "--config", str(p), "--manifest", manifest, "--episodes", "2"
+        )
+        assert code == 0
+        assert out == plain
 
 
 class TestPaperDims:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from momalign import episode, synthgen
-from momalign.descriptor import DescriptorSequence
 from momalign.episode import (
     METRICS,
     build_prototypes,
@@ -15,6 +14,7 @@ from momalign.episode import (
     sample_episode,
 )
 from momalign.seqio import Manifest, ManifestEntry
+from test_alignment import make_seq
 
 
 def toy_manifest(classes=10, per_class=4):
@@ -25,13 +25,6 @@ def toy_manifest(classes=10, per_class=4):
                 ManifestEntry(f"c{c}_i{i}", f"class{c:03d}", f"clips/c{c}_i{i}.fsq")
             )
     return Manifest(tuple(entries))
-
-
-def make_seq(vectors):
-    v = np.asarray(vectors, dtype=np.float64)
-    return DescriptorSequence(
-        v, np.zeros(v.shape[0], dtype=np.int64), np.arange(v.shape[0])
-    )
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +190,10 @@ class TestEvaluate:
     def test_unknown_metric_rejected(self, small_dataset):
         with pytest.raises(ValueError, match="unknown metric"):
             evaluate(small_dataset, 4, 1, 4, episodes=2, seed=0, metrics=["bogus"])
+
+    def test_repeated_metric_rejected(self, small_dataset):
+        with pytest.raises(ValueError, match="^evaluate: metric 'a2' given twice$"):
+            evaluate(small_dataset, 4, 1, 4, episodes=2, seed=0, metrics=["a2", "pp", "a2"])
 
     @pytest.mark.parametrize(
         "kwarg, value, name",
