@@ -26,6 +26,9 @@ from .descriptor import (
 )
 
 
+_SYNTH = synthgen.SynthConfig()
+
+
 @dataclass(frozen=True)
 class RunConfig:
     # scales
@@ -42,17 +45,17 @@ class RunConfig:
     episodes: int = 200
     metrics: tuple[str, ...] = ("a2",)
     workers: int = 1
-    # synthetic data
-    classes: int = 8
-    subactions: int = 2
-    frames: int = 8
-    height: int = 6
-    width: int = 6
-    jitter: float = 2.0
-    reorder: float = 0.5
-    noise: float = 0.1
-    distractor: float = 1.5
-    instances_per_class: int = 12
+    # synthetic data: each field named and defaulted as in SynthConfig
+    classes: int = _SYNTH.classes
+    subactions: int = _SYNTH.subactions
+    frames: int = _SYNTH.frames
+    height: int = _SYNTH.height
+    width: int = _SYNTH.width
+    jitter: float = _SYNTH.jitter
+    reorder: float = _SYNTH.reorder
+    noise: float = _SYNTH.noise
+    distractor: float = _SYNTH.distractor
+    instances_per_class: int = _SYNTH.instances_per_class
     # misc
     seed: int = 0
     top_pairs: int = 3
@@ -64,18 +67,7 @@ class RunConfig:
 
     def synth_config(self) -> synthgen.SynthConfig:
         return synthgen.SynthConfig(
-            classes=self.classes,
-            subactions=self.subactions,
-            frames=self.frames,
-            c_in=self.c_in,
-            height=self.height,
-            width=self.width,
-            duration_jitter=self.jitter,
-            reorder_prob=self.reorder,
-            noise_sigma=self.noise,
-            distractor_amp=self.distractor,
-            seed=self.seed,
-            instances_per_class=self.instances_per_class,
+            **{f.name: getattr(self, f.name) for f in fields(synthgen.SynthConfig)}
         )
 
 
@@ -83,7 +75,13 @@ def load_config(path: str | Path) -> dict:
     """Flat key=value config file; # comments and blank lines are skipped,
     and each key may appear once."""
     out: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: config is not valid UTF-8") from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -98,7 +96,8 @@ def load_config(path: str | Path) -> dict:
 
 def _coerce(cfg: RunConfig, overrides: dict) -> RunConfig:
     """``cfg`` with each non-None override parsed by the type of its field's
-    default; a tuple is comma-separated, each item of its first item's type."""
+    default; a tuple is comma-separated, each stripped item of its first
+    item's type."""
     kwargs = {}
     defaults = {f.name: f.default for f in fields(RunConfig)}
     for key, value in overrides.items():
@@ -109,7 +108,7 @@ def _coerce(cfg: RunConfig, overrides: dict) -> RunConfig:
         default = defaults[key]
         try:
             if isinstance(default, tuple):
-                kwargs[key] = tuple(type(default[0])(v) for v in value.split(","))
+                kwargs[key] = tuple(type(default[0])(v.strip()) for v in value.split(","))
             else:
                 kwargs[key] = type(default)(value)
             if key in ("seed", "top_pairs") and kwargs[key] < 0:

@@ -11,9 +11,13 @@ from functools import lru_cache
 
 import numpy as np
 
-#: Default number of coupled Newton-Schulz iterations. Validated against an
-#: eigendecomposition oracle for condition numbers <= 100 (relative residual
-#: <= 1e-2 at 5 iterations).
+#: Default number of coupled Newton-Schulz iterations. At 5 iterations the
+#: relative residual ||X X - A|| / ||A|| (A the shifted input) stays <= 1e-2
+#: on random SPD inputs with condition number <= 100 (eigendecomposition
+#: oracle). On the 1,728
+#: shifted C=16 frame moments of the default seed-0 synthetic set, 44% of
+#: which have condition number above 100 (up to 707), it reaches 0.0146
+#: (p90 0.0109).
 DEFAULT_SQRT_ITERATIONS = 5
 
 #: Default diagonal regularizer scale: eps = 1e-5 * trace / dim, which keeps
@@ -67,13 +71,14 @@ def newton_schulz_sqrt(a: np.ndarray) -> np.ndarray:
 
     and post-compensated by the square root of the normalizer. The spectral
     norm is used rather than the trace because it maps the spectrum onto
-    (0, 1] instead of over-shrinking it, which is what lets five iterations
-    meet the documented residual bound at condition numbers up to 100. The
-    estimate comes from deterministic power iteration, so the whole routine
-    stays free of eigendecompositions. The result is symmetrized before
-    return. An empty, non-finite or asymmetric input, or one whose shifted
-    trace or norm is not positive (such as a zero matrix), raises
-    ``ValueError``.
+    (0, 1] instead of over-shrinking it, which is what keeps the relative
+    residual of five iterations within 1e-2 up to condition number 100 and
+    within 0.0146 on the default synthetic set's moments (see
+    ``DEFAULT_SQRT_ITERATIONS``). The estimate comes from deterministic
+    power iteration, so the whole routine stays free of eigendecompositions.
+    The result is symmetrized before return. An empty, non-finite or
+    asymmetric input, or one whose shifted trace or norm is not positive
+    (such as a zero matrix), raises ``ValueError``.
     """
     a = _check_square_symmetric(a, "newton_schulz_sqrt")
     n = a.shape[0]

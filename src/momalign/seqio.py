@@ -170,9 +170,6 @@ class Manifest:
     entries: tuple[ManifestEntry, ...]
     root: str = "."
 
-    def labels(self) -> list[str]:
-        return sorted({e.label for e in self.entries})
-
     def by_label(self) -> dict[str, list[ManifestEntry]]:
         grouped: dict[str, list[ManifestEntry]] = {}
         for e in self.entries:

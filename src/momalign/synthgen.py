@@ -51,35 +51,42 @@ class ClassDef:
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """Generator settings; the field names are also the config-file keys.
+
+    ``jitter`` bounds the per-instance duration warp factor, ``reorder`` is
+    the probability of one adjacent swap, ``noise`` is the Gaussian noise
+    sigma and ``distractor`` the clutter amplitude.
+    """
+
     classes: int = 8
     subactions: int = 2
     frames: int = 8
     c_in: int = DESK_C_IN
     height: int = 6
     width: int = 6
-    duration_jitter: float = 2.0
-    reorder_prob: float = 0.5
-    noise_sigma: float = 0.1
-    distractor_amp: float = 1.5
+    jitter: float = 2.0
+    reorder: float = 0.5
+    noise: float = 0.1
+    distractor: float = 1.5
     seed: int = 0
     instances_per_class: int = 12
 
     def __post_init__(self):
-        for name in ("duration_jitter", "reorder_prob", "noise_sigma", "distractor_amp"):
+        for name in ("jitter", "reorder", "noise", "distractor"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"SynthConfig: {name} must be finite, got {getattr(self, name)}")
         for name in ("classes", "subactions", "frames", "c_in", "height", "width",
                      "instances_per_class"):
             if getattr(self, name) < 1:
                 raise ValueError(f"SynthConfig: {name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 <= self.reorder_prob <= 1.0:
-            raise ValueError("SynthConfig: reorder_prob must be in [0, 1]")
-        if self.duration_jitter < 1.0:
-            raise ValueError("SynthConfig: duration_jitter must be >= 1")
-        if self.noise_sigma < 0.0:
-            raise ValueError("SynthConfig: noise_sigma must be >= 0")
-        if self.distractor_amp < 0.0:
-            raise ValueError("SynthConfig: distractor_amp must be >= 0")
+        if not 0.0 <= self.reorder <= 1.0:
+            raise ValueError("SynthConfig: reorder must be in [0, 1]")
+        if self.jitter < 1.0:
+            raise ValueError("SynthConfig: jitter must be >= 1")
+        if self.noise < 0.0:
+            raise ValueError("SynthConfig: noise must be >= 0")
+        if self.distractor < 0.0:
+            raise ValueError("SynthConfig: distractor must be >= 0")
 
 
 def _blob_mask(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
@@ -148,18 +155,18 @@ def render_instance(
     """One instance clip plus its ground-truth frame -> subaction labels.
 
     Durations are warped by per-instance log-uniform factors in
-    [1/jitter, jitter]; with probability ``reorder_prob`` one random adjacent
+    [1/jitter, jitter]; with probability ``reorder`` one random adjacent
     subaction pair swaps order. If the warped schedule cannot fill T frames
     the final subaction is repeated.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, seed])))
     subs = list(class_def.subactions)
 
-    if len(subs) > 1 and rng.uniform() < cfg.reorder_prob:
+    if len(subs) > 1 and rng.uniform() < cfg.reorder:
         k = int(rng.integers(0, len(subs) - 1))
         subs[k], subs[k + 1] = subs[k + 1], subs[k]
 
-    log_j = np.log(cfg.duration_jitter)
+    log_j = np.log(cfg.jitter)
     warped = np.array(
         [s.duration * np.exp(rng.uniform(-log_j, log_j)) for s in subs]
     )
@@ -178,18 +185,18 @@ def render_instance(
     labels = np.empty(cfg.frames, dtype=np.int64)
     for t, s in enumerate(schedule):
         frame = s.latent[:, None, None] * s.mask[None, :, :]
-        if cfg.distractor_amp > 0:
+        if cfg.distractor > 0:
             # Flickering clutter: every frame briefly shows a random latent
             # from the shared pool (usually another class's subaction).
             # Per-frame statistics absorb the wrong-class evidence in full;
             # temporal windows average it down.
             pool = class_def.clutter_pool
             d = pool[:, int(rng.integers(pool.shape[1]))]
-            frame = frame + cfg.distractor_amp * (
+            frame = frame + cfg.distractor * (
                 d[:, None, None] * _blob_mask(rng, cfg.height, cfg.width)[None, :, :]
             )
-        if cfg.noise_sigma > 0:
-            frame = frame + cfg.noise_sigma * rng.standard_normal(frame.shape)
+        if cfg.noise > 0:
+            frame = frame + cfg.noise * rng.standard_normal(frame.shape)
         data[t] = frame
         labels[t] = s.sub_id
     return FeatureClip(data), labels

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from momalign import seqio
-from momalign.cli import RunConfig, build_parser, load_config, main
+from momalign.cli import RunConfig, build_parser, build_run_config, load_config, main
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +56,12 @@ class TestConfig:
         p.write_text("# comment\nways = 3\n\ntaus = 1,3\nmetrics = a2,pp\n")
         raw = load_config(p)
         assert raw == {"ways": "3", "taus": "1,3", "metrics": "a2,pp"}
+        # List items are stripped, in a config file and in a flag.
+        for metrics in ("a2,pp", "a2, pp"):
+            p.write_text(f"metrics = {metrics}\n")
+            for argv in (["--config", str(p)], ["--metric", metrics]):
+                args = build_parser().parse_args(["eval", "--manifest", "x", *argv])
+                assert build_run_config(args).metrics == ("a2", "pp")
 
     def test_malformed_line_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -84,11 +90,12 @@ class TestConfig:
         [
             ("ways = 3\n# again\nways = 4\n", ":3: duplicate key 'ways'"),
             ("ways\n", ":1: expected key=value"),
+            ("ways = 3\n# caf\xe9\n", ":2: config is not valid UTF-8"),
         ],
     )
     def test_bad_line_names_file_once(self, tmp_path, capsys, text, where):
         p = tmp_path / "c.cfg"
-        p.write_text(text)
+        p.write_text(text, encoding="latin-1")
         code, out, err = run_cli(capsys, "eval", "--config", str(p), "--manifest", "x")
         assert (code, out) == (1, "")
         assert err == f"error: {p}{where}\n"
@@ -184,9 +191,9 @@ class TestSynth:
     @pytest.mark.parametrize(
         "line, reason",
         [
-            ("jitter = nan", "duration_jitter must be finite, got nan"),
-            ("noise = nan", "noise_sigma must be finite, got nan"),
-            ("distractor = inf", "distractor_amp must be finite, got inf"),
+            ("jitter = nan", "jitter must be finite, got nan"),
+            ("noise = nan", "noise must be finite, got nan"),
+            ("distractor = inf", "distractor must be finite, got inf"),
             ("instances_per_class = 0", "instances_per_class must be >= 1, got 0"),
         ],
     )
@@ -424,8 +431,6 @@ class TestPaperDims:
     def test_flag_sets_channels(self):
         parser = build_parser()
         args = parser.parse_args(["eval", "--manifest", "x", "--paper-dims"])
-        from momalign.cli import build_run_config
-
         cfg = build_run_config(args)
         assert (cfg.c_in, cfg.c_prime, cfg.c_out) == (2048, 256, 128)
         assert cfg.frames == 8

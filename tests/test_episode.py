@@ -33,10 +33,10 @@ def small_dataset(tmp_path_factory):
         classes=6,
         subactions=2,
         c_in=64,
-        noise_sigma=0.0,
-        distractor_amp=0.0,
-        duration_jitter=1.0,
-        reorder_prob=0.0,
+        noise=0.0,
+        distractor=0.0,
+        jitter=1.0,
+        reorder=0.0,
         instances_per_class=3,
     )
     out = tmp_path_factory.mktemp("sep")
@@ -145,7 +145,7 @@ class TestEvaluate:
     def test_chance_level_on_shuffled_labels(self, small_dataset, tmp_path):
         # Relabel clips uniformly at random: accuracy must sit near 1/n.
         rng = np.random.default_rng(0)
-        labels = small_dataset.labels()
+        labels = sorted({e.label for e in small_dataset.entries})
         entries = tuple(
             ManifestEntry(e.clip_id, labels[int(rng.integers(len(labels)))], e.path)
             for e in small_dataset.entries

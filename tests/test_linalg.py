@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from momalign import descriptor, synthgen
 from momalign.linalg import (
+    DEFAULT_EPS_SCALE,
     newton_schulz_sqrt,
     second_moment,
     vectorize_spd,
@@ -102,6 +104,35 @@ class TestNewtonSchulzSqrt:
         y = newton_schulz_sqrt(a)
         resid = np.linalg.norm(y @ y - shifted) / np.linalg.norm(shifted)
         assert resid <= 1e-2
+
+    def test_residual_on_synthetic_moments(self, tmp_path, capsys):
+        """The inputs ``eval`` feeds the sqrt: every shifted C=16 per-frame
+        moment of the default seed-0 synthetic set, 44% of them with
+        condition number above 100. The largest relative residual measured
+        is 0.0146 (p90 0.0109); the bound leaves a 10% margin over it."""
+        manifest = synthgen.generate_dataset(synthgen.SynthConfig(), tmp_path)
+        conds, residuals = [], []
+        for entry in manifest.entries:
+            clip = synthgen.load_clip(manifest.resolve(entry))
+            for cfg in descriptor.default_scales(seed=0):
+                for frame in descriptor.scale_frames(clip, cfg):
+                    a = second_moment(frame)
+                    shifted = a + DEFAULT_EPS_SCALE * np.trace(a) / len(a) * np.eye(len(a))
+                    w = np.linalg.eigh(shifted)[0]
+                    conds.append(w[-1] / w[0])
+                    y = newton_schulz_sqrt(a)
+                    residuals.append(np.linalg.norm(y @ y - shifted) / np.linalg.norm(shifted))
+        conds, residuals = np.array(conds), np.array(residuals)
+        worst = int(np.argmax(residuals))
+        summary = (
+            f"{len(residuals)} moments, {np.mean(conds > 100):.0%} with condition number "
+            f"above 100 (max {conds.max():.0f}); residual max {residuals[worst]:.4f} at "
+            f"condition number {conds[worst]:.0f}, p90 {np.percentile(residuals, 90):.4f}"
+        )
+        with capsys.disabled():
+            print(f"\nNewton-Schulz sqrt on synthetic moments: {summary}")
+        assert np.mean(conds > 100) >= 0.4, summary
+        assert residuals.max() <= 0.016, summary
 
     def test_commutes_with_input(self):
         rng = np.random.default_rng(11)
