@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import newton_schulz_sqrt, second_moment, vectorize_spd
+from .linalg import (
+    newton_schulz_sqrt,
+    second_moment,
+    spectral_norm_estimates,
+    vectorize_spd,
+)
 
 # Desk-scale defaults keep the property suites fast; the full-size
 # configuration (2048 / 256 / 128) is selectable via --paper-dims.
@@ -342,41 +347,43 @@ def scale_frames(clip: FeatureClip, cfg: ScaleConfig) -> list[np.ndarray]:
     return deformable_conv(xt, offsets, cfg)
 
 
-def _second_order(frame: np.ndarray) -> np.ndarray:
-    return vectorize_spd(newton_schulz_sqrt(second_moment(frame)))
+def _second_order(frames: list[np.ndarray]) -> list[np.ndarray]:
+    """One scale's frames as normalized, vectorized second moments. The
+    normalizer's power estimate runs once, on the stack of the scale's
+    moments, with the bits of a per-moment estimate."""
+    moments = [second_moment(f) for f in frames]
+    norms = spectral_norm_estimates(moments)
+    return [vectorize_spd(newton_schulz_sqrt(a, norm)) for a, norm in zip(moments, norms)]
 
 
-def _first_order(frame: np.ndarray) -> np.ndarray:
-    return frame.mean(axis=1)
+def _first_order(frames: list[np.ndarray]) -> list[np.ndarray]:
+    return [f.mean(axis=1) for f in frames]
 
 
 def _sequence(
     what: str, clip: FeatureClip, scales: list[ScaleConfig] | None, reduce
 ) -> DescriptorSequence:
     """Reduce every C x M frame of every scale to one vector, ordered
-    scale-major, time-minor. ``scales=None`` takes the raw clip frames as a
-    single scale; otherwise each scale's frames come from ``scale_frames``,
-    one scale at a time, so only one scale's frames are held at once."""
+    scale-major, time-minor. ``reduce`` takes one scale's frame list at a
+    time. ``scales=None`` takes the raw clip frames as a single scale;
+    otherwise each scale's frames come from ``scale_frames``, one scale at a
+    time, so only one scale's frames are held at once."""
     if scales is None:
         m = clip.height * clip.width
-        frames = ((0, t, x.reshape(clip.channels, m)) for t, x in enumerate(clip.data))
+        per_scale = [[x.reshape(clip.channels, m) for x in clip.data]]
     else:
         if not scales:
             raise ValueError(f"{what}: no scales given")
         if any(s.c_out != scales[0].c_out for s in scales):
             raise ValueError(f"{what}: all scales must share c_out")
-        frames = (
-            (b, t, x)
-            for b, cfg in enumerate(scales)
-            for t, x in enumerate(scale_frames(clip, cfg))
-        )
+        per_scale = (scale_frames(clip, cfg) for cfg in scales)
     vectors = []
     scale_ids = []
     times = []
-    for b, t, frame in frames:
-        vectors.append(reduce(frame))
-        scale_ids.append(b)
-        times.append(t)
+    for b, frames in enumerate(per_scale):
+        vectors.extend(reduce(frames))
+        scale_ids.extend([b] * len(frames))
+        times.extend(range(len(frames)))
     return DescriptorSequence(np.array(vectors), np.array(scale_ids), np.array(times))
 
 

@@ -14,10 +14,9 @@ import numpy as np
 #: Default number of coupled Newton-Schulz iterations. At 5 iterations the
 #: relative residual ||X X - A|| / ||A|| (A the shifted input) stays <= 1e-2
 #: on random SPD inputs with condition number <= 100 (eigendecomposition
-#: oracle). On the 1,728
-#: shifted C=16 frame moments of the default seed-0 synthetic set, 44% of
-#: which have condition number above 100 (up to 707), it reaches 0.0146
-#: (p90 0.0109).
+#: oracle). On the 1,728 shifted C=16 frame moments of the default seed-0
+#: synthetic set, 44% of which have condition number above 100 (up to 707),
+#: it reaches 0.0146 (p90 0.0109).
 DEFAULT_SQRT_ITERATIONS = 5
 
 #: Default diagonal regularizer scale: eps = 1e-5 * trace / dim, which keeps
@@ -39,28 +38,53 @@ def _check_square_symmetric(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
-def _spectral_norm_estimate(a: np.ndarray, fro: float) -> float:
-    """Largest-eigenvalue estimate for a PSD matrix by 50 steps of power
-    iteration.
-
-    Deterministic (fixed all-ones start). The Rayleigh quotient is clamped to
-    [fro / sqrt(n), fro], the interval that always contains the true largest
-    eigenvalue, which guards against a start vector that is nearly orthogonal
-    to the dominant eigenvector.
-    """
+def _shifted(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """The validated input shifted by ``eps * I``, and its Frobenius norm."""
+    a = _check_square_symmetric(a, "newton_schulz_sqrt")
     n = a.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
+    shifted = a + DEFAULT_EPS_SCALE * float(np.trace(a)) / n * np.eye(n)
+    fro = float(np.linalg.norm(shifted))
+    if fro <= 0.0 or float(np.trace(shifted)) <= 0.0:
+        raise ValueError("newton_schulz_sqrt: non-positive input after eps shift")
+    return shifted, fro
+
+
+def spectral_norm_estimates(moments) -> np.ndarray:
+    """Largest-eigenvalue estimates of equal-size second moments, one per
+    moment, as ``newton_schulz_sqrt`` normalizes them; an (N,) array.
+
+    Each moment is validated as ``newton_schulz_sqrt`` validates it, with
+    the same errors, then shifted by ``eps * I``. One deterministic power
+    iteration (fixed all-ones start, 50 steps) runs on the stack of shifted
+    moments. Each slice of its stacked products is the BLAS gemv or dot
+    that the 2-D ``a @ v`` and ``w @ w`` of one matrix run, so every
+    estimate has the bits of a per-matrix loop. A matrix whose ``A v``
+    underflows to zero keeps its ``v`` from then on, as that loop's
+    ``break`` did (``nw`` is a root of a sum of squares, so ``nw != 0`` is
+    ``not nw <= 0``). Each Rayleigh quotient is clamped to
+    [fro / sqrt(n), fro], the interval that always contains the true
+    largest eigenvalue, which guards against a start vector nearly
+    orthogonal to the dominant eigenvector.
+    """
+    moments = list(moments)
+    if not moments:
+        return np.empty(0)
+    shifted, fro = zip(*map(_shifted, moments))
+    if any(s.shape != shifted[0].shape for s in shifted):
+        raise ValueError("spectral_norm_estimates: moments differ in size")
+    stack = np.stack(shifted)
+    n = stack.shape[-1]
+    v = np.full((len(moments), n, 1), 1.0 / np.sqrt(n))
     for _ in range(50):
-        w = a @ v
-        nw = math.sqrt(w @ w)
-        if nw <= 0.0:
-            break
-        v = w / nw
-    rayleigh = float(v @ a @ v)
-    return min(max(rayleigh, fro / np.sqrt(n)), fro)
+        w = stack @ v
+        nw = np.sqrt(np.swapaxes(w, 1, 2) @ w)
+        np.divide(w, nw, out=v, where=nw != 0.0)
+    rayleigh = ((np.swapaxes(v, 1, 2) @ stack) @ v).reshape(-1)
+    fro = np.array(fro)
+    return np.minimum(np.maximum(rayleigh, fro / np.sqrt(n)), fro)
 
 
-def newton_schulz_sqrt(a: np.ndarray) -> np.ndarray:
+def newton_schulz_sqrt(a: np.ndarray, norm: float | None = None) -> np.ndarray:
     """Approximate square root of an SPD matrix by coupled Newton-Schulz.
 
     The input is shifted by ``eps * I`` with ``eps = DEFAULT_EPS_SCALE *
@@ -76,18 +100,20 @@ def newton_schulz_sqrt(a: np.ndarray) -> np.ndarray:
     within 0.0146 on the default synthetic set's moments (see
     ``DEFAULT_SQRT_ITERATIONS``). The estimate comes from deterministic
     power iteration, so the whole routine stays free of eigendecompositions.
+    ``norm`` is that estimate for ``a``, as ``spectral_norm_estimates``
+    returns it for a stack of moments (one power iteration serves them
+    all); when omitted it is estimated for ``a`` alone, with the same bits.
     The result is symmetrized before return. An empty, non-finite or
-    asymmetric input, or one whose shifted trace or norm is not positive
-    (such as a zero matrix), raises ``ValueError``.
+    asymmetric input, one whose shifted trace or norm is not positive
+    (such as a zero matrix), or a ``norm`` that is not positive and finite
+    raises ``ValueError``.
     """
-    a = _check_square_symmetric(a, "newton_schulz_sqrt")
-    n = a.shape[0]
-    ident = np.eye(n)
-    shifted = a + DEFAULT_EPS_SCALE * float(np.trace(a)) / n * ident
-    fro = float(np.linalg.norm(shifted))
-    if fro <= 0.0 or float(np.trace(shifted)) <= 0.0:
-        raise ValueError("newton_schulz_sqrt: non-positive input after eps shift")
-    norm = _spectral_norm_estimate(shifted, fro)
+    shifted, _ = _shifted(a)
+    if norm is None:
+        norm = spectral_norm_estimates([a])[0]
+    elif not 0.0 < norm < math.inf:
+        raise ValueError(f"newton_schulz_sqrt: norm must be positive and finite, got {norm}")
+    ident = np.eye(shifted.shape[0])
     y = shifted / norm
     z = ident
     for _ in range(DEFAULT_SQRT_ITERATIONS):

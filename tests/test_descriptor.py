@@ -24,6 +24,7 @@ from momalign.descriptor import (
     temporal_difference,
 )
 from momalign.linalg import newton_schulz_sqrt, second_moment, vectorize_spd
+from test_linalg import reference_newton_schulz_sqrt
 
 
 def random_clip(rng, t=8, c=6, h=4, w=5):
@@ -70,6 +71,19 @@ def reference_cov_mn_descriptors(clip):
         for i in range(t)
     ]
     return DescriptorSequence(np.array(vectors), np.zeros(t, dtype=np.int64), np.arange(t))
+
+
+def reference_multi_scale_descriptors(clip, scales):
+    """Each scale's frames reduced one at a time by the per-matrix square
+    root, before one power iteration served a scale; kept as the bitwise
+    reference."""
+    vectors, scale_ids, times = [], [], []
+    for b, cfg in enumerate(scales):
+        for t, frame in enumerate(scale_frames(clip, cfg)):
+            vectors.append(vectorize_spd(reference_newton_schulz_sqrt(second_moment(frame))))
+            scale_ids.append(b)
+            times.append(t)
+    return DescriptorSequence(np.array(vectors), np.array(scale_ids), np.array(times))
 
 
 def reference_gap_descriptor(clip):
@@ -539,6 +553,28 @@ class TestMultiScaleDescriptors:
         b = multi_scale_descriptors(FeatureClip(data.copy()), default_scales(seed=5))
         assert np.array_equal(a.vectors, b.vectors)
 
+    @pytest.mark.parametrize("frames, offset_head", [(8, False), (28, False), (8, True)])
+    def test_matches_reference_bitwise(self, frames, offset_head):
+        rng = np.random.default_rng(28 + frames)
+        clip = FeatureClip(rng.standard_normal((frames, DESK_C_IN, 6, 6)))
+        scales = default_scales(seed=0)
+        if offset_head:
+            # A nonzero offset head samples between pixels, so every
+            # bilinear corner weight takes part.
+            scales = [
+                dataclasses.replace(
+                    cfg,
+                    offset_w2=rng.uniform(-2.0, 2.0, cfg.offset_w2.shape),
+                    offset_b2=rng.uniform(-1.5, 1.5, cfg.offset_b2.shape),
+                )
+                for cfg in scales
+            ]
+            offsets = offset_mlp(temporal_difference(temporal_conv(clip, scales[1])), scales[1])
+            assert np.any(offsets != np.round(offsets))
+        assert_same_sequence(
+            multi_scale_descriptors(clip, scales), reference_multi_scale_descriptors(clip, scales)
+        )
+
     def test_rejects_empty_scales(self):
         with pytest.raises(ValueError):
             multi_scale_descriptors(FeatureClip(np.zeros((2, 2, 2, 2))), [])
@@ -560,6 +596,15 @@ class TestCovMnDescriptors:
         # A 0 x 0 moment: rejected by the sqrt instead of dividing by zero.
         with pytest.raises(ValueError, match="empty matrix"):
             cov_mn_descriptors(FeatureClip(np.zeros((2, 0, 3, 3))))
+
+    def test_rejects_zero_frame_as_the_sqrt_does(self):
+        data = np.random.default_rng(30).standard_normal((3, 4, 2, 2))
+        data[1] = 0.0
+        with pytest.raises(ValueError) as alone:
+            newton_schulz_sqrt(np.zeros((4, 4)))
+        with pytest.raises(ValueError) as stacked:
+            cov_mn_descriptors(FeatureClip(data))
+        assert str(stacked.value) == str(alone.value)
 
 
 class TestGapDescriptor:

@@ -1,5 +1,8 @@
 """Dense SPD primitives against closed-form cases and independent oracles."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from momalign.linalg import (
     DEFAULT_EPS_SCALE,
     newton_schulz_sqrt,
     second_moment,
+    spectral_norm_estimates,
     vectorize_spd,
 )
 from test_alignment import cosine
@@ -56,6 +60,39 @@ def reference_newton_schulz_sqrt(a):
     return 0.5 * (out + out.T)
 
 
+def reference_shift(a):
+    """The eps-shifted input of the sqrt, and its Frobenius norm."""
+    n = a.shape[0]
+    shifted = a + DEFAULT_EPS_SCALE * float(np.trace(a)) / n * np.eye(n)
+    return shifted, float(np.linalg.norm(shifted))
+
+
+def reference_spectral_norm_estimate(a, fro):
+    """The per-matrix power iteration the sqrt ran on each shifted moment
+    before one iteration served a stack; kept as the bitwise reference.
+    Returns the estimate and whether the zero-norm exit was taken."""
+    n = a.shape[0]
+    v = np.full(n, 1.0 / np.sqrt(n))
+    exited = False
+    for _ in range(50):
+        w = a @ v
+        nw = math.sqrt(w @ w)
+        if nw <= 0.0:
+            exited = True
+            break
+        v = w / nw
+    rayleigh = float(v @ a @ v)
+    return min(max(rayleigh, fro / np.sqrt(n)), fro), exited
+
+
+def underflowing_moment(dim=16):
+    """``1e-160 (e0 - e1)(e0 - e1)^T``: its Frobenius norm is about 2e-160,
+    but the first ||A v||^2 underflows to 0."""
+    u = np.zeros(dim)
+    u[0], u[1] = 1.0, -1.0
+    return 1e-160 * np.outer(u, u)
+
+
 def reference_vectorize_spd(a):
     """The vectorization before its triangle index and scale were cached."""
     n = a.shape[0]
@@ -67,7 +104,8 @@ def reference_vectorize_spd(a):
 
 def reference_inputs(rng):
     """Full-rank, rank-deficient and rank-one second moments at the channel
-    counts the pipeline uses, plus small and zero-padded cases."""
+    counts the pipeline uses, plus small, zero-padded and underflowing
+    cases."""
     for dim in (1, 2, 3, 16, 64, 128):
         yield random_spd(rng, dim)
         for m in (1, max(1, dim // 2), 36):
@@ -75,6 +113,83 @@ def reference_inputs(rng):
     padded = np.zeros((16, 16))
     padded[:4, :4] = random_spd(rng, 4)
     yield padded
+    yield underflowing_moment()
+
+
+@pytest.fixture(scope="module")
+def synthetic_moments(tmp_path_factory):
+    """Per-frame C=16 moments of the default seed-0 synthetic set, one list
+    per (clip, scale): the stacks ``multi_scale_descriptors`` estimates."""
+    manifest = synthgen.generate_dataset(
+        synthgen.SynthConfig(), tmp_path_factory.mktemp("synthetic_moments")
+    )
+    stacks = []
+    for entry in manifest.entries:
+        clip = synthgen.load_clip(manifest.resolve(entry))
+        for cfg in descriptor.default_scales(seed=0):
+            stacks.append([second_moment(f) for f in descriptor.scale_frames(clip, cfg)])
+    return stacks
+
+
+def assert_estimates_match_reference(moments):
+    got = spectral_norm_estimates(moments)
+    assert got.shape == (len(moments),)
+    for a, est in zip(moments, got):
+        ref, _ = reference_spectral_norm_estimate(*reference_shift(a))
+        assert est == ref
+
+
+class TestSpectralNormEstimates:
+    def test_matches_reference_bitwise_by_size(self):
+        rng = np.random.default_rng(40)
+        by_size = {}
+        for a in reference_inputs(rng):
+            by_size.setdefault(a.shape, []).append(a)
+        assert sorted(len(group) for group in by_size.values())[-1] >= 4
+        for group in by_size.values():
+            assert_estimates_match_reference(group)
+
+    def test_matches_reference_bitwise_on_synthetic_moments(self, synthetic_moments):
+        for stack in synthetic_moments:
+            assert_estimates_match_reference(stack)
+
+    def test_zero_norm_exit_keeps_its_vector(self):
+        rng = np.random.default_rng(43)
+        tiny = underflowing_moment()
+        shifted, fro = reference_shift(tiny)
+        assert fro > 0.0
+        assert reference_spectral_norm_estimate(shifted, fro)[1]
+        neighbours = [second_moment(rng.standard_normal((16, 36))) for _ in range(4)]
+        stack = neighbours[:2] + [tiny] + neighbours[2:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spectral_norm_estimates(stack)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(np.delete(got, 2), spectral_norm_estimates(neighbours))
+        assert_estimates_match_reference(stack)
+
+    @pytest.mark.parametrize("kind", ["empty", "asymmetric", "non-finite", "zero"])
+    def test_errors_match_the_sqrt_on_that_moment(self, kind):
+        good = random_spd(np.random.default_rng(44), 4)
+        bad = {
+            "empty": np.zeros((0, 0)),
+            "asymmetric": good + np.triu(np.ones((4, 4)), 1),
+            "non-finite": np.where(np.eye(4) == 1, np.inf, good),
+            "zero": np.zeros((4, 4)),
+        }[kind]
+        with pytest.raises(ValueError) as alone:
+            newton_schulz_sqrt(bad)
+        with pytest.raises(ValueError) as stacked:
+            spectral_norm_estimates([good, bad, good])
+        assert str(stacked.value) == str(alone.value)
+        assert str(alone.value).startswith("newton_schulz_sqrt: ")
+
+    def test_rejects_moments_of_different_sizes(self):
+        with pytest.raises(ValueError, match="moments differ in size"):
+            spectral_norm_estimates([np.eye(3), np.eye(4)])
+
+    def test_no_moments_no_estimates(self):
+        assert spectral_norm_estimates([]).shape == (0,)
 
 
 class TestNewtonSchulzSqrt:
@@ -105,23 +220,19 @@ class TestNewtonSchulzSqrt:
         resid = np.linalg.norm(y @ y - shifted) / np.linalg.norm(shifted)
         assert resid <= 1e-2
 
-    def test_residual_on_synthetic_moments(self, tmp_path, capsys):
+    def test_residual_on_synthetic_moments(self, synthetic_moments, capsys):
         """The inputs ``eval`` feeds the sqrt: every shifted C=16 per-frame
         moment of the default seed-0 synthetic set, 44% of them with
         condition number above 100. The largest relative residual measured
         is 0.0146 (p90 0.0109); the bound leaves a 10% margin over it."""
-        manifest = synthgen.generate_dataset(synthgen.SynthConfig(), tmp_path)
         conds, residuals = [], []
-        for entry in manifest.entries:
-            clip = synthgen.load_clip(manifest.resolve(entry))
-            for cfg in descriptor.default_scales(seed=0):
-                for frame in descriptor.scale_frames(clip, cfg):
-                    a = second_moment(frame)
-                    shifted = a + DEFAULT_EPS_SCALE * np.trace(a) / len(a) * np.eye(len(a))
-                    w = np.linalg.eigh(shifted)[0]
-                    conds.append(w[-1] / w[0])
-                    y = newton_schulz_sqrt(a)
-                    residuals.append(np.linalg.norm(y @ y - shifted) / np.linalg.norm(shifted))
+        for stack in synthetic_moments:
+            for a in stack:
+                shifted = a + DEFAULT_EPS_SCALE * np.trace(a) / len(a) * np.eye(len(a))
+                w = np.linalg.eigh(shifted)[0]
+                conds.append(w[-1] / w[0])
+                y = newton_schulz_sqrt(a)
+                residuals.append(np.linalg.norm(y @ y - shifted) / np.linalg.norm(shifted))
         conds, residuals = np.array(conds), np.array(residuals)
         worst = int(np.argmax(residuals))
         summary = (
@@ -157,6 +268,17 @@ class TestNewtonSchulzSqrt:
         rng = np.random.default_rng(40)
         for a in reference_inputs(rng):
             assert np.array_equal(newton_schulz_sqrt(a), reference_newton_schulz_sqrt(a))
+
+    def test_given_norm_matches_omitted_norm_bitwise(self):
+        rng = np.random.default_rng(42)
+        moments = [a for a in reference_inputs(rng) if a.shape == (16, 16)]
+        for a, norm in zip(moments, spectral_norm_estimates(moments)):
+            assert np.array_equal(newton_schulz_sqrt(a, norm), newton_schulz_sqrt(a))
+
+    @pytest.mark.parametrize("norm", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_norm(self, norm):
+        with pytest.raises(ValueError, match="norm must be positive and finite"):
+            newton_schulz_sqrt(np.eye(3), norm)
 
     def test_rejects_non_finite(self):
         a = np.eye(4)
