@@ -72,22 +72,13 @@ class RunConfig:
 
 
 def load_config(path: str | Path) -> dict:
-    """Flat key=value config file; # comments and blank lines are skipped,
-    and each key may appear once."""
+    """Flat key=value config file, read by :func:`seqio.text_lines`; each
+    key may appear once."""
     out: dict = {}
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}:{lineno}: config is not valid UTF-8") from None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
+    for lineno, line in seqio.text_lines(path, "config", ValueError):
+        key, sep, value = (p.strip() for p in line.partition("="))
+        if not sep:
             raise ValueError(f"{path}:{lineno}: expected key=value")
-        key, value = (p.strip() for p in line.split("=", 1))
         if key in out:
             raise ValueError(f"{path}:{lineno}: duplicate key '{key}'")
         out[key] = value
@@ -119,20 +110,18 @@ def _coerce(cfg: RunConfig, overrides: dict) -> RunConfig:
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then the ``--config`` file, then flags named like a field."""
+    """Defaults, then the ``--paper-dims`` channel widths, then the
+    ``--config`` file, then flags named like a field."""
     cfg = RunConfig()
+    if args.paper_dims:
+        cfg = RunConfig(c_in=PAPER_C_IN, c_prime=PAPER_C_PRIME, c_out=PAPER_C_OUT)
     if args.config:
         overrides = load_config(args.config)
         try:
             cfg = _coerce(cfg, overrides)
         except ValueError as exc:
             raise ValueError(f"{args.config}: {exc}") from None
-    cfg = _coerce(cfg, {f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
-    if args.paper_dims:
-        cfg = replace(
-            cfg, c_in=PAPER_C_IN, c_prime=PAPER_C_PRIME, c_out=PAPER_C_OUT, frames=8
-        )
-    return cfg
+    return _coerce(cfg, {f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
 
 
 def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -268,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--paper-dims",
             action="store_true",
-            help="use full-size channels (2048/256/128) and T=8",
+            help="start from full-size channels (2048/256/128); --config and flags override them",
         )
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")

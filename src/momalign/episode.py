@@ -39,11 +39,9 @@ class Episode:
 
     ways: int
     shots: int
-    queries: int
     class_labels: tuple[str, ...]
     support: tuple[tuple[ManifestEntry, int], ...]
     query: tuple[tuple[ManifestEntry, int], ...]
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -93,15 +91,7 @@ def sample_episode(
             support.append((clips[p], ci))
         for p in picks[k:]:
             query.append((clips[p], ci))
-    return Episode(
-        ways=n,
-        shots=k,
-        queries=z,
-        class_labels=tuple(chosen),
-        support=tuple(support),
-        query=tuple(query),
-        seed=seed,
-    )
+    return Episode(n, k, tuple(chosen), tuple(support), tuple(query))
 
 
 def build_prototypes(

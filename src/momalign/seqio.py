@@ -1,4 +1,5 @@
-"""Bit-exact binary persistence for named tensors, plus manifest parsing.
+"""Bit-exact binary persistence for named tensors, plus manifest parsing and
+the line reader shared with config files.
 
 Container layout (all integers little-endian):
 
@@ -18,7 +19,6 @@ used as reproducibility checks.
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 from dataclasses import dataclass
@@ -180,25 +180,31 @@ class Manifest:
         return Path(self.root) / entry.path
 
 
-def read_manifest(path: str | Path) -> Manifest:
-    """Parse a line-delimited ``id<TAB>class<TAB>relative-path`` manifest.
+def text_lines(path: str | Path, what: str, error: type[Exception]) -> list[tuple[int, str]]:
+    """``(line number, line)`` for each line of a UTF-8 text file that is not
+    blank and not a ``#`` comment. Lines end at ``\\n``, ``\\r\\n`` or ``\\r``,
+    as a text-mode ``open()`` splits them. A line that is not valid UTF-8
+    raises ``error("<path>:<line>: <what> is not valid UTF-8")``."""
+    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    out = []
+    for lineno, raw in enumerate(data.split(b"\n"), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise error(f"{path}:{lineno}: {what} is not valid UTF-8") from None
+        if line.strip() and not line.lstrip().startswith("#"):
+            out.append((lineno, line))
+    return out
 
-    Blank lines and lines starting with ``#`` are skipped. Duplicate ids and
-    malformed lines are rejected with the offending line number / id.
+
+def read_manifest(path: str | Path) -> Manifest:
+    """Parse a line-delimited ``id<TAB>class<TAB>relative-path`` manifest,
+    read by :func:`text_lines`. Duplicate ids and malformed lines are
+    rejected with the offending line number / id.
     """
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ManifestError(f"{path}:{lineno}: manifest is not valid UTF-8") from None
-    # Universal newlines, as a text-mode open() reads them.
-    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in text_lines(path, "manifest", ManifestError):
         parts = line.split("\t")
         if len(parts) != 3 or not all(p.strip() for p in parts):
             raise ManifestError(f"{path}:{lineno}: malformed manifest line")

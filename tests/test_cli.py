@@ -53,9 +53,11 @@ def nan_clip(path):
 class TestConfig:
     def test_load_key_value(self, tmp_path):
         p = tmp_path / "c.cfg"
-        p.write_text("# comment\nways = 3\n\ntaus = 1,3\nmetrics = a2,pp\n")
-        raw = load_config(p)
-        assert raw == {"ways": "3", "taus": "1,3", "metrics": "a2,pp"}
+        for newline in ("\n", "\r\n", "\r"):
+            lines = ["# comment", "ways = 3", "", "taus = 1,3", "metrics = a2,pp", ""]
+            p.write_bytes(newline.join(lines).encode())
+            raw = load_config(p)
+            assert raw == {"ways": "3", "taus": "1,3", "metrics": "a2,pp"}
         # List items are stripped, in a config file and in a flag.
         for metrics in ("a2,pp", "a2, pp"):
             p.write_text(f"metrics = {metrics}\n")
@@ -91,6 +93,8 @@ class TestConfig:
             ("ways = 3\n# again\nways = 4\n", ":3: duplicate key 'ways'"),
             ("ways\n", ":1: expected key=value"),
             ("ways = 3\n# caf\xe9\n", ":2: config is not valid UTF-8"),
+            # CR-only line ends count lines as they split them.
+            ("ways = 3\r# caf\xe9\r", ":2: config is not valid UTF-8"),
         ],
     )
     def test_bad_line_names_file_once(self, tmp_path, capsys, text, where):
@@ -99,6 +103,13 @@ class TestConfig:
         code, out, err = run_cli(capsys, "eval", "--config", str(p), "--manifest", "x")
         assert (code, out) == (1, "")
         assert err == f"error: {p}{where}\n"
+
+    def test_only_newlines_end_a_line(self, tmp_path):
+        # A form feed or U+2028 is part of its line, not a line end.
+        for sep in ("\f", "\u2028"):
+            p = tmp_path / "c.cfg"
+            p.write_text(f"ways = 3{sep}shots = 1\n", encoding="utf-8")
+            assert load_config(p) == {"ways": f"3{sep}shots = 1"}
 
     def test_bad_value_names_file_and_key(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
@@ -434,6 +445,14 @@ class TestPaperDims:
         cfg = build_run_config(args)
         assert (cfg.c_in, cfg.c_prime, cfg.c_out) == (2048, 256, 128)
         assert cfg.frames == 8
+
+    def test_config_overrides_preset(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("frames = 12\nc_out = 64\n")
+        args = build_parser().parse_args(["eval", "--manifest", "x", "--paper-dims", "--config", str(p)])
+        cfg = build_run_config(args)
+        assert (cfg.c_in, cfg.c_prime, cfg.c_out) == (2048, 256, 64)
+        assert cfg.frames == 12
 
 
 class TestReadme:

@@ -188,11 +188,12 @@ class TestContainerCorruption:
 class TestManifest:
     def test_two_line_file(self, tmp_path):
         p = tmp_path / "m.tsv"
-        p.write_text("a\tcat\tclips/a.fsq\nb\tdog\tclips/b.fsq\n")
-        m = read_manifest(p)
-        assert len(m.entries) == 2
-        assert m.entries[0] == ManifestEntry("a", "cat", "clips/a.fsq")
-        assert sorted({e.label for e in m.entries}) == ["cat", "dog"]
+        for newline in ("\n", "\r\n", "\r"):
+            p.write_bytes(newline.join(["a\tcat\tclips/a.fsq", "b\tdog\tclips/b.fsq", ""]).encode())
+            m = read_manifest(p)
+            assert len(m.entries) == 2
+            assert m.entries[0] == ManifestEntry("a", "cat", "clips/a.fsq")
+            assert sorted({e.label for e in m.entries}) == ["cat", "dog"]
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         p = tmp_path / "m.tsv"
@@ -213,9 +214,10 @@ class TestManifest:
 
     def test_non_utf8_names_file_and_line(self, tmp_path):
         p = tmp_path / "m.tsv"
-        p.write_bytes(b"a\tcat\tx.fsq\nb\t\xffdog\ty.fsq\n")
-        with pytest.raises(ManifestError, match=f"^{re.escape(str(p))}:2: .*UTF-8"):
-            read_manifest(p)
+        for newline in (b"\n", b"\r"):
+            p.write_bytes(newline.join([b"a\tcat\tx.fsq", b"b\t\xffdog\ty.fsq", b""]))
+            with pytest.raises(ManifestError, match=f"^{re.escape(str(p))}:2: .*UTF-8"):
+                read_manifest(p)
 
     def test_round_trip(self, tmp_path):
         m = Manifest(
