@@ -274,15 +274,17 @@ def deformable_conv(
     For each frame returns a C_out x M matrix (M = H * W). Sampling is
     bilinear, so a frame's sampling is one linear map from its M pixels to
     its M * grid^2 (location, kernel point) samples: each sample's four
-    corner weights (00, 01, 10, 11) go into its row of an (M * grid^2, M)
-    interpolation matrix, and a corner outside the frame gets weight 0.
-    The patch is ``interp @ pixels`` from the frame's M x C pixel matrix,
-    and it meets the kernel in one GEMM, ``theta_s.T @ patch.T``. The pixel
-    matrix is free when the clip is a pixel-major view, as ``temporal_conv``
-    returns. The interpolation matrix takes M^2 * grid^2 * 8 bytes per
-    frame (260 KB at 6x6 with grid 5), so it grows quadratically with the
-    frame area. With all-zero offsets the result equals a standard grid
-    convolution with the same kernel.
+    corner weights (00, 01, 10, 11) are assigned into its row of an
+    (M * grid^2, M + 1) interpolation matrix at the corners' pixel columns,
+    and a corner outside the frame goes to the spill column M, which the
+    product leaves out. The patch is ``interp[:, :M] @ pixels`` from the
+    frame's M x C pixel matrix, and it meets the kernel in one GEMM,
+    ``theta_s.T @ patch.T``. The pixel matrix is free when the clip is a
+    pixel-major view, as ``temporal_conv`` returns. The interpolation matrix
+    takes M * (M + 1) * grid^2 * 8 bytes per frame (266 KB at 6x6 with
+    grid 5), so it grows quadratically with the frame area. With all-zero
+    offsets the result equals a standard grid convolution with the same
+    kernel.
     """
     x = clip.data
     t, c, h, w = x.shape
@@ -301,10 +303,10 @@ def deformable_conv(
     k = np.arange(-(cfg.grid // 2), cfg.grid // 2 + 1)
     base_rows = np.repeat(k, cfg.grid)[:, None, None] + np.arange(h)[:, None]
     base_cols = np.tile(k, cfg.grid)[:, None, None] + np.arange(w)
-    # First cell of each (point, location) sample's interpolation row; rows
-    # run location-major so the patch reshapes to (M, grid^2 * C), the
+    # Interpolation row of each (point, location) sample; rows run
+    # location-major so the patch reshapes to (M, grid^2 * C), the
     # ``point * c_prime + channel`` order of theta_s.
-    row_start = (np.arange(m) * n_points + np.arange(n_points)[:, None]) * m
+    sample = np.arange(m * n_points).reshape(h, w, n_points).transpose(2, 0, 1)
     out: list[np.ndarray] = []
     for ti in range(t):
         rows = base_rows + offsets[ti, 1::2]
@@ -313,8 +315,7 @@ def deformable_conv(
         c0 = np.floor(cols).astype(np.int64)
         fr = rows - r0
         fc = cols - c0
-        cells = []
-        weights = []
+        interp = np.zeros((m * n_points, m + 1))
         for rr, cc, wgt in (
             (r0, c0, (1 - fr) * (1 - fc)),
             (r0, c0 + 1, (1 - fr) * fc),
@@ -322,19 +323,9 @@ def deformable_conv(
             (r0 + 1, c0 + 1, fr * fc),
         ):
             valid = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
-            idx = np.where(valid, rr * w + cc, 0).reshape(n_points, m)
-            cells.append(row_start + idx)
-            weights.append(wgt * valid)
-        # An invalid corner lands on its row's cell 0 with weight 0, maybe
-        # beside a valid corner: bincount adds them, where assignment would
-        # keep only the last write.
-        interp = np.bincount(
-            np.concatenate(cells, axis=None),
-            weights=np.concatenate(weights, axis=None),
-            minlength=m * n_points * m,
-        ).reshape(m * n_points, m)
+            interp[sample, np.where(valid, rr * w + cc, m)] = wgt
         pixels = np.ascontiguousarray(x[ti].reshape(c, m).T)
-        patch = interp @ pixels
+        patch = interp[:, :m] @ pixels
         out.append(cfg.theta_s.T @ patch.reshape(m, n_points * c).T)
     return out
 

@@ -34,12 +34,12 @@ _MULTI_SCALE = {"multi_scale_descriptors", "multi_scale_first_order"}
 
 @dataclass(frozen=True)
 class Episode:
-    """One N-way K-shot task. Query labels are class indices into
-    ``class_labels`` (kept for scoring, hidden from the classifier)."""
+    """One N-way K-shot task. Support and query clips carry the index of
+    their sampled class, 0 to ways - 1; a query's index is kept for scoring
+    and hidden from the classifier."""
 
     ways: int
     shots: int
-    class_labels: tuple[str, ...]
     support: tuple[tuple[ManifestEntry, int], ...]
     query: tuple[tuple[ManifestEntry, int], ...]
 
@@ -91,7 +91,7 @@ def sample_episode(
             support.append((clips[p], ci))
         for p in picks[k:]:
             query.append((clips[p], ci))
-    return Episode(n, k, tuple(chosen), tuple(support), tuple(query))
+    return Episode(n, k, tuple(support), tuple(query))
 
 
 def build_prototypes(

@@ -182,10 +182,12 @@ class Manifest:
 
 def text_lines(path: str | Path, what: str, error: type[Exception]) -> list[tuple[int, str]]:
     """``(line number, line)`` for each line of a UTF-8 text file that is not
-    blank and not a ``#`` comment. Lines end at ``\\n``, ``\\r\\n`` or ``\\r``,
-    as a text-mode ``open()`` splits them. A line that is not valid UTF-8
-    raises ``error("<path>:<line>: <what> is not valid UTF-8")``."""
-    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    blank and not a ``#`` comment. One leading byte-order mark is skipped.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as a text-mode ``open()``
+    splits them. A line that is not valid UTF-8 raises
+    ``error("<path>:<line>: <what> is not valid UTF-8")``."""
+    data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     out = []
     for lineno, raw in enumerate(data.split(b"\n"), start=1):
         try:
@@ -199,14 +201,15 @@ def text_lines(path: str | Path, what: str, error: type[Exception]) -> list[tupl
 
 def read_manifest(path: str | Path) -> Manifest:
     """Parse a line-delimited ``id<TAB>class<TAB>relative-path`` manifest,
-    read by :func:`text_lines`. Duplicate ids and malformed lines are
-    rejected with the offending line number / id.
+    read by :func:`text_lines`. Each field is stripped of surrounding
+    whitespace. Duplicate ids and malformed lines (a field count other than
+    three, or a blank field) are rejected with the offending line number / id.
     """
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
     for lineno, line in text_lines(path, "manifest", ManifestError):
-        parts = line.split("\t")
-        if len(parts) != 3 or not all(p.strip() for p in parts):
+        parts = [p.strip() for p in line.split("\t")]
+        if len(parts) != 3 or not all(parts):
             raise ManifestError(f"{path}:{lineno}: malformed manifest line")
         clip_id, label, rel = parts
         if clip_id in seen:

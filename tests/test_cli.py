@@ -58,6 +58,9 @@ class TestConfig:
             p.write_bytes(newline.join(lines).encode())
             raw = load_config(p)
             assert raw == {"ways": "3", "taus": "1,3", "metrics": "a2,pp"}
+        # A leading byte-order mark is not part of the first key.
+        p.write_bytes("\ufeffways = 3\n".encode())
+        assert load_config(p) == {"ways": "3"}
         # List items are stripped, in a config file and in a flag.
         for metrics in ("a2,pp", "a2, pp"):
             p.write_text(f"metrics = {metrics}\n")

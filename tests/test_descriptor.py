@@ -366,6 +366,50 @@ def reference_deformable_conv(clip, offsets, cfg):
     return out
 
 
+def bincount_deformable_conv(clip, offsets, cfg):
+    """Reference: ``deformable_conv`` as it built each frame's interpolation
+    matrix before the spill column, from flat cell ids and ``np.bincount``.
+    An out-of-frame corner lands on its row's cell 0 with weight 0, and
+    bincount adds it to whatever else is there."""
+    x = clip.data
+    t, c, h, w = x.shape
+    n_points = cfg.grid * cfg.grid
+    m = h * w
+    k = np.arange(-(cfg.grid // 2), cfg.grid // 2 + 1)
+    base_rows = np.repeat(k, cfg.grid)[:, None, None] + np.arange(h)[:, None]
+    base_cols = np.tile(k, cfg.grid)[:, None, None] + np.arange(w)
+    row_start = (np.arange(m) * n_points + np.arange(n_points)[:, None]) * m
+    out = []
+    for ti in range(t):
+        rows = base_rows + offsets[ti, 1::2]
+        cols = base_cols + offsets[ti, 0::2]
+        r0 = np.floor(rows).astype(np.int64)
+        c0 = np.floor(cols).astype(np.int64)
+        fr = rows - r0
+        fc = cols - c0
+        cells = []
+        weights = []
+        for rr, cc, wgt in (
+            (r0, c0, (1 - fr) * (1 - fc)),
+            (r0, c0 + 1, (1 - fr) * fc),
+            (r0 + 1, c0, fr * (1 - fc)),
+            (r0 + 1, c0 + 1, fr * fc),
+        ):
+            valid = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
+            idx = np.where(valid, rr * w + cc, 0).reshape(n_points, m)
+            cells.append(row_start + idx)
+            weights.append(wgt * valid)
+        interp = np.bincount(
+            np.concatenate(cells, axis=None),
+            weights=np.concatenate(weights, axis=None),
+            minlength=m * n_points * m,
+        ).reshape(m * n_points, m)
+        pixels = np.ascontiguousarray(x[ti].reshape(c, m).T)
+        patch = interp @ pixels
+        out.append(cfg.theta_s.T @ patch.reshape(m, n_points * c).T)
+    return out
+
+
 def mixed_offsets(rng, shape):
     """Seeded (T, 2P, H, W) offset field mixing fractional in-frame shifts,
     shifts that leave the frame partly, whole-pixel shifts and very large
@@ -448,9 +492,9 @@ class TestDeformableConv:
     @pytest.mark.parametrize("grid", [1, 3, 5])
     @pytest.mark.parametrize("h, w", [(1, 5), (5, 1)])
     def test_matches_reference_on_one_row_or_column(self, h, w, grid):
-        # Every fractional sample straddles the frame's thin side, so a valid
-        # corner and its invalid neighbours often share interpolation cell 0:
-        # the matrix build must add their weights, not overwrite them.
+        # Every fractional sample straddles the frame's thin side, so most
+        # samples mix in-frame and out-of-frame corners: the in-frame ones
+        # never share a cell, and the out-of-frame ones go to the spill column.
         rng = np.random.default_rng([h, w, grid])
         cfg = random_cfg(rng, 1, grid, c_in=8, c_prime=8, c_out=3)
         clip = FeatureClip(rng.standard_normal((3, 8, h, w)))
@@ -459,6 +503,29 @@ class TestDeformableConv:
         expect = reference_deformable_conv(clip, off, cfg)
         for got, ref in zip(frames, expect, strict=True):
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("kind", ["zero", "mixed", "small"])
+    @pytest.mark.parametrize("h, w", [(6, 6), (4, 5), (1, 5), (5, 1)])
+    @pytest.mark.parametrize("grid", [1, 3, 5])
+    @pytest.mark.parametrize("c_prime", [8, 32, 256])
+    def test_matches_bincount_build_bitwise(self, c_prime, grid, h, w, kind):
+        # Assigning each in-frame corner's weight gives the bits bincount
+        # summed: a sample's in-frame corners are four distinct pixels, and
+        # bincount only ever added 0.0 to a weight.
+        rng = np.random.default_rng([c_prime, grid, h, w, ord(kind[0])])
+        cfg = random_cfg(rng, 1, grid, c_in=c_prime, c_prime=c_prime, c_out=3)
+        clip = FeatureClip(rng.standard_normal((2, c_prime, h, w)))
+        shape = (2, 2 * grid * grid, h, w)
+        if kind == "zero":
+            off = np.zeros(shape)
+        elif kind == "mixed":
+            off = mixed_offsets(rng, shape)
+        else:
+            off = rng.uniform(-1e-3, 1e-3, shape)
+        frames = deformable_conv(clip, off, cfg)
+        expect = bincount_deformable_conv(clip, off, cfg)
+        for got, ref in zip(frames, expect, strict=True):
+            assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_offsets(self, bad):

@@ -51,7 +51,7 @@ class TestSampleEpisode:
         support_ids = {e.clip_id for e, _ in ep.support}
         query_ids = {e.clip_id for e, _ in ep.query}
         assert not support_ids & query_ids
-        assert len(ep.class_labels) == 5
+        assert len({e.label for e, _ in ep.support}) == 5
 
     def test_same_seed_identical(self):
         a = sample_episode(toy_manifest(), 5, 1, 5, seed=42)

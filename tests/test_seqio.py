@@ -194,6 +194,18 @@ class TestManifest:
             assert len(m.entries) == 2
             assert m.entries[0] == ManifestEntry("a", "cat", "clips/a.fsq")
             assert sorted({e.label for e in m.entries}) == ["cat", "dog"]
+        # A leading byte-order mark is not part of the first id.
+        p.write_bytes("\ufeffa\tcat\tclips/a.fsq\n".encode())
+        assert read_manifest(p).entries == (ManifestEntry("a", "cat", "clips/a.fsq"),)
+
+    def test_fields_stripped(self, tmp_path):
+        p = tmp_path / "m.tsv"
+        p.write_text("a \t cat\tclips/a.fsq \n")
+        assert read_manifest(p).entries == (ManifestEntry("a", "cat", "clips/a.fsq"),)
+        # A field that is blank once stripped still makes the line malformed.
+        p.write_text("a\tcat\tx.fsq\nb\t \ty.fsq\n")
+        with pytest.raises(ManifestError, match=":2: malformed"):
+            read_manifest(p)
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         p = tmp_path / "m.tsv"
