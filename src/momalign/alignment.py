@@ -58,6 +58,9 @@ class TransportPlan:
     #: check (>= -_OPT_TOL): a cheap certificate that the basis is optimal.
     pivots: int
     min_reduced_cost: float
+    #: Largest marginal violation of ``values``, max |row sum - mu| and
+    #: |column sum - gamma|: the certificate's primal side.
+    primal_residual: float
 
 
 def similarity_matrix(q: DescriptorSequence, s: DescriptorSequence) -> np.ndarray:
@@ -280,7 +283,11 @@ def solve_emd(sim: np.ndarray, masses: Masses) -> TransportPlan:
     for e, (i, j) in enumerate(basis):
         plan[i, j] += exact[e]
     objective = float(np.sum(cost * plan))
-    return TransportPlan(plan, objective, pivots, min_reduced_cost)
+    primal_residual = max(
+        float(np.max(np.abs(plan.sum(axis=1) - masses.mu))),
+        float(np.max(np.abs(plan.sum(axis=0) - masses.gamma))),
+    )
+    return TransportPlan(plan, objective, pivots, min_reduced_cost, primal_residual)
 
 
 def alignment_score(sim: np.ndarray, plan: TransportPlan) -> float:

@@ -9,6 +9,7 @@ into a single scale-major, time-minor sequence.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -351,23 +352,22 @@ def _first_order(frames: list[np.ndarray]) -> list[np.ndarray]:
     return [f.mean(axis=1) for f in frames]
 
 
-def _sequence(
-    what: str, clip: FeatureClip, scales: list[ScaleConfig] | None, reduce
-) -> DescriptorSequence:
+def check_scales(what: str, scales: list[ScaleConfig]) -> None:
+    """Reject a multi-scale set before any frame is built: it must be
+    non-empty, and every scale must share one c_out, so that all descriptors
+    of a sequence have one dimension."""
+    if not scales:
+        raise ValueError(f"{what}: no scales given")
+    if any(s.c_out != scales[0].c_out for s in scales):
+        raise ValueError(f"{what}: all scales must share c_out")
+
+
+def _sequence(per_scale: Iterable[list[np.ndarray]], reduce) -> DescriptorSequence:
     """Reduce every C x M frame of every scale to one vector, ordered
     scale-major, time-minor. ``reduce`` takes one scale's frame list at a
-    time. ``scales=None`` takes the raw clip frames as a single scale;
-    otherwise each scale's frames come from ``scale_frames``, one scale at a
-    time, so only one scale's frames are held at once."""
-    if scales is None:
-        m = clip.height * clip.width
-        per_scale = [[x.reshape(clip.channels, m) for x in clip.data]]
-    else:
-        if not scales:
-            raise ValueError(f"{what}: no scales given")
-        if any(s.c_out != scales[0].c_out for s in scales):
-            raise ValueError(f"{what}: all scales must share c_out")
-        per_scale = (scale_frames(clip, cfg) for cfg in scales)
+    time, in the order ``per_scale`` yields them. Only a generator of frame
+    lists, as the ``(clip, scales)`` calls pass, holds one scale's frames at
+    a time; frames built beforehand are all held at once."""
     vectors = []
     scale_ids = []
     times = []
@@ -378,33 +378,56 @@ def _sequence(
     return DescriptorSequence(np.array(vectors), np.array(scale_ids), np.array(times))
 
 
+def _multi_scale(
+    what: str, clip: FeatureClip, scales: list[ScaleConfig], frames, reduce
+) -> DescriptorSequence:
+    """Check the scales, then reduce ``frames`` if given, else each scale's
+    ``scale_frames``, built one scale at a time."""
+    check_scales(what, scales)
+    if frames is None:
+        return _sequence((scale_frames(clip, cfg) for cfg in scales), reduce)
+    if len(frames) != len(scales):
+        raise ValueError(f"{what}: {len(frames)} frame lists for {len(scales)} scales")
+    return _sequence(frames, reduce)
+
+
+def _clip_frames(clip: FeatureClip) -> list[list[np.ndarray]]:
+    """The raw clip as a single scale of C x M frames."""
+    m = clip.height * clip.width
+    return [[x.reshape(clip.channels, m) for x in clip.data]]
+
+
 def multi_scale_descriptors(
-    clip: FeatureClip, scales: list[ScaleConfig]
+    clip: FeatureClip, scales: list[ScaleConfig], frames: list[list[np.ndarray]] | None = None
 ) -> DescriptorSequence:
     """Normalized, vectorized second moments across all scales.
 
     Entries are ordered scale-major, time-minor; L = sum_b (T - tau_b + 1).
+    ``frames``, if given, is ``[scale_frames(clip, cfg) for cfg in scales]``
+    built by the caller, so that one deformable pass can serve both
+    multi-scale representations.
     """
-    return _sequence("multi_scale_descriptors", clip, scales, _second_order)
+    return _multi_scale("multi_scale_descriptors", clip, scales, frames, _second_order)
 
 
 def cov_mn_descriptors(clip: FeatureClip) -> DescriptorSequence:
     """Single-scale baseline: plain per-frame second moments, normalized and
     vectorized. Bit-identical to the identity-weight multi-scale pathway."""
-    return _sequence("cov_mn_descriptors", clip, None, _second_order)
+    return _sequence(_clip_frames(clip), _second_order)
 
 
 def gap_descriptor(clip: FeatureClip) -> DescriptorSequence:
     """First-order baseline: per-frame spatial global average pooling."""
-    return _sequence("gap_descriptor", clip, None, _first_order)
+    return _sequence(_clip_frames(clip), _first_order)
 
 
 def multi_scale_first_order(
-    clip: FeatureClip, scales: list[ScaleConfig]
+    clip: FeatureClip, scales: list[ScaleConfig], frames: list[list[np.ndarray]] | None = None
 ) -> DescriptorSequence:
     """Multi-scale ablation arm without the second-order moment: the
-    deformable pipeline runs as usual but each frame is spatially averaged."""
-    return _sequence("multi_scale_first_order", clip, scales, _first_order)
+    deformable pipeline runs as usual but each frame is spatially averaged.
+    ``frames`` is as in ``multi_scale_descriptors``."""
+    return _multi_scale("multi_scale_first_order", clip, scales, frames, _first_order)
 
 
 def default_scales(

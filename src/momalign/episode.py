@@ -188,8 +188,12 @@ def evaluate(
     ]
     sampled = [sample_episode(manifest, n, k, z, s) for s in episode_seeds]
 
-    # Each clip is loaded once and extracted once per representation.
+    # Each clip is loaded once and extracted once per representation. When
+    # both multi-scale representations are asked for, the clip's deformable
+    # pass runs once per scale and both reduce the same frames; one of them
+    # alone builds its frames one scale at a time.
     reps = sorted({_METRIC_TABLE[m][0] for m in metrics})
+    multi_scale = [rep for rep in reps if rep in _MULTI_SCALE]
     entries: dict[str, ManifestEntry] = {}
     for ep in sampled:
         for entry, _ in ep.support + ep.query:
@@ -200,10 +204,14 @@ def evaluate(
         clip = synthgen.load_clip(path)
         try:
             for rep in reps:
-                extract = getattr(descriptor, rep)
-                descriptors[(clip_id, rep)] = (
-                    extract(clip, scales) if rep in _MULTI_SCALE else extract(clip)
-                )
+                if rep not in _MULTI_SCALE:
+                    descriptors[(clip_id, rep)] = getattr(descriptor, rep)(clip)
+            frames = None
+            if len(multi_scale) > 1:
+                descriptor.check_scales(multi_scale[0], scales)
+                frames = [descriptor.scale_frames(clip, cfg) for cfg in scales]
+            for rep in multi_scale:
+                descriptors[(clip_id, rep)] = getattr(descriptor, rep)(clip, scales, frames)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 

@@ -370,6 +370,16 @@ class TestSolveEmd:
             assert -_OPT_TOL <= plan.min_reduced_cost <= 0.0
             assert 0 <= plan.pivots < 200 * (m + n) + 1000
 
+    def test_primal_residual(self):
+        for sim, masses in emd_instances(seed=20, draws=10):
+            plan = solve_emd(sim, masses)
+            violation = max(
+                np.max(np.abs(plan.values.sum(axis=1) - masses.mu)),
+                np.max(np.abs(plan.values.sum(axis=0) - masses.gamma)),
+            )
+            assert plan.primal_residual == violation
+            assert 0.0 <= plan.primal_residual <= 1e-12
+
     def test_degenerate_ties_terminate(self):
         # Uniform costs and equal masses: heavily degenerate, must not cycle.
         sim = np.zeros((5, 5))

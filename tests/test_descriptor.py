@@ -646,6 +646,16 @@ class TestMultiScaleDescriptors:
         with pytest.raises(ValueError):
             multi_scale_descriptors(FeatureClip(np.zeros((2, 2, 2, 2))), [])
 
+    def test_prebuilt_frames_reduce_bitwise(self):
+        rng = np.random.default_rng(29)
+        clip = random_clip(rng, t=6)
+        scales = [random_cfg(rng, 1, 1), random_cfg(rng, 3, 3)]
+        frames = [scale_frames(clip, cfg) for cfg in scales]
+        for extract in (multi_scale_descriptors, multi_scale_first_order):
+            assert_same_sequence(extract(clip, scales, frames), extract(clip, scales))
+        with pytest.raises(ValueError, match="1 frame lists for 2 scales"):
+            multi_scale_descriptors(clip, scales, frames[:1])
+
     def test_rejects_mixed_c_out(self):
         rng = np.random.default_rng(20)
         scales = [random_cfg(rng, 1, 1, c_out=3), random_cfg(rng, 1, 1, c_out=4)]

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from momalign import episode, synthgen
+from momalign import descriptor, episode, synthgen
 from momalign.episode import (
     METRICS,
     build_prototypes,
@@ -251,3 +251,63 @@ class TestEvaluate:
             assert rs.mean_accuracy == rt.mean_accuracy
             assert rs.ci95 == rt.ci95
             assert np.array_equal(rs.episode_accuracies, rt.episode_accuracies)
+
+
+class TestSharedDeformablePass:
+    """Both multi-scale representations reduce one ``scale_frames`` pass."""
+
+    @pytest.mark.parametrize("metrics", [["a2", "ms-a2"], ["a2"], ["ms-a2"]])
+    def test_scale_frames_once_per_clip_and_scale(self, small_dataset, monkeypatch, metrics):
+        scales = descriptor.default_scales(seed=0)
+        loaded = []
+        ran = Counter()
+        load_clip = synthgen.load_clip
+        scale_frames = descriptor.scale_frames
+
+        def recording_load(path):
+            clip = load_clip(path)
+            loaded.append(clip)
+            return clip
+
+        def counting_frames(clip, cfg):
+            ran[(id(clip), id(cfg))] += 1
+            return scale_frames(clip, cfg)
+
+        monkeypatch.setattr(synthgen, "load_clip", recording_load)
+        monkeypatch.setattr(descriptor, "scale_frames", counting_frames)
+        evaluate(small_dataset, 3, 1, 3, episodes=2, seed=1, metrics=metrics, scales=scales)
+        assert loaded
+        assert ran == Counter({(id(clip), id(cfg)): 1 for clip in loaded for cfg in scales})
+
+    def test_same_accuracies_as_separate_runs(self, small_dataset):
+        kwargs = dict(episodes=3, seed=4)
+        both = evaluate(small_dataset, 3, 1, 3, metrics=["a2", "ms-a2"], **kwargs)
+        for r in both.results:
+            alone = evaluate(small_dataset, 3, 1, 3, metrics=[r.metric], **kwargs).results[0]
+            assert np.array_equal(r.episode_accuracies, alone.episode_accuracies)
+            assert (r.mean_accuracy, r.ci95) == (alone.mean_accuracy, alone.ci95)
+
+    @pytest.mark.parametrize(
+        "metrics, what",
+        [
+            (["a2", "ms-a2"], "multi_scale_descriptors"),
+            (["ms-a2", "gap-a2"], "multi_scale_first_order"),
+        ],
+    )
+    def test_rejects_mixed_c_out_before_any_frame(
+        self, small_dataset, monkeypatch, metrics, what
+    ):
+        scales = [
+            descriptor.ScaleConfig.from_seed(1, 1, c_out=16),
+            descriptor.ScaleConfig.from_seed(3, 3, c_out=8),
+        ]
+        ran = []
+        monkeypatch.setattr(
+            descriptor, "scale_frames", lambda clip, cfg: ran.append(cfg) or []
+        )
+        with pytest.raises(ValueError) as exc:
+            evaluate(small_dataset, 3, 1, 3, episodes=1, seed=0, metrics=metrics, scales=scales)
+        path, _, message = str(exc.value).partition(": ")
+        assert path in {str(small_dataset.resolve(e)) for e in small_dataset.entries}
+        assert message == f"{what}: all scales must share c_out"
+        assert ran == []

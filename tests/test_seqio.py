@@ -185,6 +185,83 @@ class TestContainerCorruption:
         assert np.array_equal(read_container(p)["x"], np.zeros(2, dtype=np.float32))
 
 
+#: A valid container to corrupt: ranks 0 to 2, both dtypes.
+_FUZZ_TENSORS = {
+    "x": np.arange(4.0),
+    "yy": np.ones((2, 3), dtype=np.float32),
+    "s": np.float64(0.5),
+}
+
+
+def _header_fields(tensors):
+    """(position, width) of the count field and of every tensor's name
+    length, rank, dims and offset, in the layout ``write_container`` uses."""
+    fields = [(4, 4)]
+    pos = 8
+    for name, a in tensors.items():
+        fields.append((pos, 4))
+        pos += 4 + len(name.encode("utf-8"))
+        fields.append((pos, 4))
+        pos += 4
+        for _ in np.shape(a):
+            fields.append((pos, 4))
+            pos += 4
+        pos += 4  # dtype tag
+        fields.append((pos, 8))
+        pos += 8
+    return fields
+
+
+_FUZZ_FIELDS = _header_fields(_FUZZ_TENSORS)
+
+_truncations = st.builds(lambda n: ("truncate", n), st.integers(min_value=0))
+_bit_flips = st.builds(
+    lambda bits: ("flip", bits), st.lists(st.integers(min_value=0), min_size=1, max_size=3)
+)
+_field_values = st.builds(
+    lambda field, value: ("field", field, value),
+    st.sampled_from(_FUZZ_FIELDS),
+    st.one_of(st.sampled_from([0, 2**31, 2**32 - 1]), st.integers(0, 2**64 - 1)),
+)
+
+
+class TestContainerFuzz:
+    def test_header_fields_match_layout(self, tmp_path):
+        p = tmp_path / "c.fsq"
+        write_container(_FUZZ_TENSORS, p)
+        raw = p.read_bytes()
+        values = [int.from_bytes(raw[pos : pos + w], "little") for pos, w in _FUZZ_FIELDS]
+        # count, then per tensor: name length, rank, dims, payload offset.
+        assert values[:4] == [3, 1, 1, 4]
+        assert values[5:9] == [2, 2, 2, 3]
+        assert values[10:12] == [1, 0]
+        assert values[4] + 32 == values[9] and values[9] + 24 == values[12] == len(raw) - 8
+
+    @settings(max_examples=400, deadline=None)
+    @given(corruption=st.one_of(_truncations, _bit_flips, _field_values))
+    def test_only_seqio_errors_escape(self, corruption, tmp_path_factory):
+        """Truncations, bit flips and extreme header fields either read or
+        fail with ``SeqIOError``; no ``struct``, numpy or memory error."""
+        d = tmp_path_factory.getbasetemp() / "fuzz"
+        d.mkdir(exist_ok=True)
+        p = d / "c.fsq"
+        write_container(_FUZZ_TENSORS, p)
+        raw = bytearray(p.read_bytes())
+        if corruption[0] == "truncate":
+            raw = raw[: corruption[1] % len(raw)]
+        elif corruption[0] == "flip":
+            for bit in corruption[1]:
+                raw[bit // 8 % len(raw)] ^= 1 << bit % 8
+        else:
+            (pos, width), value = corruption[1], corruption[2]
+            raw[pos : pos + width] = (value % 2 ** (8 * width)).to_bytes(width, "little")
+        p.write_bytes(bytes(raw))
+        try:
+            read_container(p)
+        except seqio.SeqIOError:
+            pass
+
+
 class TestManifest:
     def test_two_line_file(self, tmp_path):
         p = tmp_path / "m.tsv"
