@@ -142,8 +142,8 @@ def cmd_align(args: argparse.Namespace, cfg: RunConfig) -> int:
     clip_b = synthgen.load_clip(args.clip_b)
     scales = cfg.scale_configs()
     try:
-        q = descriptor.multi_scale_descriptors(clip_a, scales)
-        s = descriptor.multi_scale_descriptors(clip_b, scales)
+        q = descriptor.multi_scale_descriptors(descriptor.multi_scale_frames(clip_a, scales))
+        s = descriptor.multi_scale_descriptors(descriptor.multi_scale_frames(clip_b, scales))
     except ValueError as exc:
         raise ValueError(f"{args.clip_a} / {args.clip_b}: {exc}") from None
     sim = alignment.similarity_matrix(q, s)

@@ -5,11 +5,13 @@ offsets from the temporal difference signal, samples a deformable spatial
 neighborhood, aggregates a per-frame second-order moment, square-root
 normalizes it, and vectorizes it. Descriptors from all scales are flattened
 into a single scale-major, time-minor sequence.
+
+``multi_scale_frames`` builds a clip's frames at every scale once; both
+multi-scale representations reduce those same frames.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,9 +149,10 @@ class ScaleConfig:
         The temporal kernel factorizes as a uniform smoothing window times a
         random channel projection, so the untrained stage genuinely
         aggregates over its tau-frame window (a zero-mean random temporal
-        kernel would cancel the window and leave no temporal pooling). The
-        offset head's final layer (and both biases) start at zero, so the
-        deformable stage warm-starts as a standard convolution.
+        kernel would cancel the window and leave no temporal pooling). Its
+        taps are one read-only broadcast of ``channel_map / tau``, not tau
+        copies. The offset head's final layer (and both biases) start at
+        zero, so the deformable stage warm-starts as a standard convolution.
         """
         _check_sizes(tau, grid, c_in=c_in, c_prime=c_prime, c_out=c_out)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, tau, grid])))
@@ -164,7 +167,7 @@ class ScaleConfig:
         return ScaleConfig(
             tau=tau,
             grid=grid,
-            theta_t=np.repeat(channel_map[np.newaxis, :, :], tau, axis=0) / tau,
+            theta_t=np.broadcast_to(channel_map / tau, (tau, c_in, c_prime)),
             theta_s=uniform((n_points * c_prime, c_out), n_points * c_prime),
             offset_w1=uniform((c_prime, hidden), c_prime),
             offset_b1=np.zeros(hidden),
@@ -352,22 +355,21 @@ def _first_order(frames: list[np.ndarray]) -> list[np.ndarray]:
     return [f.mean(axis=1) for f in frames]
 
 
-def check_scales(what: str, scales: list[ScaleConfig]) -> None:
-    """Reject a multi-scale set before any frame is built: it must be
-    non-empty, and every scale must share one c_out, so that all descriptors
-    of a sequence have one dimension."""
+def multi_scale_frames(clip: FeatureClip, scales: list[ScaleConfig]) -> list[list[np.ndarray]]:
+    """Every scale's ``scale_frames`` of one clip, in scale order: the frames
+    both multi-scale representations reduce. The scales are checked before
+    any frame is built: there must be at least one, and all must share one
+    c_out, so that all descriptors of a sequence have one dimension."""
     if not scales:
-        raise ValueError(f"{what}: no scales given")
+        raise ValueError("multi_scale_frames: no scales given")
     if any(s.c_out != scales[0].c_out for s in scales):
-        raise ValueError(f"{what}: all scales must share c_out")
+        raise ValueError("multi_scale_frames: all scales must share c_out")
+    return [scale_frames(clip, cfg) for cfg in scales]
 
 
-def _sequence(per_scale: Iterable[list[np.ndarray]], reduce) -> DescriptorSequence:
+def _sequence(per_scale: list[list[np.ndarray]], reduce) -> DescriptorSequence:
     """Reduce every C x M frame of every scale to one vector, ordered
-    scale-major, time-minor. ``reduce`` takes one scale's frame list at a
-    time, in the order ``per_scale`` yields them. Only a generator of frame
-    lists, as the ``(clip, scales)`` calls pass, holds one scale's frames at
-    a time; frames built beforehand are all held at once."""
+    scale-major, time-minor; ``reduce`` takes one scale's frames at a time."""
     vectors = []
     scale_ids = []
     times = []
@@ -378,36 +380,19 @@ def _sequence(per_scale: Iterable[list[np.ndarray]], reduce) -> DescriptorSequen
     return DescriptorSequence(np.array(vectors), np.array(scale_ids), np.array(times))
 
 
-def _multi_scale(
-    what: str, clip: FeatureClip, scales: list[ScaleConfig], frames, reduce
-) -> DescriptorSequence:
-    """Check the scales, then reduce ``frames`` if given, else each scale's
-    ``scale_frames``, built one scale at a time."""
-    check_scales(what, scales)
-    if frames is None:
-        return _sequence((scale_frames(clip, cfg) for cfg in scales), reduce)
-    if len(frames) != len(scales):
-        raise ValueError(f"{what}: {len(frames)} frame lists for {len(scales)} scales")
-    return _sequence(frames, reduce)
-
-
 def _clip_frames(clip: FeatureClip) -> list[list[np.ndarray]]:
     """The raw clip as a single scale of C x M frames."""
     m = clip.height * clip.width
     return [[x.reshape(clip.channels, m) for x in clip.data]]
 
 
-def multi_scale_descriptors(
-    clip: FeatureClip, scales: list[ScaleConfig], frames: list[list[np.ndarray]] | None = None
-) -> DescriptorSequence:
-    """Normalized, vectorized second moments across all scales.
+def multi_scale_descriptors(frames: list[list[np.ndarray]]) -> DescriptorSequence:
+    """Normalized, vectorized second moments across all scales of
+    ``multi_scale_frames(clip, scales)``.
 
     Entries are ordered scale-major, time-minor; L = sum_b (T - tau_b + 1).
-    ``frames``, if given, is ``[scale_frames(clip, cfg) for cfg in scales]``
-    built by the caller, so that one deformable pass can serve both
-    multi-scale representations.
     """
-    return _multi_scale("multi_scale_descriptors", clip, scales, frames, _second_order)
+    return _sequence(frames, _second_order)
 
 
 def cov_mn_descriptors(clip: FeatureClip) -> DescriptorSequence:
@@ -421,13 +406,10 @@ def gap_descriptor(clip: FeatureClip) -> DescriptorSequence:
     return _sequence(_clip_frames(clip), _first_order)
 
 
-def multi_scale_first_order(
-    clip: FeatureClip, scales: list[ScaleConfig], frames: list[list[np.ndarray]] | None = None
-) -> DescriptorSequence:
-    """Multi-scale ablation arm without the second-order moment: the
-    deformable pipeline runs as usual but each frame is spatially averaged.
-    ``frames`` is as in ``multi_scale_descriptors``."""
-    return _multi_scale("multi_scale_first_order", clip, scales, frames, _first_order)
+def multi_scale_first_order(frames: list[list[np.ndarray]]) -> DescriptorSequence:
+    """Multi-scale ablation arm without the second-order moment: each frame
+    of ``multi_scale_frames(clip, scales)`` is spatially averaged."""
+    return _sequence(frames, _first_order)
 
 
 def default_scales(

@@ -28,7 +28,8 @@ _METRIC_TABLE = {
 #: Metric selectors: representation pathway x scoring rule.
 METRICS = tuple(_METRIC_TABLE)
 
-#: Representations computed from the scale configurations.
+#: Representations that reduce ``descriptor.multi_scale_frames``; the
+#: others take the clip.
 _MULTI_SCALE = {"multi_scale_descriptors", "multi_scale_first_order"}
 
 
@@ -94,19 +95,25 @@ def sample_episode(
     return Episode(n, k, tuple(support), tuple(query))
 
 
+def _clip_list(seqs: dict[str, DescriptorSequence]) -> str:
+    return ", ".join(f"{clip_id} (L={len(seq)})" for clip_id, seq in seqs.items())
+
+
 def build_prototypes(
-    support_by_class: list[list[DescriptorSequence]], k: int
+    support_by_class: list[dict[str, DescriptorSequence]], k: int
 ) -> list[DescriptorSequence]:
-    """Per-class prototype: entrywise mean of K support descriptor sequences."""
+    """Per-class prototype: entrywise mean of K support descriptor sequences,
+    each class given as ``{clip id: sequence}``."""
     prototypes = []
     for ci, seqs in enumerate(support_by_class):
         if len(seqs) != k:
             raise ValueError(f"build_prototypes: class {ci} has {len(seqs)} != {k} sequences")
-        first = seqs[0]
-        for s in seqs[1:]:
-            if not first.same_structure(s):
-                raise ValueError(f"build_prototypes: structure mismatch within class {ci}")
-        mean = np.mean([s.vectors for s in seqs], axis=0)
+        first, *rest = seqs.values()
+        if not all(first.same_structure(s) for s in rest):
+            raise ValueError(
+                f"build_prototypes: structure mismatch within class {ci}: {_clip_list(seqs)}"
+            )
+        mean = np.mean([s.vectors for s in seqs.values()], axis=0)
         prototypes.append(DescriptorSequence(mean, first.scale_ids, first.times))
     return prototypes
 
@@ -138,13 +145,21 @@ def _episode_accuracy(
     accs = {}
     for metric in metrics:
         rep = _METRIC_TABLE[metric][0]
-        by_class: list[list[DescriptorSequence]] = [[] for _ in range(episode.ways)]
+        by_class: list[dict[str, DescriptorSequence]] = [{} for _ in range(episode.ways)]
         for entry, ci in episode.support:
-            by_class[ci].append(descriptors[(entry.clip_id, rep)])
+            by_class[ci][entry.clip_id] = descriptors[(entry.clip_id, rep)]
         prototypes = build_prototypes(by_class, episode.shots)
         correct = 0
         for entry, ci in episode.query:
-            pred, _ = classify_query(descriptors[(entry.clip_id, rep)], prototypes, metric)
+            query = descriptors[(entry.clip_id, rep)]
+            try:
+                pred, _ = classify_query(query, prototypes, metric)
+            except ValueError as exc:
+                support = {e.clip_id: descriptors[(e.clip_id, rep)] for e, _ in episode.support}
+                raise ValueError(
+                    f"query {_clip_list({entry.clip_id: query})} against support "
+                    f"{_clip_list(support)}: {exc}"
+                ) from None
             correct += int(pred == ci)
         accs[metric] = correct / len(episode.query)
     return accs
@@ -167,7 +182,8 @@ def evaluate(
     Deterministic for fixed (manifest, config, seed): per-episode seeds derive
     from (seed, episode index) and episodes are scored serially, in order.
     ``workers`` is checked to be >= 1 and changes nothing else. A
-    ``ValueError`` from extracting a clip is re-raised naming the clip's path.
+    ``ValueError`` from extracting a clip is re-raised naming the clip's path,
+    and one from scoring a query names it and the support clips.
     """
     sizes = {"ways": n, "shots": k, "queries": z, "episodes": episodes, "workers": workers}
     for name, value in sizes.items():
@@ -188,12 +204,10 @@ def evaluate(
     ]
     sampled = [sample_episode(manifest, n, k, z, s) for s in episode_seeds]
 
-    # Each clip is loaded once and extracted once per representation. When
-    # both multi-scale representations are asked for, the clip's deformable
-    # pass runs once per scale and both reduce the same frames; one of them
-    # alone builds its frames one scale at a time.
+    # Each clip is loaded once and extracted once per representation; its
+    # multi-scale frames are built once, and every multi-scale
+    # representation reduces them.
     reps = sorted({_METRIC_TABLE[m][0] for m in metrics})
-    multi_scale = [rep for rep in reps if rep in _MULTI_SCALE]
     entries: dict[str, ManifestEntry] = {}
     for ep in sampled:
         for entry, _ in ep.support + ep.query:
@@ -203,15 +217,11 @@ def evaluate(
         path = manifest.resolve(entries[clip_id])
         clip = synthgen.load_clip(path)
         try:
+            if _MULTI_SCALE.intersection(reps):
+                frames = descriptor.multi_scale_frames(clip, scales)
             for rep in reps:
-                if rep not in _MULTI_SCALE:
-                    descriptors[(clip_id, rep)] = getattr(descriptor, rep)(clip)
-            frames = None
-            if len(multi_scale) > 1:
-                descriptor.check_scales(multi_scale[0], scales)
-                frames = [descriptor.scale_frames(clip, cfg) for cfg in scales]
-            for rep in multi_scale:
-                descriptors[(clip_id, rep)] = getattr(descriptor, rep)(clip, scales, frames)
+                source = frames if rep in _MULTI_SCALE else clip
+                descriptors[(clip_id, rep)] = getattr(descriptor, rep)(source)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 

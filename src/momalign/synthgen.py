@@ -206,7 +206,9 @@ def generate_dataset(cfg: SynthConfig, out_dir: str | Path) -> seqio.Manifest:
     """Render and store all instances; returns the written manifest.
 
     Clips are serialized as f32 tensors named "clip"; the dataset is fully
-    reproducible from the seed (byte-identical files).
+    reproducible from the seed (byte-identical files). A clip whose entries
+    do not fit in float32 raises ``ValueError`` naming the clip, so no
+    unloadable clip is written.
     """
     out = Path(out_dir)
     clips_dir = out / "clips"
@@ -215,16 +217,17 @@ def generate_dataset(cfg: SynthConfig, out_dir: str | Path) -> seqio.Manifest:
     entries = []
     for c, class_def in enumerate(library):
         for i in range(cfg.instances_per_class):
-            clip, labels = render_instance(class_def, cfg, seed=c * 100_003 + i)
             clip_id = f"c{c:03d}_i{i:03d}"
+            try:
+                with np.errstate(over="ignore"):
+                    clip, labels = render_instance(class_def, cfg, seed=c * 100_003 + i)
+                    data = clip.data.astype(np.float32)
+                if not np.all(np.isfinite(data)):
+                    raise ValueError("entries overflow float32")
+            except ValueError as exc:
+                raise ValueError(f"generate_dataset: clip {clip_id}: {exc}") from None
             rel = f"clips/{clip_id}.fsq"
-            seqio.write_container(
-                {
-                    "clip": clip.data.astype(np.float32),
-                    "labels": labels.astype(np.float64),
-                },
-                out / rel,
-            )
+            seqio.write_container({"clip": data, "labels": labels.astype(np.float64)}, out / rel)
             entries.append(seqio.ManifestEntry(clip_id, class_def.label, rel))
     manifest = seqio.Manifest(tuple(entries), root=str(out))
     seqio.write_manifest(manifest, out / "manifest.tsv")

@@ -225,7 +225,9 @@ def test_criterion_7_pipeline_reductions(capsys):
             )
 
     clip = FeatureClip(rng.standard_normal((4, 8, 5, 5)))
-    via_identity = descriptor.multi_scale_descriptors(clip, [identity_scale(8)])
+    via_identity = descriptor.multi_scale_descriptors(
+        descriptor.multi_scale_frames(clip, [identity_scale(8)])
+    )
     direct = descriptor.cov_mn_descriptors(clip)
     bitwise = np.array_equal(via_identity.vectors, direct.vectors)
 

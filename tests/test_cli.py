@@ -4,6 +4,7 @@ import hashlib
 import re
 import shlex
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from momalign import seqio
 from momalign.cli import RunConfig, build_parser, build_run_config, load_config, main
+from momalign.seqio import Manifest, ManifestEntry
 
 
 def run_cli(capsys, *argv):
@@ -34,6 +36,24 @@ def dataset(tmp_path_factory):
     code = main(["synth", "--config", str(cfg), "--out", str(out / "data")])
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def mixed_lengths(tmp_path_factory):
+    """A manifest whose three classes each hold two T=8 and two T=10 clips,
+    named ``t8_<clip>`` and ``t10_<clip>``."""
+    root = tmp_path_factory.mktemp("mixed")
+    entries = []
+    for frames in (8, 10):
+        cfg = root / f"t{frames}.cfg"
+        cfg.write_text(f"classes = 3\ninstances_per_class = 2\nframes = {frames}\n")
+        assert main(["synth", "--config", str(cfg), "--out", str(root / f"t{frames}")]) == 0
+        for e in seqio.read_manifest(root / f"t{frames}" / "manifest.tsv").entries:
+            entries.append(
+                ManifestEntry(f"t{frames}_{e.clip_id}", e.label, f"t{frames}/{e.path}")
+            )
+    seqio.write_manifest(Manifest(tuple(entries)), root / "manifest.tsv")
+    return root / "manifest.tsv"
 
 
 def truncate_clip(path):
@@ -220,6 +240,20 @@ class TestSynth:
         assert err == f"error: SynthConfig: {reason}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "noise, reason",
+        [("1e39", "entries overflow float32"), ("1e308", "FeatureClip: non-finite entries")],
+    )
+    def test_unstorable_clip_fails_naming_it(self, tmp_path, capsys, noise, reason):
+        p = tmp_path / "loud.cfg"
+        p.write_text(f"noise = {noise}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "synth", "--config", str(p), "--out", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: generate_dataset: clip c000_i000: {reason}\n"
+        assert not (tmp_path / "clips" / "c000_i000.fsq").exists()
+
 
 class TestAlign:
     def test_self_alignment_score_one(self, dataset, capsys):
@@ -385,6 +419,33 @@ class TestEval:
         pattern = rf"error: {re.escape(str(tmp_path / 'data' / 'clips'))}/c\d{{3}}_i\d{{3}}\.fsq: "
         reason = "temporal_conv: channel mismatch (clip 32, kernel 64)\n"
         assert re.fullmatch(pattern + re.escape(reason), err), err
+
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            (
+                ["--metric", "pp"],
+                "fixed_alignment_pp: sequences must share scale/length structure",
+            ),
+            (["--shots", "2"], None),
+        ],
+    )
+    def test_mixed_clip_lengths_name_the_clips(self, mixed_lengths, capsys, flags, reason):
+        code, out, err = run_cli(
+            capsys, "eval", "--manifest", str(mixed_lengths), "--ways", "3", "--queries", "3",
+            "--episodes", "4", *flags,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if reason is None:
+            assert re.match(r"error: build_prototypes: structure mismatch within class \d: ", err)
+        else:
+            assert re.match(r"error: query t\d+_c\d{3}_i\d{3} \(L=\d+\) against support ", err)
+            assert err.endswith(f": {reason}\n")
+        # Each named clip carries its own length: L = 18 at T=8, 24 at T=10.
+        named = re.findall(r"(t(\d+)_c\d{3}_i\d{3}) \(L=(\d+)\)", err)
+        assert {L for _, _, L in named} == {"18", "24"}
+        assert all(int(L) == 3 * int(t) - 6 for _, t, L in named)
 
     @pytest.mark.parametrize(
         "metrics, reason",

@@ -9,6 +9,7 @@ import pytest
 from momalign import descriptor
 from momalign.descriptor import (
     DESK_C_IN,
+    DESK_C_PRIME,
     DescriptorSequence,
     FeatureClip,
     ScaleConfig,
@@ -18,6 +19,7 @@ from momalign.descriptor import (
     gap_descriptor,
     multi_scale_descriptors,
     multi_scale_first_order,
+    multi_scale_frames,
     offset_mlp,
     scale_frames,
     temporal_conv,
@@ -596,11 +598,41 @@ class TestScaleMoment:
             assert np.all(second_moment(f) == 0.0)
 
 
+class TestMultiScaleFrames:
+    """The one builder of a clip's multi-scale frames, and its scale checks."""
+
+    def test_one_frame_list_per_scale(self):
+        rng = np.random.default_rng(29)
+        clip = random_clip(rng, t=6)
+        scales = [random_cfg(rng, 1, 1), random_cfg(rng, 3, 3)]
+        frames = multi_scale_frames(clip, scales)
+        assert len(frames) == len(scales)
+        for built, cfg in zip(frames, scales):
+            alone = scale_frames(clip, cfg)
+            assert len(built) == len(alone)
+            assert all(np.array_equal(a, b) for a, b in zip(built, alone))
+
+    def test_rejects_empty_scales(self):
+        with pytest.raises(ValueError, match="^multi_scale_frames: no scales given$"):
+            multi_scale_frames(FeatureClip(np.zeros((2, 2, 2, 2))), [])
+
+    def test_rejects_mixed_c_out(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        scales = [random_cfg(rng, 1, 1, c_out=3), random_cfg(rng, 1, 1, c_out=4)]
+        ran = []
+        monkeypatch.setattr(
+            descriptor, "scale_frames", lambda clip, cfg: ran.append(cfg) or []
+        )
+        with pytest.raises(ValueError, match="^multi_scale_frames: all scales must share c_out$"):
+            multi_scale_frames(random_clip(rng), scales)
+        assert ran == []
+
+
 class TestMultiScaleDescriptors:
     def test_default_scales_length_and_order(self):
         rng = np.random.default_rng(17)
         clip = FeatureClip(rng.standard_normal((8, DESK_C_IN, 4, 4)))
-        seq = multi_scale_descriptors(clip, default_scales(seed=0))
+        seq = multi_scale_descriptors(multi_scale_frames(clip, default_scales(seed=0)))
         assert len(seq) == 18
         assert list(seq.scale_ids) == [0] * 8 + [1] * 6 + [2] * 4
         assert list(seq.times) == list(range(8)) + list(range(6)) + list(range(4))
@@ -608,7 +640,7 @@ class TestMultiScaleDescriptors:
     def test_identity_single_scale_equals_cov_mn_bitwise(self):
         rng = np.random.default_rng(18)
         clip = FeatureClip(rng.standard_normal((5, 6, 3, 4)))
-        seq = multi_scale_descriptors(clip, [identity_scale(6)])
+        seq = multi_scale_descriptors(multi_scale_frames(clip, [identity_scale(6)]))
         base = cov_mn_descriptors(clip)
         assert np.array_equal(seq.vectors, base.vectors)
         assert np.array_equal(seq.times, base.times)
@@ -616,8 +648,10 @@ class TestMultiScaleDescriptors:
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(19)
         data = rng.standard_normal((8, DESK_C_IN, 4, 4))
-        a = multi_scale_descriptors(FeatureClip(data), default_scales(seed=5))
-        b = multi_scale_descriptors(FeatureClip(data.copy()), default_scales(seed=5))
+        a = multi_scale_descriptors(multi_scale_frames(FeatureClip(data), default_scales(seed=5)))
+        b = multi_scale_descriptors(
+            multi_scale_frames(FeatureClip(data.copy()), default_scales(seed=5))
+        )
         assert np.array_equal(a.vectors, b.vectors)
 
     @pytest.mark.parametrize("frames, offset_head", [(8, False), (28, False), (8, True)])
@@ -639,28 +673,9 @@ class TestMultiScaleDescriptors:
             offsets = offset_mlp(temporal_difference(temporal_conv(clip, scales[1])), scales[1])
             assert np.any(offsets != np.round(offsets))
         assert_same_sequence(
-            multi_scale_descriptors(clip, scales), reference_multi_scale_descriptors(clip, scales)
+            multi_scale_descriptors(multi_scale_frames(clip, scales)),
+            reference_multi_scale_descriptors(clip, scales),
         )
-
-    def test_rejects_empty_scales(self):
-        with pytest.raises(ValueError):
-            multi_scale_descriptors(FeatureClip(np.zeros((2, 2, 2, 2))), [])
-
-    def test_prebuilt_frames_reduce_bitwise(self):
-        rng = np.random.default_rng(29)
-        clip = random_clip(rng, t=6)
-        scales = [random_cfg(rng, 1, 1), random_cfg(rng, 3, 3)]
-        frames = [scale_frames(clip, cfg) for cfg in scales]
-        for extract in (multi_scale_descriptors, multi_scale_first_order):
-            assert_same_sequence(extract(clip, scales, frames), extract(clip, scales))
-        with pytest.raises(ValueError, match="1 frame lists for 2 scales"):
-            multi_scale_descriptors(clip, scales, frames[:1])
-
-    def test_rejects_mixed_c_out(self):
-        rng = np.random.default_rng(20)
-        scales = [random_cfg(rng, 1, 1, c_out=3), random_cfg(rng, 1, 1, c_out=4)]
-        with pytest.raises(ValueError):
-            multi_scale_descriptors(random_clip(rng), scales)
 
 
 class TestCovMnDescriptors:
@@ -717,8 +732,8 @@ class TestMultiScaleFirstOrder:
         rng = np.random.default_rng(23)
         clip = FeatureClip(rng.standard_normal((8, DESK_C_IN, 4, 4)))
         scales = default_scales(seed=0)
-        first = multi_scale_first_order(clip, scales)
-        second = multi_scale_descriptors(clip, scales)
+        first = multi_scale_first_order(multi_scale_frames(clip, scales))
+        second = multi_scale_descriptors(multi_scale_frames(clip, scales))
         assert np.array_equal(first.scale_ids, second.scale_ids)
         assert np.array_equal(first.times, second.times)
         assert first.dim == scales[0].c_out
@@ -728,19 +743,8 @@ class TestMultiScaleFirstOrder:
         clip = random_clip(rng, t=6)
         scales = [random_cfg(rng, 1, 1), random_cfg(rng, 3, 3)]
         means = [f.mean(axis=1) for cfg in scales for f in scale_frames(clip, cfg)]
-        first = multi_scale_first_order(clip, scales)
+        first = multi_scale_first_order(multi_scale_frames(clip, scales))
         assert np.array_equal(first.vectors, np.array(means))
-
-    def test_rejects_mixed_c_out(self, monkeypatch):
-        rng = np.random.default_rng(27)
-        scales = [random_cfg(rng, 1, 1, c_out=3), random_cfg(rng, 1, 1, c_out=4)]
-        ran = []
-        monkeypatch.setattr(
-            descriptor, "scale_frames", lambda clip, cfg: ran.append(cfg) or []
-        )
-        with pytest.raises(ValueError, match="all scales must share c_out"):
-            multi_scale_first_order(random_clip(rng), scales)
-        assert ran == []
 
 
 class TestScaleConfig:
@@ -749,6 +753,19 @@ class TestScaleConfig:
         b = ScaleConfig.from_seed(3, 3, seed=9)
         assert np.array_equal(a.theta_t, b.theta_t)
         assert np.array_equal(a.theta_s, b.theta_s)
+
+    @pytest.mark.parametrize("tau", [1, 3, 5])
+    def test_temporal_taps_equal_repeated_copies_bitwise(self, tau):
+        # The channel map is from_seed's first draw; the taps were once
+        # tau copies of it, built by np.repeat and divided by tau.
+        cfg = ScaleConfig.from_seed(tau, 3, seed=4)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([4, tau, 3])))
+        bound = 1.0 / np.sqrt(DESK_C_IN)
+        channel_map = rng.uniform(-bound, bound, size=(DESK_C_IN, DESK_C_PRIME))
+        copies = np.repeat(channel_map[np.newaxis, :, :], tau, axis=0) / tau
+        assert cfg.theta_t.shape == copies.shape
+        assert np.array_equal(cfg.theta_t.view(np.uint64), copies.view(np.uint64))
+        assert not cfg.theta_t.flags.writeable
 
     def test_distinct_seeds_distinct_weights(self):
         a = ScaleConfig.from_seed(3, 3, seed=1)

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from momalign import descriptor, episode, synthgen
+from momalign import cli, descriptor, episode, synthgen
 from momalign.episode import (
     METRICS,
     build_prototypes,
@@ -82,31 +82,34 @@ class TestSampleEpisode:
 class TestBuildPrototypes:
     def test_single_shot_identity(self):
         seq = make_seq(np.random.default_rng(0).standard_normal((3, 4)))
-        protos = build_prototypes([[seq]], k=1)
+        protos = build_prototypes([{"a": seq}], k=1)
         assert np.array_equal(protos[0].vectors, seq.vectors)
 
     def test_mean_of_identical_is_identity(self):
         seq = make_seq(np.random.default_rng(1).standard_normal((3, 4)))
-        protos = build_prototypes([[seq, seq]], k=2)
+        protos = build_prototypes([{"a": seq, "b": seq}], k=2)
         assert np.allclose(protos[0].vectors, seq.vectors, atol=1e-15)
 
     def test_elementwise_mean_oracle(self):
         rng = np.random.default_rng(2)
         u = rng.standard_normal((3, 4))
         v = rng.standard_normal((3, 4))
-        protos = build_prototypes([[make_seq(u), make_seq(v)]], k=2)
+        protos = build_prototypes([{"u": make_seq(u), "v": make_seq(v)}], k=2)
         assert np.allclose(protos[0].vectors, (u + v) / 2, atol=1e-15)
 
     def test_rejects_wrong_count(self):
         seq = make_seq(np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            build_prototypes([[seq]], k=2)
+            build_prototypes([{"a": seq}], k=2)
 
     def test_rejects_structure_mismatch(self):
         a = make_seq(np.zeros((2, 2)))
         b = make_seq(np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            build_prototypes([[a, b]], k=2)
+        with pytest.raises(ValueError) as exc:
+            build_prototypes([{"x": a, "y": a}, {"a": a, "b": b}], k=2)
+        assert str(exc.value) == (
+            "build_prototypes: structure mismatch within class 1: a (L=2), b (L=3)"
+        )
 
 
 class TestClassifyQuery:
@@ -253,31 +256,70 @@ class TestEvaluate:
             assert np.array_equal(rs.episode_accuracies, rt.episode_accuracies)
 
 
-class TestSharedDeformablePass:
-    """Both multi-scale representations reduce one ``scale_frames`` pass."""
+def count_scale_frames(monkeypatch) -> list:
+    """Record every ``scale_frames`` call as its (clip, cfg) pair. The list
+    keeps the objects alive, so their ids stay distinct."""
+    calls = []
+    scale_frames = descriptor.scale_frames
 
-    @pytest.mark.parametrize("metrics", [["a2", "ms-a2"], ["a2"], ["ms-a2"]])
+    def counting_frames(clip, cfg):
+        calls.append((clip, cfg))
+        return scale_frames(clip, cfg)
+
+    monkeypatch.setattr(descriptor, "scale_frames", counting_frames)
+    return calls
+
+
+def frame_pairs(calls) -> Counter:
+    return Counter((id(clip), id(cfg)) for clip, cfg in calls)
+
+
+class TestSharedDeformablePass:
+    """Every multi-scale representation reduces one ``scale_frames`` pass."""
+
+    @pytest.mark.parametrize(
+        "metrics", [["a2", "ms-a2"], ["a2"], ["ms-a2"], list(METRICS)]
+    )
     def test_scale_frames_once_per_clip_and_scale(self, small_dataset, monkeypatch, metrics):
         scales = descriptor.default_scales(seed=0)
         loaded = []
-        ran = Counter()
+        extracted = Counter()
         load_clip = synthgen.load_clip
-        scale_frames = descriptor.scale_frames
 
         def recording_load(path):
             clip = load_clip(path)
             loaded.append(clip)
             return clip
 
-        def counting_frames(clip, cfg):
-            ran[(id(clip), id(cfg))] += 1
-            return scale_frames(clip, cfg)
+        def counting(rep, extract):
+            def run(source):
+                extracted[rep] += 1
+                return extract(source)
+
+            return run
 
         monkeypatch.setattr(synthgen, "load_clip", recording_load)
-        monkeypatch.setattr(descriptor, "scale_frames", counting_frames)
+        calls = count_scale_frames(monkeypatch)
+        reps = {episode._METRIC_TABLE[m][0] for m in metrics}
+        for rep in reps:
+            monkeypatch.setattr(descriptor, rep, counting(rep, getattr(descriptor, rep)))
         evaluate(small_dataset, 3, 1, 3, episodes=2, seed=1, metrics=metrics, scales=scales)
         assert loaded
-        assert ran == Counter({(id(clip), id(cfg)): 1 for clip in loaded for cfg in scales})
+        assert extracted == Counter(dict.fromkeys(reps, len(loaded)))
+        expected = Counter({(id(clip), id(cfg)): 1 for clip in loaded for cfg in scales})
+        assert frame_pairs(calls) == expected
+
+    def test_align_scale_frames_once_per_clip_and_scale(
+        self, small_dataset, monkeypatch, capsys
+    ):
+        clip_a, clip_b = (str(small_dataset.resolve(e)) for e in small_dataset.entries[:2])
+        calls = count_scale_frames(monkeypatch)
+        assert cli.main(["align", clip_a, clip_b]) == 0
+        assert "descriptors\tL=18\t" in capsys.readouterr().out
+        # Two clips times three scales, each pair once.
+        assert len({id(clip) for clip, _ in calls}) == 2
+        assert len({id(cfg) for _, cfg in calls}) == 3
+        assert len(frame_pairs(calls)) == len(calls) == 6
 
     def test_same_accuracies_as_separate_runs(self, small_dataset):
         kwargs = dict(episodes=3, seed=4)
@@ -297,6 +339,8 @@ class TestSharedDeformablePass:
     def test_rejects_mixed_c_out_before_any_frame(
         self, small_dataset, monkeypatch, metrics, what
     ):
+        # ``what`` is the multi-scale representation asked for: it never
+        # runs, because multi_scale_frames rejects the scales first.
         scales = [
             descriptor.ScaleConfig.from_seed(1, 1, c_out=16),
             descriptor.ScaleConfig.from_seed(3, 3, c_out=8),
@@ -305,9 +349,10 @@ class TestSharedDeformablePass:
         monkeypatch.setattr(
             descriptor, "scale_frames", lambda clip, cfg: ran.append(cfg) or []
         )
+        monkeypatch.setattr(descriptor, what, lambda frames: ran.append(what))
         with pytest.raises(ValueError) as exc:
             evaluate(small_dataset, 3, 1, 3, episodes=1, seed=0, metrics=metrics, scales=scales)
         path, _, message = str(exc.value).partition(": ")
         assert path in {str(small_dataset.resolve(e)) for e in small_dataset.entries}
-        assert message == f"{what}: all scales must share c_out"
+        assert message == "multi_scale_frames: all scales must share c_out"
         assert ran == []
