@@ -677,6 +677,12 @@ class TestMultiScaleDescriptors:
             reference_multi_scale_descriptors(clip, scales),
         )
 
+    def test_rejects_mixed_c_out(self):
+        rng = np.random.default_rng(20)
+        scales = [random_cfg(rng, 1, 1, c_out=3), random_cfg(rng, 1, 1, c_out=4)]
+        with pytest.raises(ValueError, match="all scales must share c_out"):
+            multi_scale_descriptors(multi_scale_frames(random_clip(rng), scales))
+
 
 class TestCovMnDescriptors:
     def test_matches_reference_bitwise(self):
@@ -745,6 +751,17 @@ class TestMultiScaleFirstOrder:
         means = [f.mean(axis=1) for cfg in scales for f in scale_frames(clip, cfg)]
         first = multi_scale_first_order(multi_scale_frames(clip, scales))
         assert np.array_equal(first.vectors, np.array(means))
+
+    def test_rejects_mixed_c_out(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        scales = [random_cfg(rng, 1, 1, c_out=3), random_cfg(rng, 1, 1, c_out=4)]
+        ran = []
+        monkeypatch.setattr(
+            descriptor, "scale_frames", lambda clip, cfg: ran.append(cfg) or []
+        )
+        with pytest.raises(ValueError, match="all scales must share c_out"):
+            multi_scale_first_order(multi_scale_frames(random_clip(rng), scales))
+        assert ran == []
 
 
 class TestScaleConfig:
