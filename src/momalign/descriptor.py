@@ -7,7 +7,9 @@ normalizes it, and vectorizes it. Descriptors from all scales are flattened
 into a single scale-major, time-minor sequence.
 
 ``multi_scale_frames`` builds a clip's frames at every scale once; both
-multi-scale representations reduce those same frames.
+multi-scale representations reduce those same frames. It lays the clip out
+pixel-major, (T, H, W, C), once, and the per-scale stages take and return
+plain arrays in that layout.
 """
 
 from __future__ import annotations
@@ -51,22 +53,6 @@ class FeatureClip:
         if not np.all(np.isfinite(a)):
             raise ValueError("FeatureClip: non-finite entries")
         object.__setattr__(self, "data", a)
-
-    @property
-    def frames(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[3]
 
 
 def _check_sizes(tau: int, grid: int, **widths: int) -> None:
@@ -213,67 +199,56 @@ class DescriptorSequence:
         )
 
 
-def temporal_conv(clip: FeatureClip, cfg: ScaleConfig) -> FeatureClip:
-    """Valid temporal convolution: T output frames become T - tau + 1.
+def temporal_conv(x: np.ndarray, cfg: ScaleConfig) -> np.ndarray:
+    """Valid temporal convolution of a pixel-major (T, H, W, C_in) clip:
+    T frames become T - tau + 1, returned as a (T', H, W, C') array.
 
-    The clip is laid out pixel-major, one (T * M, C_in) matrix with M = H * W,
-    so tap k is one GEMM over all output frames at once:
-    ``acc += P[k*M : (k + T')*M] @ theta_t[k]``. The result is a (T', C', H, W)
-    view of the pixel-major (T', H, W, C') product.
+    The clip is one (T * M, C_in) matrix with M = H * W, so tap k is one GEMM
+    over all output frames at once: ``acc += P[k*M : (k + T')*M] @ theta_t[k]``.
     """
-    x = clip.data
-    if cfg.tau > clip.frames:
-        raise ValueError(
-            f"temporal_conv: tau={cfg.tau} exceeds clip length T={clip.frames}"
-        )
-    if cfg.c_in != clip.channels:
-        raise ValueError(
-            f"temporal_conv: channel mismatch (clip {clip.channels}, kernel {cfg.c_in})"
-        )
-    t_out = clip.frames - cfg.tau + 1
-    m = clip.height * clip.width
-    pixels = x.transpose(0, 2, 3, 1).reshape(clip.frames * m, cfg.c_in)
+    t, h, w, c = x.shape
+    if cfg.tau > t:
+        raise ValueError(f"temporal_conv: tau={cfg.tau} exceeds clip length T={t}")
+    if cfg.c_in != c:
+        raise ValueError(f"temporal_conv: channel mismatch (clip {c}, kernel {cfg.c_in})")
+    t_out = t - cfg.tau + 1
+    m = h * w
+    pixels = x.reshape(t * m, c)
     acc = pixels[: t_out * m] @ cfg.theta_t[0]
     for k in range(1, cfg.tau):
         acc += pixels[k * m : (k + t_out) * m] @ cfg.theta_t[k]
-    return FeatureClip(
-        acc.reshape(t_out, clip.height, clip.width, cfg.c_prime).transpose(0, 3, 1, 2)
-    )
+    return acc.reshape(t_out, h, w, cfg.c_prime)
 
 
-def temporal_difference(clip: FeatureClip) -> FeatureClip:
+def temporal_difference(x: np.ndarray) -> np.ndarray:
     """Frame-to-frame difference; the first frame is defined as zero."""
-    x = clip.data
     out = np.zeros_like(x)
     if x.shape[0] > 1:
         out[1:] = x[1:] - x[:-1]
-    return FeatureClip(out)
+    return out
 
 
-def offset_mlp(diff: FeatureClip, cfg: ScaleConfig) -> np.ndarray:
-    """Per-location offsets from the temporal difference signal.
+def offset_mlp(diff: np.ndarray, cfg: ScaleConfig) -> np.ndarray:
+    """Per-location offsets from the (T, H, W, C') temporal difference signal.
 
-    Returns a (T, 2 * grid^2, H, W) field: for every frame, location and
+    Returns a (T, H, W, 2 * grid^2) field: for every frame, location and
     kernel point, an (dx, dy) pair stored at channels (2p, 2p + 1). Both
-    layers are GEMMs over the pixel-major (T * H * W, C') matrix, and the
-    field is a view of the pixel-major (T, H, W, 2 * grid^2) result.
+    layers are GEMMs over the (T * H * W, C') pixel matrix.
     """
-    x = diff.data
-    t, c, h, w = x.shape
+    t, h, w, c = diff.shape
     if c != cfg.c_prime:
         raise ValueError("offset_mlp: channel mismatch with scale config")
-    hidden = x.transpose(0, 2, 3, 1).reshape(t * h * w, c) @ cfg.offset_w1
+    hidden = diff.reshape(t * h * w, c) @ cfg.offset_w1
     hidden += cfg.offset_b1
     np.maximum(hidden, 0.0, out=hidden)
     off = hidden @ cfg.offset_w2
     off += cfg.offset_b2
-    return off.reshape(t, h, w, -1).transpose(0, 3, 1, 2)
+    return off.reshape(t, h, w, -1)
 
 
-def deformable_conv(
-    clip: FeatureClip, offsets: np.ndarray, cfg: ScaleConfig
-) -> list[np.ndarray]:
-    """Deformable spatial convolution with zero padding, same-size output.
+def deformable_conv(x: np.ndarray, offsets: np.ndarray, cfg: ScaleConfig) -> list[np.ndarray]:
+    """Deformable spatial convolution of a pixel-major (T, H, W, C') clip with
+    zero padding, same-size output.
 
     For each frame returns a C_out x M matrix (M = H * W). Sampling is
     bilinear, so a frame's sampling is one linear map from its M pixels to
@@ -281,40 +256,36 @@ def deformable_conv(
     corner weights (00, 01, 10, 11) are assigned into its row of an
     (M * grid^2, M + 1) interpolation matrix at the corners' pixel columns,
     and a corner outside the frame goes to the spill column M, which the
-    product leaves out. The patch is ``interp[:, :M] @ pixels`` from the
-    frame's M x C pixel matrix, and it meets the kernel in one GEMM,
-    ``theta_s.T @ patch.T``. The pixel matrix is free when the clip is a
-    pixel-major view, as ``temporal_conv`` returns. The interpolation matrix
-    takes M * (M + 1) * grid^2 * 8 bytes per frame (266 KB at 6x6 with
-    grid 5), so it grows quadratically with the frame area. With all-zero
-    offsets the result equals a standard grid convolution with the same
-    kernel.
+    product leaves out. The patch is ``interp[:, :M] @ x[t].reshape(M, C')``,
+    and it meets the kernel in one GEMM, ``theta_s.T @ patch.T``. The
+    interpolation matrix takes M * (M + 1) * grid^2 * 8 bytes per frame
+    (266 KB at 6x6 with grid 5), so it grows quadratically with the frame
+    area. With all-zero offsets the result equals a standard grid
+    convolution with the same kernel.
     """
-    x = clip.data
-    t, c, h, w = x.shape
+    t, h, w, c = x.shape
     n_points = cfg.grid * cfg.grid
     if c != cfg.c_prime:
         raise ValueError("deformable_conv: channel mismatch with scale config")
-    if offsets.shape != (t, 2 * n_points, h, w):
+    if offsets.shape != (t, h, w, 2 * n_points):
         raise ValueError(
             f"deformable_conv: offset field shape {offsets.shape} inconsistent "
-            f"with clip {(t, 2 * n_points, h, w)}"
+            f"with clip {(t, h, w, 2 * n_points)}"
         )
     if not np.all(np.isfinite(offsets)):
         raise ValueError("deformable_conv: non-finite offsets")
     m = h * w
     # Kernel points row-major over the grid; offsets are (dx, dy) per point.
+    # Samples run location-major, point-minor, so the patch reshapes to
+    # (M, grid^2 * C'), the ``point * c_prime + channel`` order of theta_s.
     k = np.arange(-(cfg.grid // 2), cfg.grid // 2 + 1)
-    base_rows = np.repeat(k, cfg.grid)[:, None, None] + np.arange(h)[:, None]
-    base_cols = np.tile(k, cfg.grid)[:, None, None] + np.arange(w)
-    # Interpolation row of each (point, location) sample; rows run
-    # location-major so the patch reshapes to (M, grid^2 * C), the
-    # ``point * c_prime + channel`` order of theta_s.
-    sample = np.arange(m * n_points).reshape(h, w, n_points).transpose(2, 0, 1)
+    base_rows = np.arange(h)[:, None, None] + np.repeat(k, cfg.grid)
+    base_cols = np.arange(w)[:, None] + np.tile(k, cfg.grid)
+    sample = np.arange(m * n_points).reshape(h, w, n_points)
     out: list[np.ndarray] = []
     for ti in range(t):
-        rows = base_rows + offsets[ti, 1::2]
-        cols = base_cols + offsets[ti, 0::2]
+        rows = base_rows + offsets[ti, ..., 1::2]
+        cols = base_cols + offsets[ti, ..., 0::2]
         r0 = np.floor(rows).astype(np.int64)
         c0 = np.floor(cols).astype(np.int64)
         fr = rows - r0
@@ -328,16 +299,19 @@ def deformable_conv(
         ):
             valid = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
             interp[sample, np.where(valid, rr * w + cc, m)] = wgt
-        pixels = np.ascontiguousarray(x[ti].reshape(c, m).T)
-        patch = interp[:, :m] @ pixels
+        patch = interp[:, :m] @ x[ti].reshape(m, c)
         out.append(cfg.theta_s.T @ patch.reshape(m, n_points * c).T)
     return out
 
 
-def scale_frames(clip: FeatureClip, cfg: ScaleConfig) -> list[np.ndarray]:
-    """The per-scale pipeline: temporal conv, temporal-difference offsets and
-    deformable conv. Returns T - tau + 1 frames, each C_out x M."""
-    xt = temporal_conv(clip, cfg)
+def scale_frames(x: np.ndarray, cfg: ScaleConfig) -> list[np.ndarray]:
+    """The per-scale pipeline on a pixel-major (T, H, W, C_in) clip: temporal
+    conv, temporal-difference offsets and deformable conv. Returns
+    T - tau + 1 frames, each C_out x M. ``x`` is released once the temporal
+    conv has read it, so a caller that hands over its only reference frees
+    the clip before the deformable conv."""
+    xt = temporal_conv(x, cfg)
+    del x
     offsets = offset_mlp(temporal_difference(xt), cfg)
     return deformable_conv(xt, offsets, cfg)
 
@@ -359,12 +333,17 @@ def multi_scale_frames(clip: FeatureClip, scales: list[ScaleConfig]) -> list[lis
     """Every scale's ``scale_frames`` of one clip, in scale order: the frames
     both multi-scale representations reduce. The scales are checked before
     any frame is built: there must be at least one, and all must share one
-    c_out, so that all descriptors of a sequence have one dimension."""
+    c_out, so that all descriptors of a sequence have one dimension. The
+    clip is laid out pixel-major, (T, H, W, C), once for all scales; the
+    last scale gets the only reference to that copy, which is freed before
+    its deformable conv."""
     if not scales:
         raise ValueError("multi_scale_frames: no scales given")
     if any(s.c_out != scales[0].c_out for s in scales):
         raise ValueError("multi_scale_frames: all scales must share c_out")
-    return [scale_frames(clip, cfg) for cfg in scales]
+    layout = [np.ascontiguousarray(clip.data.transpose(0, 2, 3, 1))]
+    frames = [scale_frames(layout[0], cfg) for cfg in scales[:-1]]
+    return frames + [scale_frames(layout.pop(), scales[-1])]
 
 
 def _sequence(per_scale: list[list[np.ndarray]], reduce) -> DescriptorSequence:
@@ -382,8 +361,8 @@ def _sequence(per_scale: list[list[np.ndarray]], reduce) -> DescriptorSequence:
 
 def _clip_frames(clip: FeatureClip) -> list[list[np.ndarray]]:
     """The raw clip as a single scale of C x M frames."""
-    m = clip.height * clip.width
-    return [[x.reshape(clip.channels, m) for x in clip.data]]
+    _, c, h, w = clip.data.shape
+    return [[x.reshape(c, h * w) for x in clip.data]]
 
 
 def multi_scale_descriptors(frames: list[list[np.ndarray]]) -> DescriptorSequence:

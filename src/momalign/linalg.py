@@ -38,11 +38,14 @@ def _check_square_symmetric(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
+def _shift(a: np.ndarray) -> np.ndarray:
+    """``a + eps * I`` with ``eps = DEFAULT_EPS_SCALE * trace / dim``."""
+    return a + DEFAULT_EPS_SCALE * float(np.trace(a)) / len(a) * np.eye(len(a))
+
+
 def _shifted(a: np.ndarray) -> tuple[np.ndarray, float]:
     """The validated input shifted by ``eps * I``, and its Frobenius norm."""
-    a = _check_square_symmetric(a, "newton_schulz_sqrt")
-    n = a.shape[0]
-    shifted = a + DEFAULT_EPS_SCALE * float(np.trace(a)) / n * np.eye(n)
+    shifted = _shift(_check_square_symmetric(a, "newton_schulz_sqrt"))
     fro = float(np.linalg.norm(shifted))
     if fro <= 0.0 or float(np.trace(shifted)) <= 0.0:
         raise ValueError("newton_schulz_sqrt: non-positive input after eps shift")
@@ -103,16 +106,17 @@ def newton_schulz_sqrt(a: np.ndarray, norm: float | None = None) -> np.ndarray:
     ``norm`` is that estimate for ``a``, as ``spectral_norm_estimates``
     returns it for a stack of moments (one power iteration serves them
     all); when omitted it is estimated for ``a`` alone, with the same bits.
-    The result is symmetrized before return. An empty, non-finite or
-    asymmetric input, one whose shifted trace or norm is not positive
-    (such as a zero matrix), or a ``norm`` that is not positive and finite
-    raises ``ValueError``.
+    The result is symmetrized before return. Without ``norm``, an empty,
+    non-finite or asymmetric input, or one whose shifted trace or norm is
+    not positive (such as a zero matrix), raises ``ValueError``; with it,
+    ``a`` is taken as ``spectral_norm_estimates`` validated it, and only a
+    ``norm`` that is not positive and finite raises.
     """
-    shifted, _ = _shifted(a)
     if norm is None:
         norm = spectral_norm_estimates([a])[0]
     elif not 0.0 < norm < math.inf:
         raise ValueError(f"newton_schulz_sqrt: norm must be positive and finite, got {norm}")
+    shifted = _shift(np.asarray(a, dtype=np.float64))
     ident = np.eye(shifted.shape[0])
     y = shifted / norm
     z = ident

@@ -10,6 +10,7 @@ alignment is meant to absorb.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -207,28 +208,41 @@ def generate_dataset(cfg: SynthConfig, out_dir: str | Path) -> seqio.Manifest:
 
     Clips are serialized as f32 tensors named "clip"; the dataset is fully
     reproducible from the seed (byte-identical files). A clip whose entries
-    do not fit in float32 raises ``ValueError`` naming the clip, so no
-    unloadable clip is written.
+    do not fit in float32 raises ``ValueError`` naming the clip. Each clip
+    is written under a temporary name and renamed into place only once every
+    clip has been written, so a failure leaves ``out_dir`` as it was: no new
+    clip or directory, and an earlier dataset there untouched.
     """
     out = Path(out_dir)
     clips_dir = out / "clips"
-    clips_dir.mkdir(parents=True, exist_ok=True)
     library = generate_class_library(cfg)
+    created = list(takewhile(lambda d: not d.exists(), (clips_dir, *clips_dir.parents)))
+    clips_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for c, class_def in enumerate(library):
-        for i in range(cfg.instances_per_class):
-            clip_id = f"c{c:03d}_i{i:03d}"
-            try:
-                with np.errstate(over="ignore"):
-                    clip, labels = render_instance(class_def, cfg, seed=c * 100_003 + i)
-                    data = clip.data.astype(np.float32)
-                if not np.all(np.isfinite(data)):
-                    raise ValueError("entries overflow float32")
-            except ValueError as exc:
-                raise ValueError(f"generate_dataset: clip {clip_id}: {exc}") from None
-            rel = f"clips/{clip_id}.fsq"
-            seqio.write_container({"clip": data, "labels": labels.astype(np.float64)}, out / rel)
-            entries.append(seqio.ManifestEntry(clip_id, class_def.label, rel))
+    try:
+        for c, class_def in enumerate(library):
+            for i in range(cfg.instances_per_class):
+                clip_id = f"c{c:03d}_i{i:03d}"
+                try:
+                    with np.errstate(over="ignore"):
+                        clip, labels = render_instance(class_def, cfg, seed=c * 100_003 + i)
+                        data = clip.data.astype(np.float32)
+                    if not np.all(np.isfinite(data)):
+                        raise ValueError("entries overflow float32")
+                except ValueError as exc:
+                    raise ValueError(f"generate_dataset: clip {clip_id}: {exc}") from None
+                rel = f"clips/{clip_id}.fsq"
+                entries.append(seqio.ManifestEntry(clip_id, class_def.label, rel))
+                tensors = {"clip": data, "labels": labels.astype(np.float64)}
+                seqio.write_container(tensors, out / f"{rel}.partial")
+    except BaseException:
+        for entry in entries:
+            (out / f"{entry.path}.partial").unlink(missing_ok=True)
+        for d in created:
+            d.rmdir()
+        raise
+    for entry in entries:
+        (out / f"{entry.path}.partial").replace(out / entry.path)
     manifest = seqio.Manifest(tuple(entries), root=str(out))
     seqio.write_manifest(manifest, out / "manifest.tsv")
     return manifest

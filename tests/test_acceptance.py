@@ -15,7 +15,7 @@ from momalign.cli import RunConfig, main
 from momalign.descriptor import DescriptorSequence, FeatureClip, ScaleConfig
 from momalign.linalg import DEFAULT_EPS_SCALE, newton_schulz_sqrt, second_moment
 from test_alignment import lp_oracle, make_seq, random_seq
-from test_descriptor import identity_scale, naive_standard_conv
+from test_descriptor import identity_scale, naive_standard_conv, pixel_major
 
 
 def report(capsys, criterion: int, summary: str, ok: bool) -> None:
@@ -215,11 +215,11 @@ def test_criterion_7_pipeline_reductions(capsys):
     worst = 0.0
     for grid in (1, 3, 5):
         cfg = ScaleConfig.from_seed(1, grid, c_in=6, c_prime=6, c_out=5, seed=3)
-        clip = FeatureClip(rng.standard_normal((2, 6, 7, 7)))
-        zero_off = np.zeros((2, 2 * grid * grid, 7, 7))
-        frames = descriptor.deformable_conv(clip, zero_off, cfg)
+        data = rng.standard_normal((2, 6, 7, 7))
+        zero_off = np.zeros((2, 7, 7, 2 * grid * grid))
+        frames = descriptor.deformable_conv(pixel_major(data), zero_off, cfg)
         for t in range(2):
-            oracle = naive_standard_conv(clip.data[t], cfg.theta_s, grid)
+            oracle = naive_standard_conv(data[t], cfg.theta_s, grid)
             worst = max(
                 worst, float(np.max(np.abs(frames[t] - oracle.reshape(5, -1))))
             )

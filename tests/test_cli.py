@@ -254,6 +254,22 @@ class TestSynth:
         assert err == f"error: generate_dataset: clip c000_i000: {reason}\n"
         assert not (tmp_path / "clips" / "c000_i000.fsq").exists()
 
+    def test_failed_synth_leaves_out_as_it_was(self, tmp_path, capsys):
+        p = tmp_path / "loud.cfg"
+        p.write_text("noise = 1e39\n")
+        fresh = tmp_path / "fresh" / "data"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, "synth", "--config", str(p), "--out", str(fresh))
+        assert (code, out) == (1, "")
+        assert not (tmp_path / "fresh").exists()
+        assert run_cli(capsys, "synth", "--out", str(fresh))[0] == 0
+        manifest = (fresh / "manifest.tsv").read_bytes()
+        code, _, _ = run_cli(capsys, "synth", "--config", str(p), "--out", str(fresh))
+        assert code == 1
+        assert (fresh / "manifest.tsv").read_bytes() == manifest
+        assert not [q for q in (fresh / "clips").iterdir() if not q.name.endswith(".fsq")]
+
 
 class TestAlign:
     def test_self_alignment_score_one(self, dataset, capsys):

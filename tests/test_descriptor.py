@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from momalign import descriptor
+from momalign import descriptor, linalg
 from momalign.descriptor import (
     DESK_C_IN,
     DESK_C_PRIME,
@@ -31,6 +31,17 @@ from test_linalg import reference_newton_schulz_sqrt
 
 def random_clip(rng, t=8, c=6, h=4, w=5):
     return FeatureClip(rng.standard_normal((t, c, h, w)))
+
+
+def pixel_major(a):
+    """A channel-major (T, C, H, W) clip or (T, 2P, H, W) offset field as the
+    contiguous pixel-major (T, H, W, C) array the per-scale stages take."""
+    return np.ascontiguousarray(np.moveaxis(a, 1, -1))
+
+
+def random_pixels(rng, t=8, c=6, h=4, w=5):
+    """``random_clip``'s draws, laid out pixel-major."""
+    return pixel_major(rng.standard_normal((t, c, h, w)))
 
 
 def random_cfg(rng, tau, grid, c_in=6, c_prime=4, c_out=3):
@@ -81,7 +92,7 @@ def reference_multi_scale_descriptors(clip, scales):
     reference."""
     vectors, scale_ids, times = [], [], []
     for b, cfg in enumerate(scales):
-        for t, frame in enumerate(scale_frames(clip, cfg)):
+        for t, frame in enumerate(scale_frames(pixel_major(clip.data), cfg)):
             vectors.append(vectorize_spd(reference_newton_schulz_sqrt(second_moment(frame))))
             scale_ids.append(b)
             times.append(t)
@@ -123,34 +134,34 @@ class TestFeatureClip:
             FeatureClip(data)
 
 
-def reference_temporal_conv(clip, cfg):
+def reference_temporal_conv(x, cfg):
     """Reference: one einsum over the tau-frame window per output frame, as
     ``temporal_conv`` ran before its GEMM-per-tap rewrite."""
-    x = clip.data
-    t_out = clip.frames - cfg.tau + 1
-    out = np.empty((t_out, cfg.c_prime, clip.height, clip.width))
+    frames, h, w, _ = x.shape
+    t_out = frames - cfg.tau + 1
+    out = np.empty((t_out, h, w, cfg.c_prime))
     for t in range(t_out):
-        out[t] = np.einsum("kcd,kchw->dhw", cfg.theta_t, x[t : t + cfg.tau])
+        out[t] = np.einsum("kcd,khwc->hwd", cfg.theta_t, x[t : t + cfg.tau])
     return out
 
 
 class TestTemporalConv:
     def test_pointwise_kernel_keeps_length(self):
         rng = np.random.default_rng(0)
-        out = temporal_conv(random_clip(rng, t=8), random_cfg(rng, 1, 1))
-        assert out.frames == 8
+        out = temporal_conv(random_pixels(rng, t=8), random_cfg(rng, 1, 1))
+        assert out.shape[0] == 8
 
     def test_valid_lengths(self):
         rng = np.random.default_rng(1)
-        clip = random_clip(rng, t=8)
-        assert temporal_conv(clip, random_cfg(rng, 3, 1)).frames == 6
-        assert temporal_conv(clip, random_cfg(rng, 5, 1)).frames == 4
+        x = random_pixels(rng, t=8)
+        assert temporal_conv(x, random_cfg(rng, 3, 1)).shape[0] == 6
+        assert temporal_conv(x, random_cfg(rng, 5, 1)).shape[0] == 4
 
     def test_matches_sliding_window_oracle(self):
         rng = np.random.default_rng(2)
-        clip = random_clip(rng, t=6, c=3, h=2, w=2)
+        x = random_pixels(rng, t=6, c=3, h=2, w=2)
         cfg = random_cfg(rng, 3, 1, c_in=3, c_prime=2)
-        out = temporal_conv(clip, cfg).data
+        out = temporal_conv(x, cfg)
         for t in range(4):
             for d in range(2):
                 for i in range(2):
@@ -158,77 +169,76 @@ class TestTemporalConv:
                         acc = 0.0
                         for k in range(3):
                             for c in range(3):
-                                acc += cfg.theta_t[k, c, d] * clip.data[t + k, c, i, j]
-                        assert abs(out[t, d, i, j] - acc) < 1e-12
+                                acc += cfg.theta_t[k, c, d] * x[t + k, i, j, c]
+                        assert abs(out[t, i, j, d] - acc) < 1e-12
 
     def test_matches_reference_at_paper_like_width(self):
         # C_in = 256 and a random (non-factorized) kernel over tau = 5 taps:
         # measured at most 3.5e-15 * max|ref| per frame over 20 seeds.
         rng = np.random.default_rng(21)
-        clip = random_clip(rng, t=8, c=256, h=4, w=5)
+        x = random_pixels(rng, t=8, c=256, h=4, w=5)
         cfg = random_cfg(rng, 5, 1, c_in=256, c_prime=32)
-        out = temporal_conv(clip, cfg).data
-        expect = reference_temporal_conv(clip, cfg)
-        assert out.shape == expect.shape == (4, 32, 4, 5)
+        out = temporal_conv(x, cfg)
+        expect = reference_temporal_conv(x, cfg)
+        assert out.shape == expect.shape == (4, 4, 5, 32)
         for got, ref in zip(out, expect):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_output_is_pixel_major(self):
         rng = np.random.default_rng(22)
-        out = temporal_conv(random_clip(rng, t=6), random_cfg(rng, 3, 1)).data
-        assert out.transpose(0, 2, 3, 1).flags.c_contiguous
+        out = temporal_conv(random_pixels(rng, t=6), random_cfg(rng, 3, 1))
+        assert out.shape == (4, 4, 5, 4)
+        assert out.flags.c_contiguous
 
     def test_zero_clip_zero_output(self):
         rng = np.random.default_rng(3)
         cfg = random_cfg(rng, 3, 1)
-        out = temporal_conv(FeatureClip(np.zeros((8, 6, 4, 5))), cfg)
-        assert np.all(out.data == 0.0)
+        out = temporal_conv(np.zeros((8, 4, 5, 6)), cfg)
+        assert np.all(out == 0.0)
 
     def test_rejects_tau_longer_than_clip(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
-            temporal_conv(random_clip(rng, t=2), random_cfg(rng, 3, 1))
+            temporal_conv(random_pixels(rng, t=2), random_cfg(rng, 3, 1))
 
 
 class TestTemporalDifference:
     def test_constant_clip_all_zero(self):
-        clip = FeatureClip(np.ones((5, 2, 3, 3)))
-        assert np.all(temporal_difference(clip).data == 0.0)
+        assert np.all(temporal_difference(np.ones((5, 3, 3, 2))) == 0.0)
 
     def test_single_frame_zero(self):
         rng = np.random.default_rng(5)
-        clip = random_clip(rng, t=1)
-        assert np.all(temporal_difference(clip).data == 0.0)
+        assert np.all(temporal_difference(random_pixels(rng, t=1)) == 0.0)
 
     def test_two_frames(self):
         rng = np.random.default_rng(6)
         a = rng.standard_normal((1, 2, 2, 2))
         b = rng.standard_normal((1, 2, 2, 2))
-        diff = temporal_difference(FeatureClip(np.concatenate([a, b])))
-        assert np.all(diff.data[0] == 0.0)
-        assert np.allclose(diff.data[1], b[0] - a[0], atol=1e-15)
+        diff = temporal_difference(np.concatenate([a, b]))
+        assert np.all(diff[0] == 0.0)
+        assert np.allclose(diff[1], b[0] - a[0], atol=1e-15)
 
 
 class TestOffsetMlp:
     def test_zero_init_head_gives_zero_offsets(self):
         rng = np.random.default_rng(7)
         cfg = ScaleConfig.from_seed(3, 3, c_in=6, c_prime=4, c_out=3, seed=1)
-        diff = FeatureClip(rng.standard_normal((4, 4, 3, 3)))
+        diff = random_pixels(rng, t=4, c=4, h=3, w=3)
         assert np.all(offset_mlp(diff, cfg) == 0.0)
 
     def test_matches_per_pixel_oracle(self):
         rng = np.random.default_rng(8)
         cfg = random_cfg(rng, 1, 3, c_prime=4)
-        diff = FeatureClip(rng.standard_normal((2, 4, 3, 3)))
+        diff = random_pixels(rng, t=2, c=4, h=3, w=3)
         off = offset_mlp(diff, cfg)
-        assert off.shape == (2, 18, 3, 3)
+        assert off.shape == (2, 3, 3, 18)
         for t in range(2):
             for i in range(3):
                 for j in range(3):
-                    x = diff.data[t, :, i, j]
+                    x = diff[t, i, j]
                     hidden = np.maximum(x @ cfg.offset_w1 + cfg.offset_b1, 0.0)
                     expect = hidden @ cfg.offset_w2 + cfg.offset_b2
-                    assert np.allclose(off[t, :, i, j], expect, atol=1e-12)
+                    assert np.allclose(off[t, i, j], expect, atol=1e-12)
 
     def test_matches_per_pixel_oracle_at_paper_width(self):
         # c_prime = 256, hidden 128 and a nonzero head: measured at most
@@ -240,17 +250,17 @@ class TestOffsetMlp:
             offset_w2=rng.standard_normal((128, 18)),
             offset_b2=rng.standard_normal(18),
         )
-        diff = FeatureClip(rng.standard_normal((2, 256, 3, 4)))
+        diff = random_pixels(rng, t=2, c=256, h=3, w=4)
         off = offset_mlp(diff, cfg)
-        assert off.shape == (2, 18, 3, 4)
+        assert off.shape == (2, 3, 4, 18)
         assert np.any(off != 0.0)
         for t in range(2):
             for i in range(3):
                 for j in range(4):
-                    x = diff.data[t, :, i, j]
+                    x = diff[t, i, j]
                     hidden = np.maximum(x @ cfg.offset_w1 + cfg.offset_b1, 0.0)
                     expect = hidden @ cfg.offset_w2 + cfg.offset_b2
-                    got = off[t, :, i, j]
+                    got = off[t, i, j]
                     assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
@@ -344,10 +354,11 @@ def reference_bilinear_grid(planes, rows, cols):
     return out
 
 
-def reference_deformable_conv(clip, offsets, cfg):
+def reference_deformable_conv(x, offsets, cfg):
     """Reference: one ``reference_bilinear_grid`` call per (frame, kernel
-    point), as ``deformable_conv`` ran before its single-gather rewrite."""
-    x = clip.data
+    point), as ``deformable_conv`` ran before its single-gather rewrite, on
+    channel-major views of the pixel-major clip and offset field."""
+    x, offsets = np.moveaxis(x, -1, 1), np.moveaxis(offsets, -1, 1)
     t, c, h, w = x.shape
     n_points = cfg.grid * cfg.grid
     r = cfg.grid // 2
@@ -368,12 +379,13 @@ def reference_deformable_conv(clip, offsets, cfg):
     return out
 
 
-def bincount_deformable_conv(clip, offsets, cfg):
+def bincount_deformable_conv(x, offsets, cfg):
     """Reference: ``deformable_conv`` as it built each frame's interpolation
-    matrix before the spill column, from flat cell ids and ``np.bincount``.
-    An out-of-frame corner lands on its row's cell 0 with weight 0, and
+    matrix before the spill column, from flat cell ids and ``np.bincount``,
+    on channel-major views of the pixel-major clip and offset field. An
+    out-of-frame corner lands on its row's cell 0 with weight 0, and
     bincount adds it to whatever else is there."""
-    x = clip.data
+    x, offsets = np.moveaxis(x, -1, 1), np.moveaxis(offsets, -1, 1)
     t, c, h, w = x.shape
     n_points = cfg.grid * cfg.grid
     m = h * w
@@ -429,23 +441,21 @@ class TestDeformableConv:
     def test_zero_offsets_1x1_is_pointwise(self):
         rng = np.random.default_rng(9)
         cfg = random_cfg(rng, 1, 1, c_prime=4)
-        clip = FeatureClip(rng.standard_normal((2, 4, 3, 3)))
-        off = np.zeros((2, 2, 3, 3))
-        frames = deformable_conv(clip, off, cfg)
+        data = rng.standard_normal((2, 4, 3, 3))
+        off = np.zeros((2, 3, 3, 2))
+        frames = deformable_conv(pixel_major(data), off, cfg)
         for t in range(2):
-            expect = np.einsum(
-                "po,phw->ohw", cfg.theta_s, clip.data[t]
-            ).reshape(cfg.c_out, 9)
+            expect = np.einsum("po,phw->ohw", cfg.theta_s, data[t]).reshape(cfg.c_out, 9)
             assert np.allclose(frames[t], expect, atol=1e-12)
 
     def test_zero_offsets_3x3_matches_oracle(self):
         rng = np.random.default_rng(10)
         cfg = random_cfg(rng, 1, 3, c_prime=4)
-        clip = FeatureClip(rng.standard_normal((2, 4, 5, 4)))
-        off = np.zeros((2, 18, 5, 4))
-        frames = deformable_conv(clip, off, cfg)
+        data = rng.standard_normal((2, 4, 5, 4))
+        off = np.zeros((2, 5, 4, 18))
+        frames = deformable_conv(pixel_major(data), off, cfg)
         for t in range(2):
-            oracle = naive_standard_conv(clip.data[t], cfg.theta_s, 3)
+            oracle = naive_standard_conv(data[t], cfg.theta_s, 3)
             assert np.allclose(
                 frames[t], oracle.reshape(cfg.c_out, -1), atol=1e-9
             )
@@ -453,9 +463,9 @@ class TestDeformableConv:
     def test_fractional_offsets_match_scalar_sampler(self):
         rng = np.random.default_rng(11)
         cfg = random_cfg(rng, 1, 3, c_prime=2)
-        clip = FeatureClip(rng.standard_normal((1, 2, 4, 4)))
+        data = rng.standard_normal((1, 2, 4, 4))
         off = rng.uniform(-1.5, 1.5, size=(1, 18, 4, 4))
-        frames = deformable_conv(clip, off, cfg)
+        frames = deformable_conv(pixel_major(data), pixel_major(off), cfg)
         r = 1
         kernel_pts = [(ki, kj) for ki in range(-r, r + 1) for kj in range(-r, r + 1)]
         for i in range(4):
@@ -466,7 +476,7 @@ class TestDeformableConv:
                     dy = off[0, 2 * p + 1, i, j]
                     for c in range(2):
                         patch[p * 2 + c] = bilinear_sample(
-                            clip.data[0, c], j + kj + dx, i + ki + dy
+                            data[0, c], j + kj + dx, i + ki + dy
                         )
                 expect = patch @ cfg.theta_s
                 assert np.allclose(frames[0][:, i * 4 + j], expect, atol=1e-9)
@@ -478,10 +488,10 @@ class TestDeformableConv:
         rng = np.random.default_rng([grid, t, c_prime])
         h, w = 4, 5
         cfg = random_cfg(rng, 1, grid, c_in=c_prime, c_prime=c_prime, c_out=3)
-        clip = FeatureClip(rng.standard_normal((t, c_prime, h, w)))
-        off = mixed_offsets(rng, (t, 2 * grid * grid, h, w))
-        frames = deformable_conv(clip, off, cfg)
-        expect = reference_deformable_conv(clip, off, cfg)
+        x = random_pixels(rng, t=t, c=c_prime, h=h, w=w)
+        off = pixel_major(mixed_offsets(rng, (t, 2 * grid * grid, h, w)))
+        frames = deformable_conv(x, off, cfg)
+        expect = reference_deformable_conv(x, off, cfg)
         assert len(frames) == len(expect) == t
         for got, ref in zip(frames, expect):
             assert got.shape == (3, h * w)
@@ -499,10 +509,10 @@ class TestDeformableConv:
         # never share a cell, and the out-of-frame ones go to the spill column.
         rng = np.random.default_rng([h, w, grid])
         cfg = random_cfg(rng, 1, grid, c_in=8, c_prime=8, c_out=3)
-        clip = FeatureClip(rng.standard_normal((3, 8, h, w)))
-        off = rng.uniform(-1.5, 1.5, (3, 2 * grid * grid, h, w))
-        frames = deformable_conv(clip, off, cfg)
-        expect = reference_deformable_conv(clip, off, cfg)
+        x = random_pixels(rng, t=3, c=8, h=h, w=w)
+        off = pixel_major(rng.uniform(-1.5, 1.5, (3, 2 * grid * grid, h, w)))
+        frames = deformable_conv(x, off, cfg)
+        expect = reference_deformable_conv(x, off, cfg)
         for got, ref in zip(frames, expect, strict=True):
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -516,7 +526,7 @@ class TestDeformableConv:
         # bincount only ever added 0.0 to a weight.
         rng = np.random.default_rng([c_prime, grid, h, w, ord(kind[0])])
         cfg = random_cfg(rng, 1, grid, c_in=c_prime, c_prime=c_prime, c_out=3)
-        clip = FeatureClip(rng.standard_normal((2, c_prime, h, w)))
+        x = random_pixels(rng, t=2, c=c_prime, h=h, w=w)
         shape = (2, 2 * grid * grid, h, w)
         if kind == "zero":
             off = np.zeros(shape)
@@ -524,8 +534,8 @@ class TestDeformableConv:
             off = mixed_offsets(rng, shape)
         else:
             off = rng.uniform(-1e-3, 1e-3, shape)
-        frames = deformable_conv(clip, off, cfg)
-        expect = bincount_deformable_conv(clip, off, cfg)
+        frames = deformable_conv(x, pixel_major(off), cfg)
+        expect = bincount_deformable_conv(x, pixel_major(off), cfg)
         for got, ref in zip(frames, expect, strict=True):
             assert np.array_equal(got, ref)
 
@@ -533,11 +543,11 @@ class TestDeformableConv:
     def test_rejects_non_finite_offsets(self, bad):
         rng = np.random.default_rng(14)
         cfg = random_cfg(rng, 1, 3, c_prime=4)
-        clip = FeatureClip(rng.standard_normal((2, 4, 3, 3)))
-        off = np.zeros((2, 18, 3, 3))
-        off[1, 5, 2, 0] = bad
+        x = random_pixels(rng, t=2, c=4, h=3, w=3)
+        off = np.zeros((2, 3, 3, 18))
+        off[1, 2, 0, 5] = bad
         with pytest.raises(ValueError, match="deformable_conv: non-finite offsets"):
-            deformable_conv(clip, off, cfg)
+            deformable_conv(x, off, cfg)
 
     def test_working_set_does_not_grow_with_frames(self):
         # The sampling index math and interpolation matrix are per frame, so
@@ -546,11 +556,11 @@ class TestDeformableConv:
         cfg = random_cfg(rng, 1, 5, c_in=32, c_prime=32, c_out=16)
 
         def working_set(t):
-            clip = FeatureClip(rng.standard_normal((t, 32, 6, 6)))
-            off = rng.uniform(-1.5, 1.5, (t, 50, 6, 6))
+            x = random_pixels(rng, t=t, c=32, h=6, w=6)
+            off = pixel_major(rng.uniform(-1.5, 1.5, (t, 50, 6, 6)))
             tracemalloc.start()
             try:
-                frames = deformable_conv(clip, off, cfg)
+                frames = deformable_conv(x, off, cfg)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -561,16 +571,15 @@ class TestDeformableConv:
     def test_zero_clip_zero_output(self):
         rng = np.random.default_rng(12)
         cfg = random_cfg(rng, 1, 3, c_prime=4)
-        clip = FeatureClip(np.zeros((1, 4, 3, 3)))
-        off = rng.uniform(-1, 1, size=(1, 18, 3, 3))
-        assert np.all(deformable_conv(clip, off, cfg)[0] == 0.0)
+        off = rng.uniform(-1, 1, size=(1, 3, 3, 18))
+        assert np.all(deformable_conv(np.zeros((1, 3, 3, 4)), off, cfg)[0] == 0.0)
 
     def test_rejects_offset_shape_mismatch(self):
         rng = np.random.default_rng(13)
         cfg = random_cfg(rng, 1, 3, c_prime=4)
-        clip = FeatureClip(np.zeros((1, 4, 3, 3)))
+        x = np.zeros((1, 3, 3, 4))
         with pytest.raises(ValueError):
-            deformable_conv(clip, np.zeros((1, 4, 3, 3)), cfg)
+            deformable_conv(x, np.zeros((1, 3, 3, 4)), cfg)
 
 
 class TestScaleMoment:
@@ -579,14 +588,14 @@ class TestScaleMoment:
     def test_frame_count(self):
         rng = np.random.default_rng(14)
         cfg = random_cfg(rng, 3, 1)
-        frames = scale_frames(random_clip(rng, t=8), cfg)
+        frames = scale_frames(random_pixels(rng, t=8), cfg)
         assert len(frames) == 6
         assert all(f.shape == (cfg.c_out, 4 * 5) for f in frames)
 
     def test_moments_are_psd(self):
         rng = np.random.default_rng(15)
         cfg = random_cfg(rng, 3, 3)
-        for f in scale_frames(random_clip(rng, t=5), cfg):
+        for f in scale_frames(random_pixels(rng, t=5), cfg):
             m = second_moment(f)
             assert np.array_equal(m, m.T)
             assert np.linalg.eigvalsh(m).min() >= -1e-6
@@ -594,7 +603,7 @@ class TestScaleMoment:
     def test_zero_clip_zero_moments(self):
         rng = np.random.default_rng(16)
         cfg = random_cfg(rng, 1, 1)
-        for f in scale_frames(FeatureClip(np.zeros((4, 6, 3, 3))), cfg):
+        for f in scale_frames(np.zeros((4, 3, 3, 6)), cfg):
             assert np.all(second_moment(f) == 0.0)
 
 
@@ -608,9 +617,30 @@ class TestMultiScaleFrames:
         frames = multi_scale_frames(clip, scales)
         assert len(frames) == len(scales)
         for built, cfg in zip(frames, scales):
-            alone = scale_frames(clip, cfg)
+            alone = scale_frames(pixel_major(clip.data), cfg)
             assert len(built) == len(alone)
             assert all(np.array_equal(a, b) for a, b in zip(built, alone))
+
+    @pytest.mark.parametrize("n_scales", [1, 2, 3])
+    def test_transposes_clip_once_and_builds_no_feature_clip(self, monkeypatch, n_scales):
+        rng = np.random.default_rng(31)
+        clip = random_clip(rng, t=6)
+        scales = [random_cfg(rng, tau, grid) for tau, grid in ((1, 1), (3, 3), (5, 1))][:n_scales]
+        transposes = []
+
+        class Watched(np.ndarray):
+            def transpose(self, *axes):
+                transposes.append(axes)
+                return np.asarray(self).transpose(*axes)
+
+        object.__setattr__(clip, "data", clip.data.view(Watched))
+        built = []
+        monkeypatch.setattr(
+            descriptor, "FeatureClip", lambda data: built.append(data) or FeatureClip(data)
+        )
+        assert len(multi_scale_frames(clip, scales)) == n_scales
+        assert len(transposes) == 1
+        assert built == []
 
     def test_rejects_empty_scales(self):
         with pytest.raises(ValueError, match="^multi_scale_frames: no scales given$"):
@@ -621,7 +651,7 @@ class TestMultiScaleFrames:
         scales = [random_cfg(rng, 1, 1, c_out=3), random_cfg(rng, 1, 1, c_out=4)]
         ran = []
         monkeypatch.setattr(
-            descriptor, "scale_frames", lambda clip, cfg: ran.append(cfg) or []
+            descriptor, "scale_frames", lambda x, cfg: ran.append(cfg) or []
         )
         with pytest.raises(ValueError, match="^multi_scale_frames: all scales must share c_out$"):
             multi_scale_frames(random_clip(rng), scales)
@@ -636,6 +666,19 @@ class TestMultiScaleDescriptors:
         assert len(seq) == 18
         assert list(seq.scale_ids) == [0] * 8 + [1] * 6 + [2] * 4
         assert list(seq.times) == list(range(8)) + list(range(6)) + list(range(4))
+
+    def test_each_moment_validated_once_before_vectorizing(self, monkeypatch):
+        # The power estimate validates each moment; the sqrt, given its norm,
+        # only shifts it; vectorize_spd checks the root.
+        rng = np.random.default_rng(32)
+        frames = multi_scale_frames(random_clip(rng, t=6), [random_cfg(rng, 3, 3)])[0]
+        checked = []
+        check = linalg._check_square_symmetric
+        monkeypatch.setattr(
+            linalg, "_check_square_symmetric", lambda a, what: checked.append(what) or check(a, what)
+        )
+        descriptor._second_order(frames)
+        assert len(checked) == 2 * len(frames) == 8
 
     def test_identity_single_scale_equals_cov_mn_bitwise(self):
         rng = np.random.default_rng(18)
@@ -670,7 +713,8 @@ class TestMultiScaleDescriptors:
                 )
                 for cfg in scales
             ]
-            offsets = offset_mlp(temporal_difference(temporal_conv(clip, scales[1])), scales[1])
+            xt = temporal_conv(pixel_major(clip.data), scales[1])
+            offsets = offset_mlp(temporal_difference(xt), scales[1])
             assert np.any(offsets != np.round(offsets))
         assert_same_sequence(
             multi_scale_descriptors(multi_scale_frames(clip, scales)),
@@ -726,8 +770,8 @@ class TestGapDescriptor:
         rng = np.random.default_rng(22)
         clip = random_clip(rng)
         seq = gap_descriptor(clip)
-        for t in range(clip.frames):
-            for c in range(clip.channels):
+        for t in range(clip.data.shape[0]):
+            for c in range(clip.data.shape[1]):
                 assert seq.vectors[t, c] == pytest.approx(
                     float(np.mean(clip.data[t, c])), abs=1e-12
                 )
@@ -748,7 +792,8 @@ class TestMultiScaleFirstOrder:
         rng = np.random.default_rng(24)
         clip = random_clip(rng, t=6)
         scales = [random_cfg(rng, 1, 1), random_cfg(rng, 3, 3)]
-        means = [f.mean(axis=1) for cfg in scales for f in scale_frames(clip, cfg)]
+        x = pixel_major(clip.data)
+        means = [f.mean(axis=1) for cfg in scales for f in scale_frames(x, cfg)]
         first = multi_scale_first_order(multi_scale_frames(clip, scales))
         assert np.array_equal(first.vectors, np.array(means))
 
@@ -757,7 +802,7 @@ class TestMultiScaleFirstOrder:
         scales = [random_cfg(rng, 1, 1, c_out=3), random_cfg(rng, 1, 1, c_out=4)]
         ran = []
         monkeypatch.setattr(
-            descriptor, "scale_frames", lambda clip, cfg: ran.append(cfg) or []
+            descriptor, "scale_frames", lambda x, cfg: ran.append(cfg) or []
         )
         with pytest.raises(ValueError, match="all scales must share c_out"):
             multi_scale_first_order(multi_scale_frames(random_clip(rng), scales))

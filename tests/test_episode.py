@@ -257,21 +257,21 @@ class TestEvaluate:
 
 
 def count_scale_frames(monkeypatch) -> list:
-    """Record every ``scale_frames`` call as its (clip, cfg) pair. The list
-    keeps the objects alive, so their ids stay distinct."""
+    """Record every ``scale_frames`` call as its (pixel-major clip, cfg)
+    pair. The list keeps the objects alive, so their ids stay distinct."""
     calls = []
     scale_frames = descriptor.scale_frames
 
-    def counting_frames(clip, cfg):
-        calls.append((clip, cfg))
-        return scale_frames(clip, cfg)
+    def counting_frames(x, cfg):
+        calls.append((x, cfg))
+        return scale_frames(x, cfg)
 
     monkeypatch.setattr(descriptor, "scale_frames", counting_frames)
     return calls
 
 
 def frame_pairs(calls) -> Counter:
-    return Counter((id(clip), id(cfg)) for clip, cfg in calls)
+    return Counter((id(x), id(cfg)) for x, cfg in calls)
 
 
 class TestSharedDeformablePass:
@@ -306,7 +306,12 @@ class TestSharedDeformablePass:
         evaluate(small_dataset, 3, 1, 3, episodes=2, seed=1, metrics=metrics, scales=scales)
         assert loaded
         assert extracted == Counter(dict.fromkeys(reps, len(loaded)))
-        expected = Counter({(id(clip), id(cfg)): 1 for clip in loaded for cfg in scales})
+        # Each loaded clip is laid out once, and every scale reads that layout.
+        layouts = {id(x): x for x, _ in calls}
+        assert len(layouts) == len(loaded)
+        for x in layouts.values():
+            assert any(np.array_equal(x, clip.data.transpose(0, 2, 3, 1)) for clip in loaded)
+        expected = Counter({(i, id(cfg)): 1 for i in layouts for cfg in scales})
         assert frame_pairs(calls) == expected
 
     def test_align_scale_frames_once_per_clip_and_scale(
@@ -317,7 +322,7 @@ class TestSharedDeformablePass:
         assert cli.main(["align", clip_a, clip_b]) == 0
         assert "descriptors\tL=18\t" in capsys.readouterr().out
         # Two clips times three scales, each pair once.
-        assert len({id(clip) for clip, _ in calls}) == 2
+        assert len({id(x) for x, _ in calls}) == 2
         assert len({id(cfg) for _, cfg in calls}) == 3
         assert len(frame_pairs(calls)) == len(calls) == 6
 
@@ -347,7 +352,7 @@ class TestSharedDeformablePass:
         ]
         ran = []
         monkeypatch.setattr(
-            descriptor, "scale_frames", lambda clip, cfg: ran.append(cfg) or []
+            descriptor, "scale_frames", lambda x, cfg: ran.append(cfg) or []
         )
         monkeypatch.setattr(descriptor, what, lambda frames: ran.append(what))
         with pytest.raises(ValueError) as exc:

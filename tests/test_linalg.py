@@ -126,8 +126,8 @@ def synthetic_moments(tmp_path_factory):
     stacks = []
     for entry in manifest.entries:
         clip = synthgen.load_clip(manifest.resolve(entry))
-        for cfg in descriptor.default_scales(seed=0):
-            stacks.append([second_moment(f) for f in descriptor.scale_frames(clip, cfg)])
+        for frames in descriptor.multi_scale_frames(clip, descriptor.default_scales(seed=0)):
+            stacks.append([second_moment(f) for f in frames])
     return stacks
 
 

@@ -138,7 +138,7 @@ class TestRenderInstance:
         lib = generate_class_library(cfg)
         for seed in range(20):
             clip, labels = render_instance(lib[0], cfg, seed=seed)
-            assert clip.frames == 7
+            assert clip.data.shape[0] == 7
             assert labels.shape == (7,)
 
     def test_misalignment_lowers_fixed_alignment(self):
@@ -182,12 +182,37 @@ class TestGenerateDataset:
         hb = hashlib.sha256((tmp_path / "b" / entry.path).read_bytes()).hexdigest()
         assert ha != hb
 
+    def test_failure_creates_no_directory(self, tmp_path):
+        out = tmp_path / "new" / "data"
+        with pytest.raises(ValueError, match="^generate_dataset: clip c000_i000: entries overflow"):
+            generate_dataset(clean_cfg(noise=1e39), out)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_later_failure_keeps_earlier_dataset(self, tmp_path, monkeypatch):
+        # The second run has another seed, so any clip it wrote would differ.
+        generate_dataset(clean_cfg(instances_per_class=2), tmp_path)
+        before = {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+        render = synthgen.render_instance
+
+        def failing(class_def, cfg, seed):
+            if seed == 100_003 + 1:
+                raise ValueError("render failed")
+            return render(class_def, cfg, seed)
+
+        monkeypatch.setattr(synthgen, "render_instance", failing)
+        with pytest.raises(ValueError, match="^generate_dataset: clip c001_i001: render failed$"):
+            generate_dataset(clean_cfg(instances_per_class=2, seed=1), tmp_path)
+        after = {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+        assert after == before
+        assert sorted(p.name for p in (tmp_path / "clips").iterdir()) == [
+            "c000_i000.fsq", "c000_i001.fsq", "c001_i000.fsq", "c001_i001.fsq"
+        ]
+
     def test_clips_load_back(self, tmp_path):
         cfg = clean_cfg(instances_per_class=2)
         man = generate_dataset(cfg, tmp_path)
         clip = load_clip(man.resolve(man.entries[0]))
-        assert clip.frames == cfg.frames
-        assert clip.channels == cfg.c_in
+        assert clip.data.shape[:2] == (cfg.frames, cfg.c_in)
 
     def test_gap_separability_without_perturbation(self, tmp_path):
         cfg = clean_cfg(classes=3, c_in=12, instances_per_class=3)
