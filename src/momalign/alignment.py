@@ -2,8 +2,8 @@
 marginal masses, and an exact balanced-transportation EMD solver, plus the
 fixed-alignment baselines.
 
-The solver is a transportation simplex with northwest-corner initialization
-and MODI pricing. Its basis tree (adjacency, parent, depth and potentials,
+The solver is a transportation simplex with a least-cost (matrix-minimum)
+start and MODI pricing. Its basis tree (adjacency, parent, depth and potentials,
 rooted at row 0) persists across pivots: a pivot walks up from both ends of
 the entering edge to their common ancestor to find the cycle, then re-hangs
 only the subtree the leaving edge cuts off, so its work beyond pricing is the
@@ -116,29 +116,33 @@ def marginal_masses(q: DescriptorSequence, s: DescriptorSequence) -> Masses:
     return Masses(_floor_normalize(raw_mu), _floor_normalize(raw_gamma))
 
 
-def _northwest_corner(supply: np.ndarray, demand: np.ndarray):
-    """Northwest-corner start: returns basis edges and their flows."""
-    m, n = supply.size, demand.size
-    s = supply.copy()
-    d = demand.copy()
+def _least_cost_start(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
+    """Least-cost (matrix-minimum) start: basis edges and their flows. Cells
+    go by increasing cost, lowest flat index on ties; an open cell takes
+    min(supply, demand) and closes its row if the supply is not above the
+    demand, else its column, but never the last open row or column. Each cell
+    closes a line no later cell touches: the m + n - 1 cells are a tree."""
+    m, n = cost.shape
+    s, d = supply.tolist(), demand.tolist()
+    row_open, col_open = [True] * m, [True] * n
+    rows, cols = m, n
     basis: list[tuple[int, int]] = []
     flows: list[float] = []
-    i = j = 0
-    while i < m and j < n:
+    for flat in np.argsort(cost, axis=None, kind="stable").tolist():
+        i, j = divmod(flat, n)
+        if not (row_open[i] and col_open[j]):
+            continue
         amount = min(s[i], d[j])
         basis.append((i, j))
         flows.append(amount)
+        if rows == cols == 1:
+            break
+        if cols == 1 or (rows > 1 and s[i] <= d[j]):
+            row_open[i], rows = False, rows - 1
+        else:
+            col_open[j], cols = False, cols - 1
         s[i] -= amount
         d[j] -= amount
-        if i == m - 1 and j == n - 1:
-            break
-        # With perturbed supplies, exact ties do not occur; advance along the
-        # dimension that is exhausted (rows first on a tie for determinism).
-        if s[i] <= d[j]:
-            i += 1
-        else:
-            j += 1
-    # One cell per step from (0, 0) to (m-1, n-1): always m + n - 1 cells.
     return basis, flows
 
 
@@ -174,7 +178,7 @@ def solve_emd(sim: np.ndarray, masses: Masses) -> TransportPlan:
     ratio with lowest edge index on ties. The leaving tie only settles a
     floating-point coincidence: supplies gain delta each and the last demand
     m * delta (Orden's perturbation), so in exact arithmetic no basic flow is
-    zero and the minimum ratio is attained by one edge.
+    zero and the minimum ratio is attained by one edge, from any basic start.
     """
     sim = np.asarray(sim, dtype=np.float64)
     if sim.ndim != 2:
@@ -194,7 +198,7 @@ def solve_emd(sim: np.ndarray, masses: Masses) -> TransportPlan:
     demand = masses.gamma.copy()
     demand[-1] += m * delta
 
-    basis, flows = _northwest_corner(supply, demand)
+    basis, flows = _least_cost_start(cost, supply, demand)
     basic = np.zeros((m, n), dtype=bool)
     # Basis tree on nodes rows 0..m-1, cols m..m+n-1: adjacency maps each
     # neighbour to the basis slot of the joining edge.

@@ -301,6 +301,8 @@ def deformable_conv(x: np.ndarray, offsets: np.ndarray, cfg: ScaleConfig) -> lis
             interp[sample, np.where(valid, rr * w + cc, m)] = wgt
         patch = interp[:, :m] @ x[ti].reshape(m, c)
         out.append(cfg.theta_s.T @ patch.reshape(m, n_points * c).T)
+        # Freed before the next frame allocates its own.
+        del interp, patch
     return out
 
 

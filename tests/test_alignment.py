@@ -1,5 +1,6 @@
 """Alignment: similarity, cross-reference masses, exact EMD vs an LP oracle
-and vs the reference simplex bit for bit, and the fixed-alignment baselines."""
+and vs the reference simplex bit for bit, the least-cost starting basis, and
+the fixed-alignment baselines."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from momalign.alignment import (
     _OPT_TOL,
     EPS_MASS,
     Masses,
-    _northwest_corner,
+    _floor_normalize,
+    _least_cost_start,
     alignment_score,
     cross_reference_products,
     emd_score,
@@ -107,8 +109,74 @@ def emd_instances(seed, draws, max_size=40):
 
 # Reference transportation simplex: the solver as it was before it kept its
 # basis tree across pivots. Every pivot rebuilds the tree adjacency, every
-# potential by DFS from row 0 and the cycle by DFS. It is kept unchanged (it
-# also returns its pivot count) as the bitwise reference for the pivot rule.
+# potential by DFS from row 0 and the cycle by DFS. It also returns its pivot
+# count, and is the bitwise reference for the pivot rule from its own copy of
+# the least-cost start; from the northwest-corner start it is the reference
+# that the start changes the pivot count but not the optimum.
+
+
+def perturbed(masses):
+    """Supplies and demands with Orden's perturbation, as the solver makes them."""
+    m = masses.mu.size
+    delta = 1e-13 * max(float(masses.mu.sum()), 1.0)
+    demand = masses.gamma.copy()
+    demand[-1] += m * delta
+    return masses.mu + delta, demand
+
+
+def reference_least_cost_start(cost, supply, demand):
+    """Least-cost start written from its rule: cells by increasing cost
+    (Python's stable sort keeps ties in flat-index order); an open cell takes
+    min(supply, demand) and closes its row if the supply is not above the
+    demand, else its column, but never the last open row or column."""
+    m, n = cost.shape
+    s, d = list(supply), list(demand)
+    open_rows, open_cols = set(range(m)), set(range(n))
+    basis, flows = [], []
+    for flat in sorted(range(m * n), key=lambda f: cost.flat[f]):
+        i, j = divmod(flat, n)
+        if i not in open_rows or j not in open_cols:
+            continue
+        amount = min(s[i], d[j])
+        basis.append((i, j))
+        flows.append(amount)
+        s[i] -= amount
+        d[j] -= amount
+        if len(open_rows) == 1 and len(open_cols) == 1:
+            break
+        if len(open_rows) == 1:
+            open_cols.remove(j)
+        elif len(open_cols) == 1 or s[i] <= d[j]:
+            open_rows.remove(i)
+        else:
+            open_cols.remove(j)
+    return basis, flows
+
+
+def northwest_corner(cost, supply, demand):
+    """Northwest-corner start, blind to ``cost``: basis edges and their flows."""
+    m, n = supply.size, demand.size
+    s = supply.copy()
+    d = demand.copy()
+    basis: list[tuple[int, int]] = []
+    flows: list[float] = []
+    i = j = 0
+    while i < m and j < n:
+        amount = min(s[i], d[j])
+        basis.append((i, j))
+        flows.append(amount)
+        s[i] -= amount
+        d[j] -= amount
+        if i == m - 1 and j == n - 1:
+            break
+        # With perturbed supplies, exact ties do not occur; advance along the
+        # dimension that is exhausted (rows first on a tie for determinism).
+        if s[i] <= d[j]:
+            i += 1
+        else:
+            j += 1
+    # One cell per step from (0, 0) to (m-1, n-1): always m + n - 1 cells.
+    return basis, flows
 
 
 def _tree_adjacency(basis, m, n):
@@ -194,19 +262,13 @@ def _solve_tree_flows(basis, supply, demand, m, n):
     return flows
 
 
-def reference_solve_emd(sim, masses):
-    """Plan values, objective and pivot count of the reference simplex."""
+def reference_solve_emd(sim, masses, start=reference_least_cost_start):
+    """Plan values, objective and pivot count of the reference simplex from
+    ``start(cost, supply, demand)``."""
     sim = np.asarray(sim, dtype=np.float64)
     m, n = sim.shape
     cost = 1.0 - sim
-
-    total = float(masses.mu.sum())
-    delta = 1e-13 * max(total, 1.0)
-    supply = masses.mu + delta
-    demand = masses.gamma.copy()
-    demand[-1] += m * delta
-
-    basis, flows = _northwest_corner(supply, demand)
+    basis, flows = start(cost, *perturbed(masses))
     flows = list(flows)
     in_basis = set(basis)
 
@@ -350,18 +412,34 @@ class TestSolveEmd:
             assert np.allclose(plan.values.sum(axis=1), masses.mu, atol=1e-8)
             assert np.allclose(plan.values.sum(axis=0), masses.gamma, atol=1e-8)
 
-    def test_matches_reference_pivot_rule(self):
+    @staticmethod
+    def pivot_rule_cases():
         rng = np.random.default_rng(18)
         cases = list(emd_instances(seed=19, draws=12))
         for m, n in [(1, 1), (1, 40), (40, 1), (40, 40)]:
             cases += [emd_instance(rng, m, n, f) for f in (None,) + TIE_FAMILIES]
         cases.append(emd_instance(rng, 78, 78))
-        for sim, masses in cases:
+        return cases
+
+    def test_matches_reference_pivot_rule(self):
+        for sim, masses in self.pivot_rule_cases():
             plan = solve_emd(sim, masses)
             values, objective, pivots = reference_solve_emd(sim, masses)
             assert plan.values.tobytes() == values.tobytes()
             assert plan.objective.hex() == objective.hex()
             assert plan.pivots == pivots
+
+    def test_start_saves_pivots_not_optimum(self):
+        # Tie families have several optimal plans, so the two starts may end
+        # on different ones; their objectives still agree to rounding.
+        pivots = northwest_pivots = 0
+        for sim, masses in self.pivot_rule_cases():
+            plan = solve_emd(sim, masses)
+            _, objective, northwest = reference_solve_emd(sim, masses, northwest_corner)
+            assert abs(plan.objective - objective) <= 1e-15
+            pivots += plan.pivots
+            northwest_pivots += northwest
+        assert pivots < northwest_pivots
 
     def test_optimality_certificate(self):
         for sim, masses in emd_instances(seed=20, draws=10):
@@ -405,6 +483,99 @@ class TestSolveEmd:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve_emd(np.zeros((2, 2)), Masses([1.0], [1.0]))
+
+
+def assert_least_cost_start(cost, supply, demand):
+    """``_least_cost_start`` returns a spanning tree whose flows meet the
+    marginals, choosing at each step the cheapest cell whose row and column
+    are open, the lowest flat index on ties."""
+    m, n = cost.shape
+    basis, flows = _least_cost_start(cost, supply, demand)
+    assert len(basis) == len(set(basis)) == m + n - 1
+    # m + n - 1 edges and no cycle on the m + n row and column nodes.
+    root = list(range(m + n))
+
+    def find(node):
+        while root[node] != node:
+            node = root[node]
+        return node
+
+    for i, j in basis:
+        a, b = find(i), find(m + j)
+        assert a != b
+        root[a] = b
+    plan = np.zeros((m, n))
+    for (i, j), flow in zip(basis, flows):
+        plan[i, j] = flow
+    assert min(flows) >= 0.0
+    # Masses sum to about 1, and a line's residual takes one rounded
+    # subtraction per cell on it, so the marginals hold to (m + n) ulps of 1.
+    tol = (m + n) * np.finfo(np.float64).eps
+    assert np.max(np.abs(plan.sum(axis=1) - supply)) <= tol
+    assert np.max(np.abs(plan.sum(axis=0) - demand)) <= tol
+    # Each cell but the last closes exactly one of its lines: the one no
+    # later cell lies on.
+    open_rows, open_cols = np.ones(m, bool), np.ones(n, bool)
+    for k, (i, j) in enumerate(basis):
+        masked = np.where(open_rows[:, None] & open_cols[None, :], cost, np.inf)
+        assert (i, j) == divmod(int(np.flatnonzero(masked == masked.min())[0]), n)
+        later = basis[k + 1 :]
+        if later:
+            open_rows[i] = any(r == i for r, _ in later)
+            open_cols[j] = any(c == j for _, c in later)
+            assert open_rows[i] != open_cols[j]
+
+
+def start_instances(seed, draws, max_size=80):
+    """Costs rounded to 0-2 decimals, so many tie, and masses from
+    ``_floor_normalize``; a shift of the raw masses puts most at the floor."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        m, n = (int(k) for k in rng.integers(1, max_size + 1, size=2))
+        cost = np.round(rng.uniform(0.0, 2.0, (m, n)), int(rng.integers(0, 3)))
+        shift = float(rng.choice([0.0, 2.0]))
+        mu = _floor_normalize(rng.standard_normal(m) - shift)
+        gamma = _floor_normalize(rng.standard_normal(n) - shift)
+        yield cost, Masses(mu, gamma)
+
+
+class TestLeastCostStart:
+    def test_line_shapes(self):
+        rng = np.random.default_rng(30)
+        for m, n in [(1, 1), (1, 9), (9, 1), (1, 80), (80, 1)]:
+            for family in (None,) + TIE_FAMILIES:
+                sim, masses = emd_instance(rng, m, n, family)
+                assert_least_cost_start(1.0 - sim, *perturbed(masses))
+
+    def test_tie_families(self):
+        for sim, masses in emd_instances(seed=31, draws=8):
+            assert_least_cost_start(1.0 - sim, *perturbed(masses))
+            # Unperturbed masses tie in their partial sums; the start stays a
+            # spanning tree by construction.
+            assert_least_cost_start(1.0 - sim, masses.mu, masses.gamma)
+
+    def test_fuzz(self):
+        for cost, masses in start_instances(seed=32, draws=120):
+            assert_least_cost_start(cost, *perturbed(masses))
+            assert_least_cost_start(cost, masses.mu, masses.gamma)
+
+    def test_degenerate_marginals_keep_spanning_tree(self):
+        # Row 1 and column 1 run out together with a column still open:
+        # closing the last row there would leave a forest.
+        cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+        half = np.full(2, 0.5)
+        assert_least_cost_start(cost, half, half)
+        assert _least_cost_start(cost, half, half)[0] == [(0, 0), (1, 1), (1, 0)]
+
+    def test_constant_cost_is_northwest_corner(self):
+        rng = np.random.default_rng(33)
+        for m, n in [(1, 1), (1, 7), (7, 1), (5, 9), (9, 5), (40, 40), (80, 80)]:
+            cost = np.full((m, n), float(rng.uniform(0.0, 2.0)))
+            masses = random_masses(rng, m, n)
+            for supply, demand in (perturbed(masses), (masses.mu, masses.gamma)):
+                assert _least_cost_start(cost, supply, demand) == northwest_corner(
+                    cost, supply, demand
+                )
 
 
 class TestAlignmentScore:

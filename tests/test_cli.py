@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from momalign import seqio
 from momalign.cli import RunConfig, build_parser, build_run_config, load_config, main
 from momalign.seqio import Manifest, ManifestEntry
+from test_seqio import assert_parses_or_names_line, text_files
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +89,13 @@ class TestConfig:
             for argv in (["--config", str(p)], ["--metric", metrics]):
                 args = build_parser().parse_args(["eval", "--manifest", "x", *argv])
                 assert build_run_config(args).metrics == ("a2", "pp")
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=text_files())
+    def test_fuzzed_text_names_file_and_line(self, data, tmp_path_factory):
+        d = tmp_path_factory.getbasetemp() / "fuzz"
+        d.mkdir(exist_ok=True)
+        assert_parses_or_names_line(load_config, ValueError, data, d / "c.cfg")
 
     def test_malformed_line_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"

@@ -568,6 +568,24 @@ class TestDeformableConv:
 
         assert working_set(28) <= 1.25 * working_set(2)
 
+    def test_working_set_is_one_frame(self):
+        # Each frame's interpolation matrix and patch are freed before the
+        # next frame allocates its own, so beyond its output the call's peak
+        # is near one frame's pair (2.1 MB here), not two.
+        rng = np.random.default_rng(16)
+        cfg = random_cfg(rng, 1, 5, c_in=256, c_prime=256, c_out=128)
+        x = random_pixels(rng, t=4, c=256, h=6, w=6)
+        off = pixel_major(rng.uniform(-1.5, 1.5, (4, 50, 6, 6)))
+        tracemalloc.start()
+        try:
+            frames = deformable_conv(x, off, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        m, n_points = 6 * 6, 5 * 5
+        one_frame = (m * n_points * 256 + m * n_points * (m + 1)) * 8
+        assert peak - sum(f.nbytes for f in frames) <= 1.25 * one_frame
+
     def test_zero_clip_zero_output(self):
         rng = np.random.default_rng(12)
         cfg = random_cfg(rng, 1, 3, c_prime=4)

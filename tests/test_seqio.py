@@ -262,7 +262,53 @@ class TestContainerFuzz:
             pass
 
 
+_encodable = st.characters(exclude_categories=("Cs",))
+#: Lines of a text file: well-formed manifest and config lines (which may
+#: repeat an id or key), comments and blanks, and fields joined by a tab or
+#: '='; a field's characters include multi-byte ones, which a cut can split.
+_text_lines = st.sampled_from(
+    ["a\tcat\ta.fsq", " b \t dog\tb.fsq", "ways = 3", "seed=1", "# note", " ", ""]
+) | st.builds(
+    lambda sep, fields: sep.join(fields),
+    st.sampled_from(["\t", "=", " = "]),
+    st.lists(st.text(st.sampled_from("ab1 \t=#\u00e9\u20ac") | _encodable, max_size=6), max_size=4),
+)
+
+
+@st.composite
+def text_files(draw):
+    """Bytes of a line-based text file: random bytes, or lines ended by a mix
+    of LF, CRLF and CR after an optional byte-order mark, cut at any byte."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    text = "\ufeff" if draw(st.booleans()) else ""
+    for line in draw(st.lists(_text_lines, max_size=8)):
+        text += line + draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = text.encode("utf-8")
+    return data[: draw(st.integers(0, len(data)))]
+
+
+def assert_parses_or_names_line(parse, error, data, path):
+    """``parse(path)`` on ``data`` returns, or raises exactly ``error`` with a
+    message that starts ``<path>:<line>: `` for a line the file has."""
+    path.write_bytes(data)
+    try:
+        parse(path)
+    except error as exc:
+        assert type(exc) is error
+        match = re.match(rf"{re.escape(str(path))}:(\d+): ", str(exc))
+        assert match, str(exc)
+        assert 1 <= int(match.group(1)) <= data.count(b"\n") + data.count(b"\r") + 1
+
+
 class TestManifest:
+    @settings(max_examples=300, deadline=None)
+    @given(data=text_files())
+    def test_fuzzed_text_names_file_and_line(self, data, tmp_path_factory):
+        d = tmp_path_factory.getbasetemp() / "fuzz"
+        d.mkdir(exist_ok=True)
+        assert_parses_or_names_line(read_manifest, ManifestError, data, d / "m.tsv")
+
     def test_two_line_file(self, tmp_path):
         p = tmp_path / "m.tsv"
         for newline in ("\n", "\r\n", "\r"):
