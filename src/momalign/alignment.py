@@ -9,8 +9,8 @@ the entering edge to their common ancestor to find the cycle, then re-hangs
 only the subtree the leaving edge cuts off, so its work beyond pricing is the
 cycle plus that subtree. Supplies are epsilon-perturbed for the pivot phase
 so every pivot strictly decreases the objective (no degenerate cycling); the
-final basis tree is then re-solved against the unperturbed masses, so the
-reported plan and objective are exact.
+flows on that same final tree are then re-solved against the unperturbed
+masses, deepest node first, so the reported plan and objective are exact.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ _OPT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Masses:
-    """Balanced marginal masses: entries >= EPS_MASS, each side sums to 1."""
+    """Balanced marginal masses: finite entries >= EPS_MASS, and the two
+    sides' totals agree to 1e-9."""
 
     mu: np.ndarray
     gamma: np.ndarray
@@ -40,6 +41,8 @@ class Masses:
         gamma = np.asarray(self.gamma, dtype=np.float64)
         if mu.ndim != 1 or gamma.ndim != 1 or mu.size == 0 or gamma.size == 0:
             raise ValueError("Masses: mu and gamma must be non-empty vectors")
+        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(gamma))):
+            raise ValueError("Masses: non-finite entries")
         if np.min(mu) < EPS_MASS - 1e-15 or np.min(gamma) < EPS_MASS - 1e-15:
             raise ValueError("Masses: entries must be >= EPS_MASS")
         if abs(mu.sum() - gamma.sum()) > 1e-9:
@@ -144,30 +147,6 @@ def _least_cost_start(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
         s[i] -= amount
         d[j] -= amount
     return basis, flows
-
-
-def _solve_tree_flows(basis, adj, supply, demand, m):
-    """Exact flows on a spanning tree by leaf stripping."""
-    flows = np.zeros(len(basis))
-    residual = np.concatenate([supply, demand]).astype(np.float64)
-    degree = [len(nbrs) for nbrs in adj]
-    removed = [False] * len(basis)
-    leaves = [node for node, d in enumerate(degree) if d == 1]
-    while leaves:
-        node = leaves.pop()
-        edge = next((e for e in adj[node].values() if not removed[e]), None)
-        if edge is None:
-            continue
-        removed[edge] = True
-        flows[edge] = residual[node]
-        other = basis[edge][0] if node >= m else m + basis[edge][1]
-        residual[other] -= residual[node]
-        residual[node] = 0.0
-        degree[node] -= 1
-        degree[other] -= 1
-        if degree[other] == 1:
-            leaves.append(other)
-    return flows
 
 
 def solve_emd(sim: np.ndarray, masses: Masses) -> TransportPlan:
@@ -279,13 +258,17 @@ def solve_emd(sim: np.ndarray, masses: Masses) -> TransportPlan:
     else:
         raise RuntimeError("solve_emd: pivot limit exceeded")
 
-    exact = _solve_tree_flows(basis, adj, masses.mu, masses.gamma, m)
-    if np.min(exact) < -1e-9:
-        raise RuntimeError("solve_emd: negative flow beyond tolerance on final basis")
-    exact = np.maximum(exact, 0.0)
+    # Exact flows on the final tree, deepest node first (lowest index on
+    # ties): a node's mass less its children's flows goes up its edge. Row
+    # 0's remainder is the rounding imbalance of the masses and is dropped.
+    residual = masses.mu.tolist() + masses.gamma.tolist()
     plan = np.zeros((m, n))
-    for e, (i, j) in enumerate(basis):
-        plan[i, j] += exact[e]
+    for node in sorted(range(1, m + n), key=depth.__getitem__, reverse=True):
+        plan[basis[up_edge[node]]] = residual[node]
+        residual[parent[node]] -= residual[node]
+    if np.min(plan) < -1e-9:
+        raise RuntimeError("solve_emd: negative flow beyond tolerance on final basis")
+    plan = np.maximum(plan, 0.0)
     objective = float(np.sum(cost * plan))
     primal_residual = max(
         float(np.max(np.abs(plan.sum(axis=1) - masses.mu))),

@@ -48,8 +48,8 @@ class FeatureClip:
         a = np.asarray(self.data, dtype=np.float64)
         if a.ndim != 4:
             raise ValueError(f"FeatureClip: expected 4-D data, got shape {a.shape}")
-        if a.shape[0] < 1 or a.shape[2] * a.shape[3] < 1:
-            raise ValueError("FeatureClip: empty temporal or spatial extent")
+        if min(a.shape) < 1:
+            raise ValueError("FeatureClip: empty temporal, channel or spatial extent")
         if not np.all(np.isfinite(a)):
             raise ValueError("FeatureClip: non-finite entries")
         object.__setattr__(self, "data", a)

@@ -2,6 +2,8 @@
 and vs the reference simplex bit for bit, the least-cost starting basis, and
 the fixed-alignment baselines."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -111,8 +113,10 @@ def emd_instances(seed, draws, max_size=40):
 # basis tree across pivots. Every pivot rebuilds the tree adjacency, every
 # potential by DFS from row 0 and the cycle by DFS. It also returns its pivot
 # count, and is the bitwise reference for the pivot rule from its own copy of
-# the least-cost start; from the northwest-corner start it is the reference
-# that the start changes the pivot count but not the optimum.
+# the least-cost start and the rooted re-solve; from the northwest-corner
+# start it is the reference that the start changes the pivot count but not
+# the optimum, and with leaf stripping that the re-solve's order changes the
+# plan only by rounding.
 
 
 def perturbed(masses):
@@ -235,8 +239,31 @@ def _find_cycle(basis, enter, m, n):
     return path_edges
 
 
-def _solve_tree_flows(basis, supply, demand, m, n):
-    """Exact flows on a spanning tree by leaf stripping."""
+def rooted_tree_flows(basis, supply, demand, m, n):
+    """Exact flows on a spanning tree rooted at row 0, deepest node first and
+    the lowest node on ties: a node's residual goes up its edge to its parent.
+    Row 0's remainder, the rounding imbalance, is dropped."""
+    adj = _tree_adjacency(basis, m, n)
+    depth, up = {0: 0}, {}
+    queue = deque([0])
+    while queue:
+        node = queue.popleft()
+        for nxt, e in adj[node]:
+            if nxt not in depth:
+                depth[nxt], up[nxt] = depth[node] + 1, (node, e)
+                queue.append(nxt)
+    flows = np.zeros(len(basis))
+    residual = list(supply) + list(demand)
+    for node in sorted(up, key=lambda k: (-depth[k], k)):
+        above, e = up[node]
+        flows[e] = residual[node]
+        residual[above] -= residual[node]
+    return flows
+
+
+def leaf_stripping_flows(basis, supply, demand, m, n):
+    """Exact flows on a spanning tree by leaf stripping, in no rooted order:
+    the second reference for the re-solve."""
     flows = np.zeros(len(basis))
     residual = np.concatenate([supply, demand]).astype(np.float64)
     degree = np.zeros(m + n, dtype=np.int64)
@@ -262,9 +289,12 @@ def _solve_tree_flows(basis, supply, demand, m, n):
     return flows
 
 
-def reference_solve_emd(sim, masses, start=reference_least_cost_start):
+def reference_solve_emd(
+    sim, masses, start=reference_least_cost_start, tree_flows=rooted_tree_flows
+):
     """Plan values, objective and pivot count of the reference simplex from
-    ``start(cost, supply, demand)``."""
+    ``start(cost, supply, demand)``, its final basis re-solved by
+    ``tree_flows(basis, supply, demand, m, n)``."""
     sim = np.asarray(sim, dtype=np.float64)
     m, n = sim.shape
     cost = 1.0 - sim
@@ -295,7 +325,7 @@ def reference_solve_emd(sim, masses, start=reference_least_cost_start):
     else:
         raise RuntimeError("solve_emd: pivot limit exceeded")
 
-    exact = _solve_tree_flows(basis, masses.mu, masses.gamma, m, n)
+    exact = tree_flows(basis, masses.mu, masses.gamma, m, n)
     if np.min(exact) < -1e-9:
         raise RuntimeError("solve_emd: negative flow beyond tolerance on final basis")
     exact = np.maximum(exact, 0.0)
@@ -441,6 +471,19 @@ class TestSolveEmd:
             northwest_pivots += northwest
         assert pivots < northwest_pivots
 
+    def test_plan_matches_leaf_stripping(self):
+        # Both re-solves read the same final basis but add in different
+        # orders, so each cell agrees to (m + n) ulps of the unit total.
+        cases = self.pivot_rule_cases() + list(emd_instances(seed=34, draws=6, max_size=80))
+        for sim, masses in cases:
+            m, n = sim.shape
+            plan = solve_emd(sim, masses)
+            values, objective, _ = reference_solve_emd(
+                sim, masses, tree_flows=leaf_stripping_flows
+            )
+            assert np.max(np.abs(plan.values - values)) <= (m + n) * np.finfo(np.float64).eps
+            assert abs(plan.objective - objective) <= 1e-15
+
     def test_optimality_certificate(self):
         for sim, masses in emd_instances(seed=20, draws=10):
             m, n = sim.shape
@@ -475,6 +518,19 @@ class TestSolveEmd:
     def test_rejects_unbalanced(self):
         with pytest.raises(ValueError):
             Masses([0.6, 0.5], [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "mu, gamma",
+        [
+            ([np.nan], [np.nan]),
+            ([0.5, np.nan], [0.5, 0.5]),
+            ([np.inf], [np.inf]),
+            ([0.5, 0.5], [1.0, -np.inf]),
+        ],
+    )
+    def test_rejects_non_finite_masses(self, mu, gamma):
+        with pytest.raises(ValueError, match="^Masses: non-finite entries$"):
+            Masses(mu, gamma)
 
     def test_rejects_non_finite_cost(self):
         with pytest.raises(ValueError):

@@ -72,6 +72,12 @@ def nan_clip(path):
     seqio.write_container(tensors, path)
 
 
+def zero_channel_clip(path):
+    tensors = seqio.read_container(path)
+    tensors["clip"] = tensors["clip"][:, :0]
+    seqio.write_container(tensors, path)
+
+
 class TestConfig:
     def test_load_key_value(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -415,6 +421,7 @@ class TestEval:
             (lambda clip: clip.unlink(), "No such file or directory"),
             (drop_clip_tensor, "container has no 'clip' tensor"),
             (nan_clip, "FeatureClip: non-finite entries"),
+            (zero_channel_clip, "FeatureClip: empty temporal, channel or spatial extent"),
         ],
     )
     def test_bad_clip_fails_with_path(self, dataset, tmp_path, capsys, damage, reason):
@@ -429,6 +436,7 @@ class TestEval:
         assert out == ""
         pattern = rf"error: {re.escape(str(data / 'clips'))}/c\d{{3}}_i\d{{3}}\.fsq: "
         assert re.match(pattern + re.escape(reason), err), err
+        assert err.count("\n") == 1
 
     def test_extraction_error_names_clip(self, tmp_path, capsys):
         cfg = tmp_path / "narrow.cfg"

@@ -133,6 +133,13 @@ class TestFeatureClip:
         with pytest.raises(ValueError):
             FeatureClip(data)
 
+    @pytest.mark.parametrize("shape", [(0, 2, 3, 3), (2, 0, 3, 3), (2, 2, 0, 3), (2, 2, 3, 0)])
+    def test_rejects_empty_extent(self, shape):
+        with pytest.raises(
+            ValueError, match="^FeatureClip: empty temporal, channel or spatial extent$"
+        ):
+            FeatureClip(np.zeros(shape))
+
 
 def reference_temporal_conv(x, cfg):
     """Reference: one einsum over the tau-frame window per output frame, as
@@ -753,8 +760,9 @@ class TestCovMnDescriptors:
             assert_same_sequence(cov_mn_descriptors(clip), reference_cov_mn_descriptors(clip))
 
     def test_rejects_zero_channels(self):
-        # A 0 x 0 moment: rejected by the sqrt instead of dividing by zero.
-        with pytest.raises(ValueError, match="empty matrix"):
+        # A zero-channel clip never reaches the 0 x 0 moment: the clip itself
+        # is rejected, as it is for every other representation.
+        with pytest.raises(ValueError, match="FeatureClip: empty temporal, channel"):
             cov_mn_descriptors(FeatureClip(np.zeros((2, 0, 3, 3))))
 
     def test_rejects_zero_frame_as_the_sqrt_does(self):
