@@ -16,26 +16,19 @@ from pathlib import Path
 import numpy as np
 
 from . import alignment, descriptor, episode, seqio, synthgen
-from .descriptor import (
-    DESK_C_IN,
-    DESK_C_OUT,
-    DESK_C_PRIME,
-    PAPER_C_IN,
-    PAPER_C_OUT,
-    PAPER_C_PRIME,
-)
-
-
-_SYNTH = synthgen.SynthConfig()
+from .descriptor import DESK_C_OUT, DESK_C_PRIME, PAPER_C_IN, PAPER_C_OUT, PAPER_C_PRIME
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(synthgen.SynthConfig):
+    """The settings of one run: the inherited generator settings (``c_in``
+    and ``seed`` among them) plus the run's own; the field names are the
+    config-file keys."""
+
     # scales
     taus: tuple[int, ...] = descriptor.DEFAULT_TAUS
     grids: tuple[int, ...] = descriptor.DEFAULT_GRIDS
     # channels
-    c_in: int = DESK_C_IN
     c_prime: int = DESK_C_PRIME
     c_out: int = DESK_C_OUT
     # episodes
@@ -45,29 +38,12 @@ class RunConfig:
     episodes: int = 200
     metrics: tuple[str, ...] = ("a2",)
     workers: int = 1
-    # synthetic data: each field named and defaulted as in SynthConfig
-    classes: int = _SYNTH.classes
-    subactions: int = _SYNTH.subactions
-    frames: int = _SYNTH.frames
-    height: int = _SYNTH.height
-    width: int = _SYNTH.width
-    jitter: float = _SYNTH.jitter
-    reorder: float = _SYNTH.reorder
-    noise: float = _SYNTH.noise
-    distractor: float = _SYNTH.distractor
-    instances_per_class: int = _SYNTH.instances_per_class
-    # misc
-    seed: int = 0
+    # align report
     top_pairs: int = 3
 
     def scale_configs(self):
         return descriptor.default_scales(
             self.c_in, self.c_prime, self.c_out, self.taus, self.grids, seed=self.seed
-        )
-
-    def synth_config(self) -> synthgen.SynthConfig:
-        return synthgen.SynthConfig(
-            **{f.name: getattr(self, f.name) for f in fields(synthgen.SynthConfig)}
         )
 
 
@@ -127,7 +103,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = Path(args.out)
     try:
-        manifest = synthgen.generate_dataset(cfg.synth_config(), out)
+        manifest = synthgen.generate_dataset(cfg, out)
     except OSError as exc:
         # exc names the deepest path that failed, such as a missing parent.
         raise OSError(exc.errno, f"cannot write dataset: {exc}", str(out)) from None
@@ -297,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand. Every failure is reported here, as one
     ``error: <where>: <what>`` line on stderr and exit status 1; commands
-    that know where a failure happened re-raise with that location."""
+    that know where a failure happened re-raise with that location. An
+    allocation the machine refuses reads ``error: out of memory: <what>``."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, build_run_config(args))
@@ -306,6 +283,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
     except (seqio.SeqIOError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
     return 1
 
 

@@ -223,8 +223,7 @@ def temporal_conv(x: np.ndarray, cfg: ScaleConfig) -> np.ndarray:
 def temporal_difference(x: np.ndarray) -> np.ndarray:
     """Frame-to-frame difference; the first frame is defined as zero."""
     out = np.zeros_like(x)
-    if x.shape[0] > 1:
-        out[1:] = x[1:] - x[:-1]
+    out[1:] = x[1:] - x[:-1]
     return out
 
 

@@ -53,6 +53,8 @@ class ClassDef:
 @dataclass(frozen=True)
 class SynthConfig:
     """Generator settings; the field names are also the config-file keys.
+    ``cli.RunConfig`` extends this class with the run's own settings, so
+    these checks hold for every subcommand's settings.
 
     ``jitter`` bounds the per-instance duration warp factor, ``reorder`` is
     the probability of one adjacent swap, ``noise`` is the Gaussian noise

@@ -33,7 +33,7 @@ def benchmark_report(tmp_path_factory):
     criteria that read accuracies off it.
     """
     cfg = RunConfig()
-    manifest = synthgen.generate_dataset(cfg.synth_config(), tmp_path_factory.mktemp("bench"))
+    manifest = synthgen.generate_dataset(cfg, tmp_path_factory.mktemp("bench"))
     rep = episode.evaluate(
         manifest,
         5,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from momalign import seqio
+from momalign import seqio, synthgen
 from momalign.cli import RunConfig, build_parser, build_run_config, load_config, main
 from momalign.seqio import Manifest, ManifestEntry
 from test_seqio import assert_parses_or_names_line, text_files
@@ -114,7 +114,7 @@ class TestConfig:
         scales = cfg.scale_configs()
         assert [s.tau for s in scales] == [1, 3, 5]
         assert [s.grid for s in scales] == [1, 3, 5]
-        cfg.synth_config()
+        assert isinstance(cfg, synthgen.SynthConfig)
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         # scale_configs is a RunConfig attribute but not a field.
@@ -211,6 +211,32 @@ class TestConfig:
         assert (code, out) == (1, "")
         assert err == f"error: ScaleConfig: {reason}\n"
 
+    @pytest.mark.parametrize("command", ["eval", "align", "ablate"])
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("noise = nan", "noise must be finite, got nan"),
+            ("frames = 0", "frames must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_synthetic_value_fails_every_command(
+        self, dataset, tmp_path, capsys, command, line, reason
+    ):
+        # The generator's settings are part of every run's settings, so a
+        # bad one fails a command that never generates a clip.
+        p = tmp_path / "bad.cfg"
+        p.write_text(line + "\n")
+        clip = str(dataset / "data" / "clips" / "c000_i000.fsq")
+        manifest = str(dataset / "data" / "manifest.tsv")
+        rest = {
+            "eval": ["--manifest", manifest, "--episodes", "1"],
+            "align": [clip, clip],
+            "ablate": ["--manifest", manifest, "--episodes", "1"],
+        }[command]
+        code, out, err = run_cli(capsys, command, "--config", str(p), *rest)
+        assert (code, out) == (1, "")
+        assert err == f"error: {p}: SynthConfig: {reason}\n"
+
 
 class TestSynth:
     def test_writes_dataset(self, dataset):
@@ -252,7 +278,42 @@ class TestSynth:
         out_dir = tmp_path / "data"
         code, out, err = run_cli(capsys, "synth", "--config", str(p), "--out", str(out_dir))
         assert (code, out) == (1, "")
-        assert err == f"error: SynthConfig: {reason}\n"
+        assert err == f"error: {p}: SynthConfig: {reason}\n"
+        assert not out_dir.exists()
+
+    def test_config_file_matches_direct_synth_config(self, tmp_path, capsys):
+        # The CLI hands the generator the same settings as a SynthConfig
+        # built from the config file's values.
+        values = dict(
+            classes=4, frames=10, jitter=1.5, reorder=0.25, noise=0.2, distractor=0.5,
+            instances_per_class=3,
+        )
+        p = tmp_path / "c.cfg"
+        p.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        code, _, _ = run_cli(
+            capsys, "synth", "--config", str(p), "--seed", "5", "--out", str(tmp_path / "cli")
+        )
+        assert code == 0
+        synthgen.generate_dataset(synthgen.SynthConfig(**values, seed=5), tmp_path / "direct")
+        clips = [f"clips/c{c:03d}_i{i:03d}.fsq" for c in range(4) for i in range(3)]
+        names = sorted(["manifest.tsv", *clips])
+        cli, direct = tmp_path / "cli", tmp_path / "direct"
+        for root in (cli, direct):
+            files = sorted(q.relative_to(root).as_posix() for q in root.rglob("*") if q.is_file())
+            assert files == names
+        for name in names:
+            assert (cli / name).read_bytes() == (direct / name).read_bytes()
+
+    def test_unallocatable_clip_is_one_error_line(self, tmp_path, capsys):
+        # With jitter 2 the first subaction takes at least T/5 of the frame
+        # schedule, a list of 2e16 entries: 142 PiB in one request, past any
+        # x86-64 user address space, so it is refused.
+        p = tmp_path / "huge.cfg"
+        p.write_text("frames = 100000000000000000\n")
+        out_dir = tmp_path / "data"
+        code, out, err = run_cli(capsys, "synth", "--config", str(p), "--out", str(out_dir))
+        assert (code, out) == (1, "")
+        assert err == "error: out of memory\n"
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
@@ -287,6 +348,17 @@ class TestSynth:
 
 
 class TestAlign:
+    def test_unallocatable_weights_are_one_error_line(self, dataset, tmp_path, capsys):
+        # c_prime = 1e15 asks for a (64, 1e15) float64 channel map, 455 PiB in
+        # one request, past any x86-64 user address space, so it is refused.
+        p = tmp_path / "wide.cfg"
+        p.write_text("c_prime = 1000000000000000\n")
+        clip = str(dataset / "data" / "clips" / "c000_i000.fsq")
+        code, out, err = run_cli(capsys, "align", "--config", str(p), clip, clip)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: out of memory: Unable to allocate ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_self_alignment_score_one(self, dataset, capsys):
         clip = str(dataset / "data" / "clips" / "c000_i000.fsq")
         code, out, _ = run_cli(capsys, "align", clip, clip)
