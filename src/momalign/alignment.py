@@ -85,12 +85,11 @@ def cross_reference_products(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw cross-reference inner products, before clamping.
 
-    mu_l = <Q[l], mean(S)>, gamma_l' = <S[l'], mean(Q)>.
+    mu_l = <Q[l], mean(S)>, gamma_l' = <S[l'], mean(Q)>. ``q`` and ``s``
+    share one descriptor length, as ``similarity_matrix`` checks first.
     """
     if len(q) == 0 or len(s) == 0:
         raise ValueError("cross_reference_products: empty descriptor sequence")
-    if q.dim != s.dim:
-        raise ValueError("cross_reference_products: descriptor length mismatch")
     return q.vectors @ s.vectors.mean(axis=0), s.vectors @ q.vectors.mean(axis=0)
 
 
@@ -278,10 +277,8 @@ def solve_emd(sim: np.ndarray, masses: Masses) -> TransportPlan:
 
 
 def alignment_score(sim: np.ndarray, plan: TransportPlan) -> float:
-    """<SIM, A*>; bounded in [-1, 1] when the masses sum to 1."""
-    sim = np.asarray(sim, dtype=np.float64)
-    if sim.shape != plan.values.shape:
-        raise ValueError("alignment_score: shape mismatch between SIM and plan")
+    """<SIM, A*>; bounded in [-1, 1] when the masses sum to 1. ``plan`` is
+    the one ``solve_emd`` built from this ``sim``."""
     return float(np.sum(sim * plan.values))
 
 

@@ -42,9 +42,14 @@ class RunConfig(synthgen.SynthConfig):
     top_pairs: int = 3
 
     def scale_configs(self):
-        return descriptor.default_scales(
-            self.c_in, self.c_prime, self.c_out, self.taus, self.grids, seed=self.seed
-        )
+        """The seeded scales; a refused allocation names the channel widths."""
+        try:
+            return descriptor.default_scales(
+                self.c_in, self.c_prime, self.c_out, self.taus, self.grids, seed=self.seed
+            )
+        except MemoryError as exc:
+            widths = f"c_in={self.c_in} c_prime={self.c_prime} c_out={self.c_out}"
+            raise MemoryError(f"scale weights ({widths}): {exc}") from None
 
 
 def load_config(path: str | Path) -> dict:

@@ -235,8 +235,6 @@ def offset_mlp(diff: np.ndarray, cfg: ScaleConfig) -> np.ndarray:
     layers are GEMMs over the (T * H * W, C') pixel matrix.
     """
     t, h, w, c = diff.shape
-    if c != cfg.c_prime:
-        raise ValueError("offset_mlp: channel mismatch with scale config")
     hidden = diff.reshape(t * h * w, c) @ cfg.offset_w1
     hidden += cfg.offset_b1
     np.maximum(hidden, 0.0, out=hidden)
@@ -264,8 +262,6 @@ def deformable_conv(x: np.ndarray, offsets: np.ndarray, cfg: ScaleConfig) -> lis
     """
     t, h, w, c = x.shape
     n_points = cfg.grid * cfg.grid
-    if c != cfg.c_prime:
-        raise ValueError("deformable_conv: channel mismatch with scale config")
     if offsets.shape != (t, h, w, 2 * n_points):
         raise ValueError(
             f"deformable_conv: offset field shape {offsets.shape} inconsistent "

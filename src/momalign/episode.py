@@ -119,18 +119,17 @@ def build_prototypes(
 
 
 def score_pair(q: DescriptorSequence, s: DescriptorSequence, metric: str) -> float:
-    if metric not in _METRIC_TABLE:
-        raise ValueError(f"score_pair: unknown metric '{metric}'")
     return getattr(alignment, _METRIC_TABLE[metric][1])(q, s)
 
 
 def classify_query(
     query: DescriptorSequence,
     prototypes: list[DescriptorSequence],
-    metric: str = "a2",
+    metric: str,
 ) -> tuple[int, np.ndarray]:
-    """Alignment-score logits against every prototype; argmax prediction,
-    exact ties broken by lowest class index."""
+    """Alignment-score logits under ``metric``, one of ``METRICS``, against
+    every prototype; argmax prediction, exact ties broken by lowest class
+    index."""
     if not prototypes:
         raise ValueError("classify_query: empty prototype set")
     logits = np.array([score_pair(query, p, metric) for p in prototypes])
@@ -172,12 +171,14 @@ def evaluate(
     z: int,
     episodes: int,
     seed: int,
-    metrics: list[str] | None = None,
-    scales: list[ScaleConfig] | None = None,
+    metrics: list[str],
+    scales: list[ScaleConfig],
     workers: int = 1,
 ) -> Report:
     """Mean accuracy and 95% normal-approximation confidence interval over
-    ``episodes`` independently sampled episodes.
+    ``episodes`` episodes, for each of ``metrics`` (from ``METRICS``, each
+    once), the multi-scale ones built from ``scales``. Arguments are checked
+    here, before any clip is loaded; the stages behind this trust them.
 
     Deterministic for fixed (manifest, config, seed): per-episode seeds derive
     from (seed, episode index) and episodes are scored serially, in order.
@@ -185,18 +186,16 @@ def evaluate(
     ``ValueError`` from extracting a clip is re-raised naming the clip's path,
     and one from scoring a query names it and the support clips.
     """
-    sizes = {"ways": n, "shots": k, "queries": z, "episodes": episodes, "workers": workers}
+    sizes = {"ways": n, "shots": k, "queries": z, "episodes": episodes, "workers": workers,
+             "metrics": len(metrics)}
     for name, value in sizes.items():
         if value < 1:
             raise ValueError(f"evaluate: {name} must be >= 1, got {value}")
-    metrics = list(metrics or ["a2"])
     for m in metrics:
         if m not in METRICS:
             raise ValueError(f"evaluate: unknown metric '{m}' (choose from {METRICS})")
         if metrics.count(m) > 1:
             raise ValueError(f"evaluate: metric '{m}' given twice")
-    if scales is None:
-        scales = descriptor.default_scales(seed=seed)
 
     episode_seeds = [
         int(np.random.SeedSequence([seed, e]).generate_state(1)[0])

@@ -56,10 +56,11 @@ def spectral_norm_estimates(moments) -> np.ndarray:
     """Largest-eigenvalue estimates of equal-size second moments, one per
     moment, as ``newton_schulz_sqrt`` normalizes them; an (N,) array.
 
-    Each moment is validated as ``newton_schulz_sqrt`` validates it, with
-    the same errors, then shifted by ``eps * I``. One deterministic power
-    iteration (fixed all-ones start, 50 steps) runs on the stack of shifted
-    moments. Each slice of its stacked products is the BLAS gemv or dot
+    Each moment is validated for ``newton_schulz_sqrt``, which trusts it: an
+    empty, non-finite or asymmetric moment, or one whose shifted trace or
+    norm is not positive (a zero matrix), raises a ``newton_schulz_sqrt:``
+    ``ValueError``. Each is shifted by ``eps * I``, and one deterministic
+    power iteration (fixed all-ones start, 50 steps) runs on the stack. Each slice of its stacked products is the BLAS gemv or dot
     that the 2-D ``a @ v`` and ``w @ w`` of one matrix run, so every
     estimate has the bits of a per-matrix loop. A matrix whose ``A v``
     underflows to zero keeps its ``v`` from then on, as that loop's
@@ -87,12 +88,12 @@ def spectral_norm_estimates(moments) -> np.ndarray:
     return np.minimum(np.maximum(rayleigh, fro / np.sqrt(n)), fro)
 
 
-def newton_schulz_sqrt(a: np.ndarray, norm: float | None = None) -> np.ndarray:
+def newton_schulz_sqrt(a: np.ndarray, norm: float) -> np.ndarray:
     """Approximate square root of an SPD matrix by coupled Newton-Schulz.
 
     The input is shifted by ``eps * I`` with ``eps = DEFAULT_EPS_SCALE *
-    trace / dim``, pre-normalized by an estimate of its largest eigenvalue,
-    iterated ``DEFAULT_SQRT_ITERATIONS`` times with the coupled scheme
+    trace / dim``, pre-normalized by ``norm`` (its estimated largest
+    eigenvalue), iterated ``DEFAULT_SQRT_ITERATIONS`` times with the scheme
 
         T_k = (3 I - Z_k Y_k) / 2,   Y_{k+1} = Y_k T_k,   Z_{k+1} = T_k Z_k,
 
@@ -101,20 +102,12 @@ def newton_schulz_sqrt(a: np.ndarray, norm: float | None = None) -> np.ndarray:
     (0, 1] instead of over-shrinking it, which is what keeps the relative
     residual of five iterations within 1e-2 up to condition number 100 and
     within 0.0146 on the default synthetic set's moments (see
-    ``DEFAULT_SQRT_ITERATIONS``). The estimate comes from deterministic
-    power iteration, so the whole routine stays free of eigendecompositions.
-    ``norm`` is that estimate for ``a``, as ``spectral_norm_estimates``
-    returns it for a stack of moments (one power iteration serves them
-    all); when omitted it is estimated for ``a`` alone, with the same bits.
-    The result is symmetrized before return. Without ``norm``, an empty,
-    non-finite or asymmetric input, or one whose shifted trace or norm is
-    not positive (such as a zero matrix), raises ``ValueError``; with it,
-    ``a`` is taken as ``spectral_norm_estimates`` validated it, and only a
-    ``norm`` that is not positive and finite raises.
+    ``DEFAULT_SQRT_ITERATIONS``). ``norm`` is the entry that
+    ``spectral_norm_estimates`` returns for ``a``, which that function has
+    validated; only a ``norm`` that is not positive and finite raises
+    ``ValueError``. The result is symmetrized before return.
     """
-    if norm is None:
-        norm = spectral_norm_estimates([a])[0]
-    elif not 0.0 < norm < math.inf:
+    if not 0.0 < norm < math.inf:
         raise ValueError(f"newton_schulz_sqrt: norm must be positive and finite, got {norm}")
     shifted = _shift(np.asarray(a, dtype=np.float64))
     ident = np.eye(shifted.shape[0])
@@ -133,15 +126,13 @@ def second_moment(features: np.ndarray) -> np.ndarray:
 
     ``features`` is a C x M matrix whose columns are the M spatial feature
     vectors. The output is exactly symmetric by construction and PSD up to
-    rounding.
+    rounding; ``spectral_norm_estimates`` rejects it if it is not finite.
     """
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2:
         raise ValueError(f"second_moment: expected a 2-D matrix, got shape {f.shape}")
     if f.shape[1] < 1:
         raise ValueError("second_moment: empty feature set (M = 0)")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("second_moment: non-finite entries")
     q = (f @ f.T) / f.shape[1]
     return 0.5 * (q + q.T)
 

@@ -18,6 +18,8 @@ import numpy as np
 from . import seqio
 from .descriptor import DESK_C_IN, FeatureClip
 
+_F32_MAX = float(np.finfo(np.float32).max)
+
 
 @dataclass(frozen=True)
 class SubactionSpec:
@@ -210,8 +212,9 @@ def generate_dataset(cfg: SynthConfig, out_dir: str | Path) -> seqio.Manifest:
 
     Clips are serialized as f32 tensors named "clip"; the dataset is fully
     reproducible from the seed (byte-identical files). A clip whose entries
-    do not fit in float32 raises ``ValueError`` naming the clip. Each clip
-    is written under a temporary name and renamed into place only once every
+    do not fit in float32 raises ``ValueError`` naming the clip, and a
+    refused allocation ``MemoryError`` naming it and its size. Each clip is
+    written under a temporary name and renamed into place only once every
     clip has been written, so a failure leaves ``out_dir`` as it was: no new
     clip or directory, and an earlier dataset there untouched.
     """
@@ -233,6 +236,9 @@ def generate_dataset(cfg: SynthConfig, out_dir: str | Path) -> seqio.Manifest:
                         raise ValueError("entries overflow float32")
                 except ValueError as exc:
                     raise ValueError(f"generate_dataset: clip {clip_id}: {exc}") from None
+                except MemoryError:
+                    size = f"frames={cfg.frames} c_in={cfg.c_in} height={cfg.height} width={cfg.width}"
+                    raise MemoryError(f"generate_dataset: clip {clip_id} ({size})") from None
                 rel = f"clips/{clip_id}.fsq"
                 entries.append(seqio.ManifestEntry(clip_id, class_def.label, rel))
                 tensors = {"clip": data, "labels": labels.astype(np.float64)}
@@ -251,11 +257,16 @@ def generate_dataset(cfg: SynthConfig, out_dir: str | Path) -> seqio.Manifest:
 
 
 def load_clip(path: str | Path) -> FeatureClip:
-    """The stored ``clip`` tensor; bad content raises ``SeqIOError`` naming the file."""
+    """The stored ``clip`` tensor; bad content raises ``SeqIOError`` naming the
+    file. Entries must lie in the float32 range ``generate_dataset`` writes, also
+    in a float64 tensor, or the moments and norms built from them overflow."""
     tensors = seqio.read_container(path)
     if "clip" not in tensors:
         raise seqio.SeqIOError(f"{path}: container has no 'clip' tensor")
     try:
-        return FeatureClip(np.asarray(tensors["clip"], dtype=np.float64))
+        clip = FeatureClip(np.asarray(tensors["clip"], dtype=np.float64))
     except ValueError as exc:
         raise seqio.SeqIOError(f"{path}: {exc}") from None
+    if max(clip.data.max(), -clip.data.min()) > _F32_MAX:
+        raise seqio.SeqIOError(f"{path}: entries beyond the float32 range (|x| > {_F32_MAX:.7g})")
+    return clip

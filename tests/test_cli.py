@@ -13,6 +13,7 @@ from hypothesis import given, settings
 
 from momalign import seqio, synthgen
 from momalign.cli import RunConfig, build_parser, build_run_config, load_config, main
+from momalign.episode import METRICS
 from momalign.seqio import Manifest, ManifestEntry
 from test_seqio import assert_parses_or_names_line, text_files
 
@@ -76,6 +77,45 @@ def zero_channel_clip(path):
     tensors = seqio.read_container(path)
     tensors["clip"] = tensors["clip"][:, :0]
     seqio.write_container(tensors, path)
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+BEYOND_F32 = "entries beyond the float32 range (|x| > 3.402823e+38)"
+
+
+def rescale_clip(path, factor):
+    """Store the clip as float64 times ``factor``; ``None`` scales it so that
+    its largest magnitude is exactly the float32 maximum."""
+    tensors = seqio.read_container(path)
+    x = tensors["clip"].astype(np.float64)
+    if factor is None:
+        i = int(np.argmax(np.abs(x)))
+        x *= F32_MAX / abs(x.flat[i])
+        x.flat[i] = np.copysign(F32_MAX, x.flat[i])
+    else:
+        x *= factor
+    tensors["clip"] = x
+    seqio.write_container(tensors, path)
+
+
+def rescaled_copy(src, dst, factor):
+    """A copy of the dataset directory ``src`` at ``dst`` with every clip
+    rescaled by :func:`rescale_clip`."""
+    shutil.copytree(src, dst)
+    for clip in (dst / "clips").iterdir():
+        rescale_clip(clip, factor)
+    return dst
+
+
+@pytest.fixture(scope="module")
+def paper_dataset(tmp_path_factory):
+    """Four T=6 clips with the full-size 2048 input channels."""
+    out = tmp_path_factory.mktemp("paper")
+    cfg = out / "paper.cfg"
+    cfg.write_text("classes = 2\ninstances_per_class = 2\nframes = 6\n")
+    argv = ["synth", "--paper-dims", "--config", str(cfg), "--out", str(out / "data")]
+    assert main(argv) == 0
+    return out / "data"
 
 
 class TestConfig:
@@ -313,7 +353,10 @@ class TestSynth:
         out_dir = tmp_path / "data"
         code, out, err = run_cli(capsys, "synth", "--config", str(p), "--out", str(out_dir))
         assert (code, out) == (1, "")
-        assert err == "error: out of memory\n"
+        assert err == (
+            "error: out of memory: generate_dataset: clip c000_i000 "
+            "(frames=100000000000000000 c_in=64 height=6 width=6)\n"
+        )
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
@@ -356,7 +399,10 @@ class TestAlign:
         clip = str(dataset / "data" / "clips" / "c000_i000.fsq")
         code, out, err = run_cli(capsys, "align", "--config", str(p), clip, clip)
         assert (code, out) == (1, "")
-        assert err.startswith("error: out of memory: Unable to allocate ")
+        assert err.startswith(
+            "error: out of memory: scale weights (c_in=64 c_prime=1000000000000000 c_out=16): "
+            "Unable to allocate "
+        )
         assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_self_alignment_score_one(self, dataset, capsys):
@@ -605,6 +651,71 @@ class TestAblate:
         )
         assert code == 0
         assert out == plain
+
+
+class TestClipRange:
+    """Stored clips must lie in the float32 range that ``synth`` writes. A
+    float64 clip beyond it, though finite, overflows the second moments and
+    cosine norms built from it; one at the float32 maximum scores as the
+    stored set does. Warnings are errors, so an overflow warning fails."""
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_eval_rejects_clip_beyond_float32(self, dataset, tmp_path, capsys, metric):
+        data = rescaled_copy(dataset / "data", tmp_path / "data", 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "eval", "--manifest", str(data / "manifest.tsv"), "--metric", metric,
+                "--episodes", "1",
+            )
+        assert (code, out) == (1, "")
+        pattern = rf"error: {re.escape(str(data / 'clips'))}/c\d{{3}}_i\d{{3}}\.fsq: "
+        assert re.fullmatch(pattern + re.escape(BEYOND_F32) + "\n", err), err
+
+    @pytest.mark.parametrize("paper_dims", [False, True])
+    def test_align_rejects_clip_beyond_float32(
+        self, dataset, paper_dataset, tmp_path, capsys, paper_dims
+    ):
+        src = paper_dataset if paper_dims else dataset / "data"
+        good = src / "clips" / "c000_i000.fsq"
+        bad = tmp_path / "huge.fsq"
+        shutil.copyfile(good, bad)
+        rescale_clip(bad, 1e200)
+        flags = ["--paper-dims"] if paper_dims else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "align", *flags, str(good), str(bad))
+        assert (code, out) == (1, "")
+        assert err == f"error: {bad}: {BEYOND_F32}\n"
+
+    def test_float32_max_clips_score_as_stored(self, dataset, tmp_path, capsys):
+        data = rescaled_copy(dataset / "data", tmp_path / "data", None)
+        records = []
+        for manifest in (dataset / "data" / "manifest.tsv", data / "manifest.tsv"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, _ = run_cli(
+                    capsys, "eval", "--manifest", str(manifest), "--metric", ",".join(METRICS),
+                    "--episodes", "4",
+                )
+            assert code == 0
+            records.append([l for l in out.splitlines() if l.startswith("RECORD")])
+        assert len(records[0]) == 6
+        assert records[1] == records[0]
+
+    def test_float32_max_clip_aligns_as_stored(self, paper_dataset, tmp_path, capsys):
+        stored = [str(paper_dataset / "clips" / f"c00{c}_i000.fsq") for c in (0, 1)]
+        scaled = tmp_path / "max.fsq"
+        shutil.copyfile(stored[0], scaled)
+        rescale_clip(scaled, None)
+        outs = []
+        for a in (stored[0], str(scaled)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, _ = run_cli(capsys, "align", "--paper-dims", a, stored[1])
+            assert code == 0
+            outs.append(out.splitlines()[1:])
+        assert outs[1] == outs[0]
 
 
 class TestPaperDims:

@@ -25,8 +25,8 @@ from momalign.descriptor import (
     temporal_conv,
     temporal_difference,
 )
-from momalign.linalg import newton_schulz_sqrt, second_moment, vectorize_spd
-from test_linalg import reference_newton_schulz_sqrt
+from momalign.linalg import second_moment, vectorize_spd
+from test_linalg import own_norm_sqrt, reference_newton_schulz_sqrt
 
 
 def random_clip(rng, t=8, c=6, h=4, w=5):
@@ -80,7 +80,7 @@ def reference_cov_mn_descriptors(clip):
     sequence builder; kept as the bitwise reference."""
     t, c, h, w = clip.data.shape
     vectors = [
-        vectorize_spd(newton_schulz_sqrt(second_moment(clip.data[i].reshape(c, h * w))))
+        vectorize_spd(own_norm_sqrt(second_moment(clip.data[i].reshape(c, h * w))))
         for i in range(t)
     ]
     return DescriptorSequence(np.array(vectors), np.zeros(t, dtype=np.int64), np.arange(t))
@@ -769,7 +769,7 @@ class TestCovMnDescriptors:
         data = np.random.default_rng(30).standard_normal((3, 4, 2, 2))
         data[1] = 0.0
         with pytest.raises(ValueError) as alone:
-            newton_schulz_sqrt(np.zeros((4, 4)))
+            own_norm_sqrt(np.zeros((4, 4)))
         with pytest.raises(ValueError) as stacked:
             cov_mn_descriptors(FeatureClip(data))
         assert str(stacked.value) == str(alone.value)

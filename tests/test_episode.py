@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from momalign import cli, descriptor, episode, synthgen
+from momalign.descriptor import default_scales
 from momalign.episode import (
     METRICS,
     build_prototypes,
@@ -116,13 +117,13 @@ class TestClassifyQuery:
     def test_matching_prototype_wins(self):
         e = np.eye(4)
         protos = [make_seq(e[:1]), make_seq(e[1:2])]
-        pred, logits = classify_query(make_seq(e[1:2]), protos)
+        pred, logits = classify_query(make_seq(e[1:2]), protos, "a2")
         assert pred == 1
         assert logits[1] == pytest.approx(1.0, abs=1e-6)
 
     def test_tie_breaks_to_lowest_index(self):
         proto = make_seq(np.ones((2, 3)))
-        pred, logits = classify_query(make_seq(np.ones((2, 3))), [proto, proto, proto])
+        pred, logits = classify_query(make_seq(np.ones((2, 3))), [proto, proto, proto], "a2")
         assert pred == 0
         assert logits[0] == logits[1] == logits[2]
 
@@ -135,12 +136,15 @@ class TestClassifyQuery:
 
     def test_rejects_empty_prototypes(self):
         with pytest.raises(ValueError):
-            classify_query(make_seq(np.zeros((1, 2))), [])
+            classify_query(make_seq(np.zeros((1, 2))), [], "a2")
 
 
 class TestEvaluate:
     def test_separable_dataset_perfect_accuracy(self, small_dataset):
-        report = evaluate(small_dataset, 4, 1, 4, episodes=5, seed=0, metrics=["cov-mn-a2"])
+        report = evaluate(
+            small_dataset, 4, 1, 4, episodes=5, seed=0, metrics=["cov-mn-a2"],
+            scales=default_scales(seed=0),
+        )
         r = report.results[0]
         assert r.mean_accuracy == 1.0
         assert r.ci95 == 0.0
@@ -154,13 +158,16 @@ class TestEvaluate:
             for e in small_dataset.entries
         )
         shuffled = Manifest(entries, root=small_dataset.root)
-        report = evaluate(shuffled, 2, 1, 4, episodes=60, seed=1, metrics=["gap-a2"])
+        report = evaluate(
+            shuffled, 2, 1, 4, episodes=60, seed=1, metrics=["gap-a2"], scales=default_scales(seed=1)
+        )
         r = report.results[0]
         assert abs(r.mean_accuracy - 0.5) <= max(3 * r.ci95 / 1.96, 0.15)
 
     def test_deterministic_report(self, small_dataset):
-        a = evaluate(small_dataset, 4, 1, 4, episodes=6, seed=3, metrics=["a2"])
-        b = evaluate(small_dataset, 4, 1, 4, episodes=6, seed=3, metrics=["a2"])
+        scales = default_scales(seed=3)
+        a = evaluate(small_dataset, 4, 1, 4, episodes=6, seed=3, metrics=["a2"], scales=scales)
+        b = evaluate(small_dataset, 4, 1, 4, episodes=6, seed=3, metrics=["a2"], scales=scales)
         assert a.results[0].mean_accuracy == b.results[0].mean_accuracy
         assert a.results[0].ci95 == b.results[0].ci95
         assert np.array_equal(
@@ -168,17 +175,19 @@ class TestEvaluate:
         )
 
     def test_worker_count_does_not_change_results(self, small_dataset):
-        serial = evaluate(small_dataset, 4, 1, 4, episodes=6, seed=3, metrics=["a2", "pp"])
-        threaded = evaluate(
-            small_dataset, 4, 1, 4, episodes=6, seed=3, metrics=["a2", "pp"], workers=4
-        )
+        kwargs = dict(episodes=6, seed=3, metrics=["a2", "pp"], scales=default_scales(seed=3))
+        serial = evaluate(small_dataset, 4, 1, 4, **kwargs)
+        threaded = evaluate(small_dataset, 4, 1, 4, **kwargs, workers=4)
         for rs, rt in zip(serial.results, threaded.results):
             assert rs.mean_accuracy == rt.mean_accuracy
             assert rs.ci95 == rt.ci95
             assert np.array_equal(rs.episode_accuracies, rt.episode_accuracies)
 
     def test_ci_half_width_formula(self, small_dataset):
-        report = evaluate(small_dataset, 4, 1, 4, episodes=8, seed=5, metrics=["gap-a2"])
+        report = evaluate(
+            small_dataset, 4, 1, 4, episodes=8, seed=5, metrics=["gap-a2"],
+            scales=default_scales(seed=5),
+        )
         r = report.results[0]
         accs = r.episode_accuracies
         expect = 1.96 * np.std(accs, ddof=1) / np.sqrt(len(accs))
@@ -186,17 +195,28 @@ class TestEvaluate:
 
     def test_multiple_metrics_one_result_each(self, small_dataset):
         report = evaluate(
-            small_dataset, 4, 1, 4, episodes=3, seed=0, metrics=["a2", "pp", "cr"]
+            small_dataset, 4, 1, 4, episodes=3, seed=0, metrics=["a2", "pp", "cr"],
+            scales=default_scales(seed=0),
         )
         assert [r.metric for r in report.results] == ["a2", "pp", "cr"]
 
     def test_unknown_metric_rejected(self, small_dataset):
         with pytest.raises(ValueError, match="unknown metric"):
-            evaluate(small_dataset, 4, 1, 4, episodes=2, seed=0, metrics=["bogus"])
+            evaluate(
+                small_dataset, 4, 1, 4, episodes=2, seed=0, metrics=["bogus"],
+                scales=default_scales(seed=0),
+            )
+
+    def test_empty_metric_list_rejected(self, small_dataset):
+        with pytest.raises(ValueError, match="^evaluate: metrics must be >= 1, got 0$"):
+            evaluate(small_dataset, 4, 1, 4, episodes=2, seed=0, metrics=[], scales=[])
 
     def test_repeated_metric_rejected(self, small_dataset):
         with pytest.raises(ValueError, match="^evaluate: metric 'a2' given twice$"):
-            evaluate(small_dataset, 4, 1, 4, episodes=2, seed=0, metrics=["a2", "pp", "a2"])
+            evaluate(
+                small_dataset, 4, 1, 4, episodes=2, seed=0, metrics=["a2", "pp", "a2"],
+                scales=default_scales(seed=0),
+            )
 
     @pytest.mark.parametrize(
         "kwarg, value, name",
@@ -210,14 +230,17 @@ class TestEvaluate:
         ],
     )
     def test_rejects_sizes_below_one(self, small_dataset, kwarg, value, name):
-        args = dict(n=3, k=1, z=3, episodes=2, seed=0, metrics=["gap-a2"])
+        args = dict(
+            n=3, k=1, z=3, episodes=2, seed=0, metrics=["gap-a2"], scales=default_scales(seed=0)
+        )
         args[kwarg] = value
         with pytest.raises(ValueError, match=f"evaluate: {name} must be >= 1, got {value}"):
             evaluate(small_dataset, **args)
 
     def test_all_selectors_run(self, small_dataset):
         report = evaluate(
-            small_dataset, 3, 1, 3, episodes=2, seed=0, metrics=list(METRICS)
+            small_dataset, 3, 1, 3, episodes=2, seed=0, metrics=list(METRICS),
+            scales=default_scales(seed=0),
         )
         assert len(report.results) == len(METRICS)
 
@@ -244,7 +267,7 @@ class TestEvaluate:
             reports.append(
                 evaluate(
                     small_dataset, 3, 1, 3, episodes=4, seed=2, metrics=list(METRICS),
-                    workers=workers,
+                    scales=default_scales(seed=2), workers=workers,
                 )
             )
             assert loads == Counter(dict.fromkeys(used, 1))
@@ -327,7 +350,7 @@ class TestSharedDeformablePass:
         assert len(frame_pairs(calls)) == len(calls) == 6
 
     def test_same_accuracies_as_separate_runs(self, small_dataset):
-        kwargs = dict(episodes=3, seed=4)
+        kwargs = dict(episodes=3, seed=4, scales=default_scales(seed=4))
         both = evaluate(small_dataset, 3, 1, 3, metrics=["a2", "ms-a2"], **kwargs)
         for r in both.results:
             alone = evaluate(small_dataset, 3, 1, 3, metrics=[r.metric], **kwargs).results[0]

@@ -32,6 +32,13 @@ def eigen_sqrt(a):
     return (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
 
 
+def own_norm_sqrt(a):
+    """``newton_schulz_sqrt`` of one matrix, normalized by its own
+    ``spectral_norm_estimates`` entry; an invalid matrix raises there, with
+    the ``newton_schulz_sqrt: `` errors."""
+    return newton_schulz_sqrt(a, spectral_norm_estimates([a])[0])
+
+
 def reference_newton_schulz_sqrt(a):
     """The square root as computed before the power iteration took its
     norm as ``math.sqrt(w @ w)``: ``np.linalg.norm`` throughout, input
@@ -178,7 +185,7 @@ class TestSpectralNormEstimates:
             "zero": np.zeros((4, 4)),
         }[kind]
         with pytest.raises(ValueError) as alone:
-            newton_schulz_sqrt(bad)
+            own_norm_sqrt(bad)
         with pytest.raises(ValueError) as stacked:
             spectral_norm_estimates([good, bad, good])
         assert str(stacked.value) == str(alone.value)
@@ -194,11 +201,11 @@ class TestSpectralNormEstimates:
 
 class TestNewtonSchulzSqrt:
     def test_identity_fixed_point(self):
-        y = newton_schulz_sqrt(np.eye(8))
+        y = own_norm_sqrt(np.eye(8))
         assert np.allclose(y, np.eye(8), atol=1e-9)
 
     def test_scalar_square_root(self):
-        y = newton_schulz_sqrt(np.array([[9.0]]))
+        y = own_norm_sqrt(np.array([[9.0]]))
         assert abs(y[0, 0] - 3.0) < 1e-3
 
     def test_matches_eigendecomposition_oracle(self):
@@ -207,7 +214,7 @@ class TestNewtonSchulzSqrt:
             a = random_spd(rng, 16)
             eps = 1e-5 * np.trace(a) / 16
             shifted = a + eps * np.eye(16)
-            y = newton_schulz_sqrt(a)
+            y = own_norm_sqrt(a)
             oracle = eigen_sqrt(shifted)
             assert np.linalg.norm(y - oracle) / np.linalg.norm(oracle) < 1e-2
 
@@ -216,7 +223,7 @@ class TestNewtonSchulzSqrt:
         a = random_spd(rng, 12, cond=50.0)
         eps = 1e-5 * np.trace(a) / 12
         shifted = a + eps * np.eye(12)
-        y = newton_schulz_sqrt(a)
+        y = own_norm_sqrt(a)
         resid = np.linalg.norm(y @ y - shifted) / np.linalg.norm(shifted)
         assert resid <= 1e-2
 
@@ -231,7 +238,7 @@ class TestNewtonSchulzSqrt:
                 shifted = a + DEFAULT_EPS_SCALE * np.trace(a) / len(a) * np.eye(len(a))
                 w = np.linalg.eigh(shifted)[0]
                 conds.append(w[-1] / w[0])
-                y = newton_schulz_sqrt(a)
+                y = own_norm_sqrt(a)
                 residuals.append(np.linalg.norm(y @ y - shifted) / np.linalg.norm(shifted))
         conds, residuals = np.array(conds), np.array(residuals)
         worst = int(np.argmax(residuals))
@@ -249,31 +256,33 @@ class TestNewtonSchulzSqrt:
         rng = np.random.default_rng(11)
         for _ in range(10):
             a = random_spd(rng, 10, cond=20.0)
-            y = newton_schulz_sqrt(a)
+            y = own_norm_sqrt(a)
             comm = np.linalg.norm(y @ a - a @ y)
             assert comm <= 1e-6 * np.linalg.norm(a)
 
     def test_output_symmetric(self):
         rng = np.random.default_rng(5)
-        y = newton_schulz_sqrt(random_spd(rng, 9))
+        y = own_norm_sqrt(random_spd(rng, 9))
         assert np.array_equal(y, y.T)
 
     def test_rank_deficient_input_regularized(self):
         # Rank-1 matrix: the eps shift keeps the iteration defined.
         a = np.outer(np.arange(1.0, 5.0), np.arange(1.0, 5.0))
-        y = newton_schulz_sqrt(a)
+        y = own_norm_sqrt(a)
         assert np.all(np.isfinite(y))
 
     def test_matches_reference_bitwise(self):
         rng = np.random.default_rng(40)
         for a in reference_inputs(rng):
-            assert np.array_equal(newton_schulz_sqrt(a), reference_newton_schulz_sqrt(a))
+            assert np.array_equal(own_norm_sqrt(a), reference_newton_schulz_sqrt(a))
 
-    def test_given_norm_matches_omitted_norm_bitwise(self):
+    def test_stacked_estimate_matches_own_estimate_bitwise(self):
         rng = np.random.default_rng(42)
         moments = [a for a in reference_inputs(rng) if a.shape == (16, 16)]
         for a, norm in zip(moments, spectral_norm_estimates(moments)):
-            assert np.array_equal(newton_schulz_sqrt(a, norm), newton_schulz_sqrt(a))
+            own = spectral_norm_estimates([a])[0]
+            assert norm.tobytes() == own.tobytes()
+            assert np.array_equal(newton_schulz_sqrt(a, norm), own_norm_sqrt(a))
 
     @pytest.mark.parametrize("norm", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_bad_norm(self, norm):
@@ -284,19 +293,21 @@ class TestNewtonSchulzSqrt:
         a = np.eye(4)
         a[0, 0] = np.nan
         with pytest.raises(ValueError):
-            newton_schulz_sqrt(a)
+            own_norm_sqrt(a)
 
     def test_rejects_asymmetric(self):
         a = np.eye(4)
         a[0, 1] = 1.0
         with pytest.raises(ValueError):
-            newton_schulz_sqrt(a)
+            own_norm_sqrt(a)
 
     def test_rejects_non_positive_after_shift(self):
         with pytest.raises(ValueError):
-            newton_schulz_sqrt(np.zeros((3, 3)))
+            own_norm_sqrt(np.zeros((3, 3)))
 
-    @pytest.mark.parametrize("fn", [newton_schulz_sqrt, vectorize_spd])
+    @pytest.mark.parametrize(
+        "fn", [own_norm_sqrt, vectorize_spd], ids=["newton_schulz_sqrt", "vectorize_spd"]
+    )
     def test_rejects_empty_matrix(self, fn):
         # A zero-width moment (C_out = 0) used to divide by zero in the shift.
         with pytest.raises(ValueError, match="empty matrix"):
