@@ -53,10 +53,12 @@ class Masses:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Non-negative L_q x L_s plan with prescribed marginals and its cost."""
+    """Non-negative L_q x L_s plan with prescribed marginals, its cost and score."""
 
     values: np.ndarray
     objective: float
+    #: The alignment score <SIM, A*>, in [-1, 1] when the masses sum to 1.
+    score: float
     #: Pivots made, and the minimum reduced cost at the terminating optimality
     #: check (>= -_OPT_TOL): a cheap certificate that the basis is optimal.
     pivots: int
@@ -88,8 +90,6 @@ def cross_reference_products(
     mu_l = <Q[l], mean(S)>, gamma_l' = <S[l'], mean(Q)>. ``q`` and ``s``
     share one descriptor length, as ``similarity_matrix`` checks first.
     """
-    if len(q) == 0 or len(s) == 0:
-        raise ValueError("cross_reference_products: empty descriptor sequence")
     return q.vectors @ s.vectors.mean(axis=0), s.vectors @ q.vectors.mean(axis=0)
 
 
@@ -269,24 +269,17 @@ def solve_emd(sim: np.ndarray, masses: Masses) -> TransportPlan:
         raise RuntimeError("solve_emd: negative flow beyond tolerance on final basis")
     plan = np.maximum(plan, 0.0)
     objective = float(np.sum(cost * plan))
+    score = float(np.sum(sim * plan))
     primal_residual = max(
         float(np.max(np.abs(plan.sum(axis=1) - masses.mu))),
         float(np.max(np.abs(plan.sum(axis=0) - masses.gamma))),
     )
-    return TransportPlan(plan, objective, pivots, min_reduced_cost, primal_residual)
-
-
-def alignment_score(sim: np.ndarray, plan: TransportPlan) -> float:
-    """<SIM, A*>; bounded in [-1, 1] when the masses sum to 1. ``plan`` is
-    the one ``solve_emd`` built from this ``sim``."""
-    return float(np.sum(sim * plan.values))
+    return TransportPlan(plan, objective, score, pivots, min_reduced_cost, primal_residual)
 
 
 def emd_score(q: DescriptorSequence, s: DescriptorSequence) -> float:
     """End-to-end adaptive alignment score for a descriptor-sequence pair."""
-    sim = similarity_matrix(q, s)
-    plan = solve_emd(sim, marginal_masses(q, s))
-    return alignment_score(sim, plan)
+    return solve_emd(similarity_matrix(q, s), marginal_masses(q, s)).score
 
 
 def fixed_alignment_pp(q: DescriptorSequence, s: DescriptorSequence) -> float:

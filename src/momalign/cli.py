@@ -130,11 +130,10 @@ def cmd_align(args: argparse.Namespace, cfg: RunConfig) -> int:
     sim = alignment.similarity_matrix(q, s)
     masses = alignment.marginal_masses(q, s)
     plan = alignment.solve_emd(sim, masses)
-    score = alignment.alignment_score(sim, plan)
 
     print(f"# align {args.clip_a} vs {args.clip_b} seed={cfg.seed}")
     print(f"descriptors\tL={len(q)}\tdim={q.dim}")
-    print(f"score\t{score:.9f}")
+    print(f"score\t{plan.score:.9f}")
     print(f"objective\t{plan.objective:.9f}")
     print("mu\t" + " ".join(f"{x:.6f}" for x in masses.mu))
     print("gamma\t" + " ".join(f"{x:.6f}" for x in masses.gamma))

@@ -36,11 +36,13 @@ PAPER_C_OUT = 128
 
 DEFAULT_TAUS = (1, 3, 5)
 DEFAULT_GRIDS = (1, 3, 5)
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
 class FeatureClip:
-    """A T x C x H x W real-valued spatio-temporal feature block."""
+    """A T x C x H x W spatio-temporal feature block of finite entries within
+    the float32 range; a larger one would overflow the moments built from it."""
 
     data: np.ndarray
 
@@ -50,8 +52,12 @@ class FeatureClip:
             raise ValueError(f"FeatureClip: expected 4-D data, got shape {a.shape}")
         if min(a.shape) < 1:
             raise ValueError("FeatureClip: empty temporal, channel or spatial extent")
-        if not np.all(np.isfinite(a)):
+        # A NaN or an infinity anywhere makes this bound non-finite.
+        bound = float(np.maximum(a.max(), -a.min()))
+        if not np.isfinite(bound):
             raise ValueError("FeatureClip: non-finite entries")
+        if bound > _F32_MAX:
+            raise ValueError(f"FeatureClip: entries beyond the float32 range (|x| > {_F32_MAX:.7g})")
         object.__setattr__(self, "data", a)
 
 
@@ -88,7 +94,9 @@ class ScaleConfig:
     def __post_init__(self):
         for name in ("theta_t", "theta_s", "offset_w1", "offset_b1", "offset_w2", "offset_b2"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
+            # A zero-stride axis repeats one slice: scan a broadcast base once.
+            distinct = tuple(slice(1) if st == 0 else slice(None) for st in arr.strides)
+            if not np.all(np.isfinite(arr[distinct])):
                 raise ValueError(f"ScaleConfig: non-finite entries in {name}")
             object.__setattr__(self, name, arr)
         for name, ndim in (("theta_t", 3), ("theta_s", 2), ("offset_w1", 2)):
@@ -166,8 +174,8 @@ class ScaleConfig:
 class DescriptorSequence:
     """Ordered unit-role descriptors with per-scale provenance.
 
-    ``vectors`` is L x D; ``scale_ids`` and ``times`` give each entry's
-    originating scale index and output timestamp.
+    ``vectors`` is L x D with L, D >= 1; ``scale_ids`` and ``times`` give
+    each entry's originating scale index and output timestamp.
     """
 
     vectors: np.ndarray
@@ -180,6 +188,8 @@ class DescriptorSequence:
         t = np.asarray(self.times, dtype=np.int64)
         if v.ndim != 2 or s.shape != (v.shape[0],) or t.shape != (v.shape[0],):
             raise ValueError("DescriptorSequence: inconsistent shapes")
+        if v.size == 0:
+            raise ValueError(f"DescriptorSequence: L and D must be >= 1, got shape {v.shape}")
         object.__setattr__(self, "vectors", v)
         object.__setattr__(self, "scale_ids", s)
         object.__setattr__(self, "times", t)

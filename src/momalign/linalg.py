@@ -45,10 +45,10 @@ def _shift(a: np.ndarray) -> np.ndarray:
 
 def _shifted(a: np.ndarray) -> tuple[np.ndarray, float]:
     """The validated input shifted by ``eps * I``, and its Frobenius norm."""
-    shifted = _shift(_check_square_symmetric(a, "newton_schulz_sqrt"))
+    shifted = _shift(_check_square_symmetric(a, "spectral_norm_estimates"))
     fro = float(np.linalg.norm(shifted))
     if fro <= 0.0 or float(np.trace(shifted)) <= 0.0:
-        raise ValueError("newton_schulz_sqrt: non-positive input after eps shift")
+        raise ValueError("spectral_norm_estimates: non-positive input after eps shift")
     return shifted, fro
 
 
@@ -56,19 +56,17 @@ def spectral_norm_estimates(moments) -> np.ndarray:
     """Largest-eigenvalue estimates of equal-size second moments, one per
     moment, as ``newton_schulz_sqrt`` normalizes them; an (N,) array.
 
-    Each moment is validated for ``newton_schulz_sqrt``, which trusts it: an
-    empty, non-finite or asymmetric moment, or one whose shifted trace or
-    norm is not positive (a zero matrix), raises a ``newton_schulz_sqrt:``
-    ``ValueError``. Each is shifted by ``eps * I``, and one deterministic
-    power iteration (fixed all-ones start, 50 steps) runs on the stack. Each slice of its stacked products is the BLAS gemv or dot
-    that the 2-D ``a @ v`` and ``w @ w`` of one matrix run, so every
-    estimate has the bits of a per-matrix loop. A matrix whose ``A v``
-    underflows to zero keeps its ``v`` from then on, as that loop's
-    ``break`` did (``nw`` is a root of a sum of squares, so ``nw != 0`` is
-    ``not nw <= 0``). Each Rayleigh quotient is clamped to
-    [fro / sqrt(n), fro], the interval that always contains the true
-    largest eigenvalue, which guards against a start vector nearly
-    orthogonal to the dominant eigenvector.
+    Each moment is validated here for ``newton_schulz_sqrt``, which trusts
+    it: an empty, non-finite or asymmetric moment, or one whose shifted
+    trace or norm is not positive (a zero matrix), raises a
+    ``spectral_norm_estimates:`` ``ValueError``. Each is shifted by
+    ``eps * I``, and one deterministic power iteration (fixed all-ones
+    start, 50 steps) runs on the stack. Each estimate is bitwise the one a
+    power iteration on that moment alone gives, the reference the tests
+    keep; a moment whose ``A v`` underflows to zero keeps its ``v`` from
+    then on. Each Rayleigh quotient is clamped to [fro / sqrt(n), fro], the
+    interval that always contains the true largest eigenvalue, which guards
+    against a start vector nearly orthogonal to the dominant eigenvector.
     """
     moments = list(moments)
     if not moments:

@@ -14,7 +14,6 @@ from momalign.alignment import (
     Masses,
     _floor_normalize,
     _least_cost_start,
-    alignment_score,
     cross_reference_products,
     emd_score,
     fixed_alignment_cross,
@@ -410,10 +409,10 @@ class TestMarginalMasses:
     def test_rejects_empty(self):
         rng = np.random.default_rng(5)
         q = random_seq(rng, 2)
-        empty = DescriptorSequence(
-            np.zeros((0, 5)), np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-        )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^DescriptorSequence: L and D must be >= 1"):
+            empty = DescriptorSequence(
+                np.zeros((0, 5)), np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+            )
             marginal_masses(q, empty)
 
 
@@ -634,18 +633,29 @@ class TestLeastCostStart:
                 )
 
 
+def alignment_score(sim, plan):
+    """The score as computed before ``solve_emd`` returned it with the plan:
+    <SIM, A*> over the plan's values. Kept as the bitwise reference."""
+    return float(np.sum(sim * plan.values))
+
+
 class TestAlignmentScore:
+    def test_matches_reference_bitwise(self):
+        for sim, masses in TestSolveEmd.pivot_rule_cases():
+            plan = solve_emd(sim, masses)
+            assert plan.score.hex() == alignment_score(sim, plan).hex()
+
     def test_identity_pairing(self):
         sim = np.eye(2)
         plan = solve_emd(sim, Masses([0.5, 0.5], [0.5, 0.5]))
-        assert alignment_score(sim, plan) == pytest.approx(1.0, abs=1e-9)
+        assert plan.score == pytest.approx(1.0, abs=1e-9)
 
     def test_constant_similarity(self):
         rng = np.random.default_rng(8)
         sim = np.full((3, 4), 0.42)
         masses = random_masses(rng, 3, 4)
         plan = solve_emd(sim, masses)
-        assert alignment_score(sim, plan) == pytest.approx(0.42, abs=1e-9)
+        assert plan.score == pytest.approx(0.42, abs=1e-9)
 
     def test_score_equals_one_minus_objective(self):
         rng = np.random.default_rng(9)
@@ -653,9 +663,7 @@ class TestAlignmentScore:
             sim = rng.uniform(-1, 1, size=(4, 5))
             masses = random_masses(rng, 4, 5)
             plan = solve_emd(sim, masses)
-            assert alignment_score(sim, plan) == pytest.approx(
-                1.0 - plan.objective, abs=1e-9
-            )
+            assert plan.score == pytest.approx(1.0 - plan.objective, abs=1e-9)
 
     def test_bounded(self):
         rng = np.random.default_rng(10)

@@ -80,7 +80,7 @@ def zero_channel_clip(path):
 
 
 F32_MAX = float(np.finfo(np.float32).max)
-BEYOND_F32 = "entries beyond the float32 range (|x| > 3.402823e+38)"
+BEYOND_F32 = "FeatureClip: entries beyond the float32 range (|x| > 3.402823e+38)"
 
 
 def rescale_clip(path, factor):
@@ -359,9 +359,27 @@ class TestSynth:
         )
         assert not out_dir.exists()
 
+    def test_unallocatable_latents_are_one_error_line(self, tmp_path, capsys):
+        # c_in = 1e15 asks for a (1e15, 16) float64 latent draw, 114 PiB in
+        # one request, past any x86-64 user address space, so it is refused.
+        p = tmp_path / "deep.cfg"
+        p.write_text("c_in = 1000000000000000\n")
+        out_dir = tmp_path / "data"
+        code, out, err = run_cli(capsys, "synth", "--config", str(p), "--out", str(out_dir))
+        assert (code, out) == (1, "")
+        assert err.startswith(
+            "error: out of memory: generate_class_library: latents "
+            "(c_in=1000000000000000 classes=8 subactions=2): Unable to allocate "
+        )
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "noise, reason",
-        [("1e39", "entries overflow float32"), ("1e308", "FeatureClip: non-finite entries")],
+        [
+            pytest.param("1e39", BEYOND_F32, id="1e39-beyond-float32"),
+            ("1e308", "FeatureClip: non-finite entries"),
+        ],
     )
     def test_unstorable_clip_fails_naming_it(self, tmp_path, capsys, noise, reason):
         p = tmp_path / "loud.cfg"

@@ -29,6 +29,9 @@ from momalign.linalg import second_moment, vectorize_spd
 from test_linalg import own_norm_sqrt, reference_newton_schulz_sqrt
 
 
+F32_MAX = float(np.finfo(np.float32).max)
+
+
 def random_clip(rng, t=8, c=6, h=4, w=5):
     return FeatureClip(rng.standard_normal((t, c, h, w)))
 
@@ -132,6 +135,26 @@ class TestFeatureClip:
         data[0, 0, 0, 0] = np.inf
         with pytest.raises(ValueError):
             FeatureClip(data)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_message(self, value):
+        data = np.ones((2, 2, 3, 3))
+        data[1, 0, 2, 1] = value
+        with pytest.raises(ValueError, match="^FeatureClip: non-finite entries$"):
+            FeatureClip(data)
+
+    @pytest.mark.parametrize("value", [1e200, -1e200, np.nextafter(F32_MAX, np.inf)])
+    def test_rejects_entries_beyond_float32(self, value):
+        data = np.ones((2, 2, 3, 3))
+        data[1, 0, 2, 1] = value
+        with pytest.raises(ValueError) as exc:
+            FeatureClip(data)
+        assert str(exc.value) == "FeatureClip: entries beyond the float32 range (|x| > 3.402823e+38)"
+
+    def test_accepts_float32_max(self):
+        data = np.ones((2, 2, 3, 3))
+        data[0, 1, 0, 0], data[1, 0, 2, 1] = F32_MAX, -F32_MAX
+        assert np.array_equal(FeatureClip(data).data, data)
 
     @pytest.mark.parametrize("shape", [(0, 2, 3, 3), (2, 0, 3, 3), (2, 2, 0, 3), (2, 2, 3, 0)])
     def test_rejects_empty_extent(self, shape):
@@ -904,6 +927,17 @@ class TestScaleConfig:
         with pytest.raises(ValueError, match=f"ScaleConfig: {field} must "):
             dataclasses.replace(cfg, **{field: np.zeros(shape)})
 
+    def test_scans_broadcast_base_and_every_dense_tap(self):
+        cfg = ScaleConfig.from_seed(3, 3, c_in=6, c_prime=4, c_out=3, seed=2)
+        base = np.array(cfg.theta_t[0])
+        base[5, 3] = np.nan
+        with pytest.raises(ValueError, match="^ScaleConfig: non-finite entries in theta_t$"):
+            dataclasses.replace(cfg, theta_t=np.broadcast_to(base, (3, 6, 4)))
+        dense = np.array(cfg.theta_t)
+        dense[2, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="^ScaleConfig: non-finite entries in theta_t$"):
+            dataclasses.replace(cfg, theta_t=dense)
+
     def test_descriptor_sequence_structure_check(self):
         v = np.zeros((3, 4))
         s = DescriptorSequence(v, np.zeros(3, dtype=int), np.arange(3))
@@ -911,3 +945,11 @@ class TestScaleConfig:
         assert s.same_structure(t)
         u = DescriptorSequence(v, np.ones(3, dtype=int), np.arange(3))
         assert not s.same_structure(u)
+
+    @pytest.mark.parametrize("length, dim", [(0, 4), (3, 0), (0, 0)])
+    def test_descriptor_sequence_rejects_empty(self, length, dim):
+        with pytest.raises(
+            ValueError,
+            match=rf"^DescriptorSequence: L and D must be >= 1, got shape \({length}, {dim}\)$",
+        ):
+            DescriptorSequence(np.zeros((length, dim)), np.zeros(length, dtype=int), np.arange(length))

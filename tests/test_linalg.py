@@ -35,7 +35,7 @@ def eigen_sqrt(a):
 def own_norm_sqrt(a):
     """``newton_schulz_sqrt`` of one matrix, normalized by its own
     ``spectral_norm_estimates`` entry; an invalid matrix raises there, with
-    the ``newton_schulz_sqrt: `` errors."""
+    the ``spectral_norm_estimates: `` errors."""
     return newton_schulz_sqrt(a, spectral_norm_estimates([a])[0])
 
 
@@ -189,7 +189,7 @@ class TestSpectralNormEstimates:
         with pytest.raises(ValueError) as stacked:
             spectral_norm_estimates([good, bad, good])
         assert str(stacked.value) == str(alone.value)
-        assert str(alone.value).startswith("newton_schulz_sqrt: ")
+        assert str(alone.value).startswith("spectral_norm_estimates: ")
 
     def test_rejects_moments_of_different_sizes(self):
         with pytest.raises(ValueError, match="moments differ in size"):

@@ -184,7 +184,9 @@ class TestGenerateDataset:
 
     def test_failure_creates_no_directory(self, tmp_path):
         out = tmp_path / "new" / "data"
-        with pytest.raises(ValueError, match="^generate_dataset: clip c000_i000: entries overflow"):
+        with pytest.raises(
+            ValueError, match="^generate_dataset: clip c000_i000: FeatureClip: entries beyond the float32"
+        ):
             generate_dataset(clean_cfg(noise=1e39), out)
         assert list(tmp_path.iterdir()) == []
 
