@@ -37,6 +37,9 @@ PAPER_C_OUT = 128
 DEFAULT_TAUS = (1, 3, 5)
 DEFAULT_GRIDS = (1, 3, 5)
 _F32_MAX = float(np.finfo(np.float32).max)
+#: Frames whose ``deformable_conv`` sampling positions, corner indices and
+#: corner weights are computed together.
+_SAMPLE_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -264,11 +267,13 @@ def deformable_conv(x: np.ndarray, offsets: np.ndarray, cfg: ScaleConfig) -> lis
     (M * grid^2, M + 1) interpolation matrix at the corners' pixel columns,
     and a corner outside the frame goes to the spill column M, which the
     product leaves out. The patch is ``interp[:, :M] @ x[t].reshape(M, C')``,
-    and it meets the kernel in one GEMM, ``theta_s.T @ patch.T``. The
-    interpolation matrix takes M * (M + 1) * grid^2 * 8 bytes per frame
-    (266 KB at 6x6 with grid 5), so it grows quadratically with the frame
-    area. With all-zero offsets the result equals a standard grid
-    convolution with the same kernel.
+    and it meets the kernel in one GEMM, ``theta_s.T @ patch.T``. Sampling
+    positions, corner columns and corner weights are computed for a block
+    of ``_SAMPLE_BLOCK`` frames at once; the interpolation matrix and both
+    GEMMs are per frame. The interpolation matrix takes
+    M * (M + 1) * grid^2 * 8 bytes per frame (266 KB at 6x6 with grid 5), so
+    it grows quadratically with the frame area. With all-zero offsets the
+    result equals a standard grid convolution with the same kernel.
     """
     t, h, w, c = x.shape
     n_points = cfg.grid * cfg.grid
@@ -286,28 +291,47 @@ def deformable_conv(x: np.ndarray, offsets: np.ndarray, cfg: ScaleConfig) -> lis
     k = np.arange(-(cfg.grid // 2), cfg.grid // 2 + 1)
     base_rows = np.arange(h)[:, None, None] + np.repeat(k, cfg.grid)
     base_cols = np.arange(w)[:, None] + np.tile(k, cfg.grid)
-    sample = np.arange(m * n_points).reshape(h, w, n_points)
+    # Where each sample's row starts in the flattened interpolation matrix.
+    row_starts = np.arange(0, m * n_points * (m + 1), m + 1).reshape(h, w, n_points)
     out: list[np.ndarray] = []
-    for ti in range(t):
-        rows = base_rows + offsets[ti, ..., 1::2]
-        cols = base_cols + offsets[ti, ..., 0::2]
+    for start in range(0, t, _SAMPLE_BLOCK):
+        block = offsets[start : start + _SAMPLE_BLOCK]
+        rows = base_rows + block[..., 1::2]
+        cols = base_cols + block[..., 0::2]
         r0 = np.floor(rows).astype(np.int64)
         c0 = np.floor(cols).astype(np.int64)
-        fr = rows - r0
-        fc = cols - c0
-        interp = np.zeros((m * n_points, m + 1))
-        for rr, cc, wgt in (
-            (r0, c0, (1 - fr) * (1 - fc)),
-            (r0, c0 + 1, (1 - fr) * fc),
-            (r0 + 1, c0, fr * (1 - fc)),
-            (r0 + 1, c0 + 1, fr * fc),
-        ):
-            valid = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
-            interp[sample, np.where(valid, rr * w + cc, m)] = wgt
-        patch = interp[:, :m] @ x[ti].reshape(m, c)
-        out.append(cfg.theta_s.T @ patch.reshape(m, n_points * c).T)
-        # Freed before the next frame allocates its own.
-        del interp, patch
+        rows -= r0
+        cols -= c0
+        # Per frame of the block, each corner's weight and flat
+        # interpolation-matrix index, corner-major. Corner (dr, dc) weighs a
+        # row weight times a column weight, and it is in the frame where
+        # row r0 + dr and column c0 + dc are. The weights come first, so
+        # the fractional parts are freed before the indices are built.
+        corners = ((0, 0), (0, 1), (1, 0), (1, 1))
+        weight = np.empty((len(block), 4, h, w, n_points))
+        row_weight, col_weight = (1 - rows, rows), (1 - cols, cols)
+        for q, (dr, dc) in enumerate(corners):
+            np.multiply(row_weight[dr], col_weight[dc], out=weight[:, q])
+        del rows, cols, row_weight, col_weight
+        row_in = ((r0 >= 0) & (r0 < h), (r0 >= -1) & (r0 < h - 1))
+        col_in = ((c0 >= 0) & (c0 < w), (c0 >= -1) & (c0 < w - 1))
+        # Flat index of corner (0, 0), in place of r0.
+        r0 *= w
+        r0 += c0
+        r0 += row_starts
+        del c0
+        index = np.empty(weight.shape, dtype=np.int64)
+        for q, (dr, dc) in enumerate(corners):
+            np.add(r0, dr * w + dc, out=index[:, q])
+            np.copyto(index[:, q], row_starts + m, where=~(row_in[dr] & col_in[dc]))
+        del r0, row_in, col_in
+        for ti, frame_index, frame_weight in zip(range(start, t), index, weight):
+            interp = np.zeros((m * n_points, m + 1))
+            interp.reshape(-1)[frame_index] = frame_weight
+            patch = interp[:, :m] @ x[ti].reshape(m, c)
+            out.append(cfg.theta_s.T @ patch.reshape(m, n_points * c).T)
+            # Freed before the next frame allocates its own.
+            del interp, patch
     return out
 
 
@@ -324,10 +348,14 @@ def scale_frames(x: np.ndarray, cfg: ScaleConfig) -> list[np.ndarray]:
 
 
 def _second_order(frames: list[np.ndarray]) -> list[np.ndarray]:
-    """One scale's frames as normalized, vectorized second moments. The
-    normalizer's power estimate runs once, on the stack of the scale's
-    moments, with the bits of a per-moment estimate."""
-    moments = [second_moment(f) for f in frames]
+    """A clip's C x M frames as normalized, vectorized second moments. The
+    moments fill one (N, C, C) stack, which the power estimate validates
+    and shifts in place once for the clip, with the bits of a per-moment
+    estimate."""
+    c = frames[0].shape[0]
+    moments = np.empty((len(frames), c, c))
+    for slot, f in zip(moments, frames):
+        slot[...] = second_moment(f)
     norms = spectral_norm_estimates(moments)
     return [vectorize_spd(newton_schulz_sqrt(a, norm)) for a, norm in zip(moments, norms)]
 
@@ -355,15 +383,15 @@ def multi_scale_frames(clip: FeatureClip, scales: list[ScaleConfig]) -> list[lis
 
 def _sequence(per_scale: list[list[np.ndarray]], reduce) -> DescriptorSequence:
     """Reduce every C x M frame of every scale to one vector, ordered
-    scale-major, time-minor; ``reduce`` takes one scale's frames at a time."""
-    vectors = []
-    scale_ids = []
-    times = []
-    for b, frames in enumerate(per_scale):
-        vectors.extend(reduce(frames))
-        scale_ids.extend([b] * len(frames))
-        times.extend(range(len(frames)))
-    return DescriptorSequence(np.array(vectors), np.array(scale_ids), np.array(times))
+    scale-major, time-minor; ``reduce`` takes all of the clip's frames in
+    one call."""
+    counts = [len(frames) for frames in per_scale]
+    vectors = reduce([f for frames in per_scale for f in frames])
+    return DescriptorSequence(
+        np.array(vectors),
+        np.repeat(np.arange(len(counts)), counts),
+        np.concatenate([np.arange(k) for k in counts]),
+    )
 
 
 def _clip_frames(clip: FeatureClip) -> list[list[np.ndarray]]:

@@ -52,37 +52,81 @@ def _shifted(a: np.ndarray) -> tuple[np.ndarray, float]:
     return shifted, fro
 
 
+def _shift_valid(stack: np.ndarray, diag: np.ndarray) -> np.ndarray | None:
+    """Check a non-empty stack of square moments with whole-stack
+    reductions, each the exact counterpart of a ``_shifted`` check, and
+    shift it in place by adding each moment's eps to ``diag``, its
+    diagonals. Returns the shifted moments' Frobenius norms, or None for a
+    stack ``_shifted`` rejects; a rejected stack may be left shifted."""
+    n_moments, n = diag.shape
+    # A NaN or an infinity makes a moment's bound non-finite.
+    bound = np.maximum(stack.max(axis=(1, 2)), -stack.min(axis=(1, 2)))
+    if not np.all(np.isfinite(bound)):
+        return None
+    asym = stack - stack.transpose(0, 2, 1)
+    np.abs(asym, out=asym)
+    if np.any(asym.max(axis=(1, 2)) > 1e-8 * np.maximum(1.0, bound)):
+        return None
+    del asym
+    diag += DEFAULT_EPS_SCALE * diag.sum(axis=1, keepdims=True) / n
+    flat = stack.reshape(n_moments, n * n, 1)
+    fro = np.sqrt(np.swapaxes(flat, 1, 2) @ flat).reshape(-1)
+    if np.any(fro <= 0.0) or np.any(diag.sum(axis=1) <= 0.0):
+        return None
+    return fro
+
+
 def spectral_norm_estimates(moments) -> np.ndarray:
     """Largest-eigenvalue estimates of equal-size second moments, one per
     moment, as ``newton_schulz_sqrt`` normalizes them; an (N,) array.
 
-    Each moment is validated here for ``newton_schulz_sqrt``, which trusts
-    it: an empty, non-finite or asymmetric moment, or one whose shifted
-    trace or norm is not positive (a zero matrix), raises a
-    ``spectral_norm_estimates:`` ``ValueError``. Each is shifted by
-    ``eps * I``, and one deterministic power iteration (fixed all-ones
-    start, 50 steps) runs on the stack. Each estimate is bitwise the one a
-    power iteration on that moment alone gives, the reference the tests
-    keep; a moment whose ``A v`` underflows to zero keeps its ``v`` from
-    then on. Each Rayleigh quotient is clamped to [fro / sqrt(n), fro], the
-    interval that always contains the true largest eigenvalue, which guards
-    against a start vector nearly orthogonal to the dominant eigenvector.
+    ``moments`` is an (N, C, C) array or a sequence of C x C matrices. Each
+    moment is validated here for ``newton_schulz_sqrt``, which trusts it:
+    an empty, non-finite or asymmetric moment, or one whose shifted trace
+    or norm is not positive (a zero matrix), raises a
+    ``spectral_norm_estimates:`` ``ValueError``, the first bad moment's. The
+    stack is checked with whole-stack reductions, shifted by ``eps * I`` in
+    place, and one deterministic power iteration (fixed all-ones start, 50
+    steps) runs on it; each diagonal is restored before this returns or
+    raises, so the caller's bytes end as they began and no shifted copy is
+    made. Each estimate is bitwise the one a power iteration on that moment
+    alone gives, the reference the tests keep; a moment whose ``A v``
+    underflows to zero keeps its ``v`` from then on. Each Rayleigh quotient
+    is clamped to [fro / sqrt(n), fro], the interval that always contains
+    the true largest eigenvalue, which guards against a start vector nearly
+    orthogonal to the dominant eigenvector.
     """
-    moments = list(moments)
-    if not moments:
+    # A contiguous, writable float64 array is shifted in place; anything
+    # else is first copied into one.
+    try:
+        stack = np.require(moments, np.float64, ["C", "W"])
+    except ValueError:
+        # Matrices of different shapes: name the first bad one, if any.
+        for a in moments:
+            _shifted(a)
+        raise ValueError("spectral_norm_estimates: moments differ in size") from None
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.size == 0:
+        for a in stack:
+            _shifted(a)
         return np.empty(0)
-    shifted, fro = zip(*map(_shifted, moments))
-    if any(s.shape != shifted[0].shape for s in shifted):
-        raise ValueError("spectral_norm_estimates: moments differ in size")
-    stack = np.stack(shifted)
-    n = stack.shape[-1]
-    v = np.full((len(moments), n, 1), 1.0 / np.sqrt(n))
-    for _ in range(50):
-        w = stack @ v
-        nw = np.sqrt(np.swapaxes(w, 1, 2) @ w)
-        np.divide(w, nw, out=v, where=nw != 0.0)
-    rayleigh = ((np.swapaxes(v, 1, 2) @ stack) @ v).reshape(-1)
-    fro = np.array(fro)
+    n_moments, n = stack.shape[0], stack.shape[-1]
+    diag = stack.reshape(n_moments, n * n)[:, :: n + 1]
+    saved = diag.copy()
+    try:
+        fro = _shift_valid(stack, diag)
+        if fro is None:
+            # Name the first bad moment, as a per-moment check would.
+            diag[...] = saved
+            for a in stack:
+                _shifted(a)
+        v = np.full((n_moments, n, 1), 1.0 / np.sqrt(n))
+        for _ in range(50):
+            w = stack @ v
+            nw = np.sqrt(np.swapaxes(w, 1, 2) @ w)
+            np.divide(w, nw, out=v, where=nw != 0.0)
+        rayleigh = ((np.swapaxes(v, 1, 2) @ stack) @ v).reshape(-1)
+    finally:
+        diag[...] = saved
     return np.minimum(np.maximum(rayleigh, fro / np.sqrt(n)), fro)
 
 
@@ -95,7 +139,8 @@ def newton_schulz_sqrt(a: np.ndarray, norm: float) -> np.ndarray:
 
         T_k = (3 I - Z_k Y_k) / 2,   Y_{k+1} = Y_k T_k,   Z_{k+1} = T_k Z_k,
 
-    and post-compensated by the square root of the normalizer. The spectral
+    starting at ``Y_0``, the normalized input, and ``Z_0 = I``, and
+    post-compensated by the square root of the normalizer. The spectral
     norm is used rather than the trace because it maps the spectrum onto
     (0, 1] instead of over-shrinking it, which is what keeps the relative
     residual of five iterations within 1e-2 up to condition number 100 and
@@ -110,11 +155,14 @@ def newton_schulz_sqrt(a: np.ndarray, norm: float) -> np.ndarray:
     shifted = _shift(np.asarray(a, dtype=np.float64))
     ident = np.eye(shifted.shape[0])
     y = shifted / norm
-    z = ident
-    for _ in range(DEFAULT_SQRT_ITERATIONS):
+    # Z_0 = I makes Z_0 Y_0 = Y_0 and Z_1 = T_0 Z_0 = T_0 exact, and the last
+    # Z is never read: 3 * DEFAULT_SQRT_ITERATIONS - 3 products in all.
+    t = 0.5 * (3.0 * ident - y)
+    y, z = y @ t, t
+    for _ in range(DEFAULT_SQRT_ITERATIONS - 2):
         t = 0.5 * (3.0 * ident - z @ y)
-        y = y @ t
-        z = t @ z
+        y, z = y @ t, t @ z
+    y = y @ (0.5 * (3.0 * ident - z @ y))
     out = y * np.sqrt(norm)
     return 0.5 * (out + out.T)
 

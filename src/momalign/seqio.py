@@ -29,7 +29,7 @@ import numpy as np
 MAGIC = b"FSQ1"
 
 _TAG_TO_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-_DTYPE_TO_TAG = {np.dtype("float32"): 0, np.dtype("float64"): 1}
+_DTYPE_TO_TAG = {dtype: tag for tag, dtype in _TAG_TO_DTYPE.items()}
 
 
 class SeqIOError(Exception):
@@ -55,17 +55,15 @@ class ManifestError(SeqIOError):
 def write_container(tensors: dict[str, np.ndarray], path: str | Path) -> None:
     """Write named arrays to a single FSQ1 container file.
 
-    Arrays are stored as f32 or f64 depending on their dtype; any other
-    float dtype is stored as f64. Names must be unique (dict enforces) and
-    non-empty.
+    Four-byte floats of either byte order are stored as f32, and every
+    other dtype as f64. Names must be unique (dict enforces) and non-empty.
     """
     entries = []
     for name, arr in tensors.items():
         if not name:
             raise ValueError("tensor names must be non-empty")
         a = np.asarray(arr)
-        if a.dtype not in _DTYPE_TO_TAG:
-            a = a.astype(np.float64)
+        a = a.astype("<f4" if a.dtype.kind == "f" and a.dtype.itemsize == 4 else "<f8", copy=False)
         # ascontiguousarray promotes rank-0 arrays to rank 1; restore shape.
         entries.append((name, np.ascontiguousarray(a).reshape(a.shape)))
 
@@ -92,7 +90,7 @@ def write_container(tensors: dict[str, np.ndarray], path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write(bytes(header))
         for _, a in entries:
-            fh.write(a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes())
+            fh.write(a.tobytes())
 
 
 def read_container(path: str | Path) -> dict[str, np.ndarray]:

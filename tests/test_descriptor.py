@@ -454,6 +454,39 @@ def bincount_deformable_conv(x, offsets, cfg):
     return out
 
 
+def per_frame_deformable_conv(x, offsets, cfg):
+    """Reference: ``deformable_conv`` as it ran before it sampled a block of
+    frames at once, computing each frame's positions, corner columns and
+    weights on their own; kept as the bitwise reference."""
+    t, h, w, c = x.shape
+    n_points = cfg.grid * cfg.grid
+    m = h * w
+    k = np.arange(-(cfg.grid // 2), cfg.grid // 2 + 1)
+    base_rows = np.arange(h)[:, None, None] + np.repeat(k, cfg.grid)
+    base_cols = np.arange(w)[:, None] + np.tile(k, cfg.grid)
+    sample = np.arange(m * n_points).reshape(h, w, n_points)
+    out = []
+    for ti in range(t):
+        rows = base_rows + offsets[ti, ..., 1::2]
+        cols = base_cols + offsets[ti, ..., 0::2]
+        r0 = np.floor(rows).astype(np.int64)
+        c0 = np.floor(cols).astype(np.int64)
+        fr = rows - r0
+        fc = cols - c0
+        interp = np.zeros((m * n_points, m + 1))
+        for rr, cc, wgt in (
+            (r0, c0, (1 - fr) * (1 - fc)),
+            (r0, c0 + 1, (1 - fr) * fc),
+            (r0 + 1, c0, fr * (1 - fc)),
+            (r0 + 1, c0 + 1, fr * fc),
+        ):
+            valid = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
+            interp[sample, np.where(valid, rr * w + cc, m)] = wgt
+        patch = interp[:, :m] @ x[ti].reshape(m, c)
+        out.append(cfg.theta_s.T @ patch.reshape(m, n_points * c).T)
+    return out
+
+
 def mixed_offsets(rng, shape):
     """Seeded (T, 2P, H, W) offset field mixing fractional in-frame shifts,
     shifts that leave the frame partly, whole-pixel shifts and very large
@@ -569,6 +602,26 @@ class TestDeformableConv:
         for got, ref in zip(frames, expect, strict=True):
             assert np.array_equal(got, ref)
 
+    @pytest.mark.parametrize("grid", [1, 3, 5])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 9])
+    def test_blocks_match_per_frame_sampling_bitwise(self, t, grid):
+        # T' of 1 to 9 ends blocks of frames full and partial. A random
+        # offset head samples between pixels and past the frame's edges, so
+        # fractional weights and out-of-frame corners take part.
+        rng = np.random.default_rng([t, grid, 49])
+        h, w = 6, 5
+        cfg = random_cfg(rng, 1, grid, c_in=8, c_prime=8, c_out=3)
+        x = random_pixels(rng, t=t, c=8, h=h, w=w)
+        off = offset_mlp(temporal_difference(x), cfg)
+        rows = np.arange(h)[:, None, None] + off[..., 1::2]
+        cols = np.arange(w)[:, None] + off[..., 0::2]
+        assert np.any(off != np.round(off))
+        assert np.any((rows < 0) | (rows > h - 1) | (cols < 0) | (cols > w - 1))
+        frames = deformable_conv(x, off, cfg)
+        expect = per_frame_deformable_conv(x, off, cfg)
+        for got, ref in zip(frames, expect, strict=True):
+            assert np.array_equal(got, ref)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_offsets(self, bad):
         rng = np.random.default_rng(14)
@@ -580,8 +633,9 @@ class TestDeformableConv:
             deformable_conv(x, off, cfg)
 
     def test_working_set_does_not_grow_with_frames(self):
-        # The sampling index math and interpolation matrix are per frame, so
-        # beyond its output the call's peak memory must not scale with T.
+        # The sampling index math is per block of frames and the
+        # interpolation matrix per frame, so beyond its output the call's
+        # peak memory must not scale with T.
         rng = np.random.default_rng(15)
         cfg = random_cfg(rng, 1, 5, c_in=32, c_prime=32, c_out=16)
 
@@ -716,17 +770,25 @@ class TestMultiScaleDescriptors:
         assert list(seq.times) == list(range(8)) + list(range(6)) + list(range(4))
 
     def test_each_moment_validated_once_before_vectorizing(self, monkeypatch):
-        # The power estimate validates each moment; the sqrt, given its norm,
-        # only shifts it; vectorize_spd checks the root.
+        # The power estimate validates all of a clip's moments at once, as
+        # one (N, C, C) stack, and runs no per-moment check when the stack
+        # is valid; the sqrt, given its norm, only shifts a moment;
+        # vectorize_spd checks each root.
         rng = np.random.default_rng(32)
-        frames = multi_scale_frames(random_clip(rng, t=6), [random_cfg(rng, 3, 3)])[0]
-        checked = []
-        check = linalg._check_square_symmetric
-        monkeypatch.setattr(
-            linalg, "_check_square_symmetric", lambda a, what: checked.append(what) or check(a, what)
-        )
-        descriptor._second_order(frames)
-        assert len(checked) == 2 * len(frames) == 8
+        clip = random_clip(rng, t=6)
+        frames = multi_scale_frames(clip, [random_cfg(rng, 1, 1), random_cfg(rng, 3, 3)])
+        calls = {"_shift_valid": [], "_shifted": [], "_check_square_symmetric": []}
+        for name, log in calls.items():
+            original = getattr(linalg, name)
+            monkeypatch.setattr(
+                linalg, name, lambda a, *rest, log=log, f=original: log.append(a.shape) or f(a, *rest)
+            )
+        assert len(multi_scale_descriptors(frames)) == 6 + 4
+        assert calls == {
+            "_shift_valid": [(10, 3, 3)],
+            "_shifted": [],
+            "_check_square_symmetric": [(3, 3)] * 10,
+        }
 
     def test_identity_single_scale_equals_cov_mn_bitwise(self):
         rng = np.random.default_rng(18)

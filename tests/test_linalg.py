@@ -191,6 +191,60 @@ class TestSpectralNormEstimates:
         assert str(stacked.value) == str(alone.value)
         assert str(alone.value).startswith("spectral_norm_estimates: ")
 
+    @pytest.mark.parametrize("dim", [16, 64, 128])
+    def test_stack_matches_list_and_per_scale_stacks_bitwise(self, dim):
+        # One clip's moments at 8, 6 and 4 frames per scale: a clip's stack,
+        # the same matrices as a list, and one stack per scale agree.
+        rng = np.random.default_rng([45, dim])
+        moments = [
+            second_moment(rng.standard_normal((dim, 36)) * rng.uniform(0.01, 100.0))
+            for _ in range(18)
+        ]
+        stack = np.array(moments)
+        got = spectral_norm_estimates(stack)
+        assert got.tobytes() == spectral_norm_estimates(moments).tobytes()
+        per_scale = [spectral_norm_estimates(stack[a:b]) for a, b in ((0, 8), (8, 14), (14, 18))]
+        assert got.tobytes() == np.concatenate(per_scale).tobytes()
+        assert_estimates_match_reference(moments)
+
+    @pytest.mark.parametrize("bad", ["none", "zero", "negative", "asymmetric"])
+    def test_stack_bytes_unchanged(self, bad):
+        # The stack is shifted in place and restored, whether the estimate
+        # returns or raises.
+        rng = np.random.default_rng(46)
+        good = [second_moment(rng.standard_normal((16, 36))) for _ in range(3)]
+        extra = {
+            "none": [],
+            "zero": [np.zeros((16, 16))],
+            "negative": [-good[0]],
+            "asymmetric": [good[0] + np.triu(np.ones((16, 16)), 1)],
+        }[bad]
+        stack = np.array(good + extra)
+        before = stack.tobytes()
+        if extra:
+            with pytest.raises(ValueError, match="^spectral_norm_estimates: "):
+                spectral_norm_estimates(stack)
+        else:
+            spectral_norm_estimates(stack)
+        assert stack.tobytes() == before
+
+    def test_read_only_stack_is_copied(self):
+        rng = np.random.default_rng(47)
+        stack = np.array([second_moment(rng.standard_normal((16, 36))) for _ in range(3)])
+        frozen = stack.copy()
+        frozen.flags.writeable = False
+        assert np.array_equal(spectral_norm_estimates(frozen), spectral_norm_estimates(stack))
+
+    @pytest.mark.parametrize("order", [("zero", "asymmetric"), ("asymmetric", "zero")])
+    def test_first_of_two_bad_moments_is_named(self, order):
+        good = random_spd(np.random.default_rng(48), 4)
+        bad = {"zero": np.zeros((4, 4)), "asymmetric": good + np.triu(np.ones((4, 4)), 1)}
+        with pytest.raises(ValueError) as alone:
+            own_norm_sqrt(bad[order[0]])
+        with pytest.raises(ValueError) as stacked:
+            spectral_norm_estimates(np.array([good] + [bad[kind] for kind in order]))
+        assert str(stacked.value) == str(alone.value)
+
     def test_rejects_moments_of_different_sizes(self):
         with pytest.raises(ValueError, match="moments differ in size"):
             spectral_norm_estimates([np.eye(3), np.eye(4)])

@@ -46,6 +46,20 @@ class TestContainerRoundTrip:
         assert back["x"].dtype == np.float64
         assert np.array_equal(back["x"], a)
 
+    @pytest.mark.parametrize("kind", ["f4", "f8"])
+    def test_byte_order_does_not_change_the_file(self, kind, tmp_path):
+        # A big-endian float32 used to be stored as f64 and read back at
+        # twice the size.
+        files = []
+        for order in "<>":
+            a = np.arange(3, dtype=order + kind)
+            files.append(tmp_path / f"{order == '<'}.fsq")
+            write_container({"x": a}, files[-1])
+            back = read_container(files[-1])["x"]
+            assert back.dtype == np.dtype("<" + kind)
+            assert np.array_equal(back, a)
+        assert files[0].read_bytes() == files[1].read_bytes()
+
     def test_write_deterministic(self, tmp_path):
         a = np.random.default_rng(1).standard_normal((4, 4)).astype(np.float32)
         p1 = tmp_path / "a.fsq"
