@@ -298,6 +298,9 @@ def deformable_conv(x: np.ndarray, offsets: np.ndarray, cfg: ScaleConfig) -> lis
         block = offsets[start : start + _SAMPLE_BLOCK]
         rows = base_rows + block[..., 1::2]
         cols = base_cols + block[..., 0::2]
+        # Every corner spills past one pixel out, so clipping there fits int64.
+        np.clip(rows, -2, h + 1, out=rows)
+        np.clip(cols, -2, w + 1, out=cols)
         r0 = np.floor(rows).astype(np.int64)
         c0 = np.floor(cols).astype(np.int64)
         rows -= r0
@@ -349,8 +352,8 @@ def scale_frames(x: np.ndarray, cfg: ScaleConfig) -> list[np.ndarray]:
 
 def _second_order(frames: list[np.ndarray]) -> list[np.ndarray]:
     """A clip's C x M frames as normalized, vectorized second moments. The
-    moments fill one (N, C, C) stack, which the power estimate validates
-    and shifts in place once for the clip, with the bits of a per-moment
+    moments fill one (N, C, C) stack, whose power estimate validates them
+    and shifts a copy once for the clip, with the bits of a per-moment
     estimate."""
     c = frames[0].shape[0]
     moments = np.empty((len(frames), c, c))

@@ -24,109 +24,80 @@ DEFAULT_SQRT_ITERATIONS = 5
 DEFAULT_EPS_SCALE = 1e-5
 
 
-def _check_square_symmetric(a: np.ndarray, what: str) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{what}: expected a square matrix, got shape {a.shape}")
-    if a.size == 0:
-        raise ValueError(f"{what}: empty matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{what}: non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.T))) > 1e-8 * scale:
-        raise ValueError(f"{what}: matrix is not symmetric within tolerance")
-    return a
-
-
 def _shift(a: np.ndarray) -> np.ndarray:
     """``a + eps * I`` with ``eps = DEFAULT_EPS_SCALE * trace / dim``."""
     return a + DEFAULT_EPS_SCALE * float(np.trace(a)) / len(a) * np.eye(len(a))
 
 
-def _shifted(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """The validated input shifted by ``eps * I``, and its Frobenius norm."""
-    shifted = _shift(_check_square_symmetric(a, "spectral_norm_estimates"))
-    fro = float(np.linalg.norm(shifted))
-    if fro <= 0.0 or float(np.trace(shifted)) <= 0.0:
-        raise ValueError("spectral_norm_estimates: non-positive input after eps shift")
-    return shifted, fro
+#: The moment checks' messages, in the order a matrix is checked.
+_FAULTS = (
+    "non-finite entries",
+    "matrix is not symmetric within tolerance",
+    "non-positive input after eps shift",
+)
 
 
-def _shift_valid(stack: np.ndarray, diag: np.ndarray) -> np.ndarray | None:
-    """Check a non-empty stack of square moments with whole-stack
-    reductions, each the exact counterpart of a ``_shifted`` check, and
-    shift it in place by adding each moment's eps to ``diag``, its
-    diagonals. Returns the shifted moments' Frobenius norms, or None for a
-    stack ``_shifted`` rejects; a rejected stack may be left shifted."""
-    n_moments, n = diag.shape
-    # A NaN or an infinity makes a moment's bound non-finite.
-    bound = np.maximum(stack.max(axis=(1, 2)), -stack.min(axis=(1, 2)))
-    if not np.all(np.isfinite(bound)):
-        return None
-    asym = stack - stack.transpose(0, 2, 1)
-    np.abs(asym, out=asym)
-    if np.any(asym.max(axis=(1, 2)) > 1e-8 * np.maximum(1.0, bound)):
-        return None
-    del asym
-    diag += DEFAULT_EPS_SCALE * diag.sum(axis=1, keepdims=True) / n
-    flat = stack.reshape(n_moments, n * n, 1)
-    fro = np.sqrt(np.swapaxes(flat, 1, 2) @ flat).reshape(-1)
-    if np.any(fro <= 0.0) or np.any(diag.sum(axis=1) <= 0.0):
-        return None
-    return fro
+def _checked_copy(stack, what: str, shift: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """A float64 copy of an (N, C, C) stack whose matrices are all square,
+    non-empty, finite, symmetric within ``1e-8 * max(1, max|a|)`` and, with
+    ``shift``, of positive trace and Frobenius norm (also returned) once the
+    copy is shifted by each one's ``eps * I``. Whole-stack reductions check
+    them; the first bad matrix raises its first failed check, after ``what``."""
+    stack = np.asarray(stack, dtype=np.float64)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"{what}: expected a square matrix, got shape {stack.shape[1:]}")
+    n_matrices, n = stack.shape[:2]
+    if n == 0:
+        raise ValueError(f"{what}: empty matrix")
+    # |A|, then |A - A^T| (skipping non-finite matrices, zeroed after), use
+    # the copy's buffer before the stack fills it: no second temporary.
+    copy = np.abs(stack)
+    bound = copy.max(axis=(1, 2))
+    finite = np.isfinite(bound)
+    np.subtract(stack, stack.transpose(0, 2, 1), out=copy, where=finite[:, None, None])
+    np.abs(copy, out=copy)
+    faults = [~finite, copy.max(axis=(1, 2)) > 1e-8 * np.maximum(1.0, bound)]
+    np.copyto(copy, stack)
+    copy[~finite] = 0.0
+    fro = None
+    if shift:
+        diag = copy.reshape(n_matrices, n * n)[:, :: n + 1]
+        diag += DEFAULT_EPS_SCALE * diag.sum(axis=1, keepdims=True) / n
+        flat = copy.reshape(n_matrices, n * n, 1)
+        fro = np.sqrt(np.swapaxes(flat, 1, 2) @ flat).reshape(-1)
+        faults.append((fro <= 0.0) | (diag.sum(axis=1) <= 0.0))
+    bad = np.array(faults)
+    if bad.any():
+        # The first bad matrix, then the first check it fails.
+        raise ValueError(f"{what}: {_FAULTS[bad[:, bad.any(axis=0).argmax()].argmax()]}")
+    return copy, fro
 
 
-def spectral_norm_estimates(moments) -> np.ndarray:
-    """Largest-eigenvalue estimates of equal-size second moments, one per
-    moment, as ``newton_schulz_sqrt`` normalizes them; an (N,) array.
+def spectral_norm_estimates(stack: np.ndarray) -> np.ndarray:
+    """Largest-eigenvalue estimates of an (N, C, C) stack of second moments,
+    one per moment, as ``newton_schulz_sqrt`` normalizes them; an (N,) array.
 
-    ``moments`` is an (N, C, C) array or a sequence of C x C matrices. Each
-    moment is validated here for ``newton_schulz_sqrt``, which trusts it:
-    an empty, non-finite or asymmetric moment, or one whose shifted trace
-    or norm is not positive (a zero matrix), raises a
-    ``spectral_norm_estimates:`` ``ValueError``, the first bad moment's. The
-    stack is checked with whole-stack reductions, shifted by ``eps * I`` in
-    place, and one deterministic power iteration (fixed all-ones start, 50
-    steps) runs on it; each diagonal is restored before this returns or
-    raises, so the caller's bytes end as they began and no shifted copy is
-    made. Each estimate is bitwise the one a power iteration on that moment
-    alone gives, the reference the tests keep; a moment whose ``A v``
-    underflows to zero keeps its ``v`` from then on. Each Rayleigh quotient
-    is clamped to [fro / sqrt(n), fro], the interval that always contains
-    the true largest eigenvalue, which guards against a start vector nearly
-    orthogonal to the dominant eigenvector.
+    The moments are validated here for ``newton_schulz_sqrt``, which trusts
+    them: the first empty, non-finite or asymmetric moment, or one whose
+    shifted trace or norm is not positive (a zero matrix), raises a
+    ``spectral_norm_estimates:`` ``ValueError``. A deterministic power
+    iteration (all-ones start, 50 steps) runs once on a copy of the stack
+    shifted by each moment's ``eps * I``; the caller's stack is only read.
+    Each estimate is bitwise that of a power iteration on its moment alone,
+    the reference the tests keep; a moment whose ``A v`` underflows to zero
+    keeps its ``v`` from then on. Each Rayleigh quotient is clamped to
+    [fro / sqrt(n), fro], the interval that always contains the true largest
+    eigenvalue, which guards against a start vector nearly orthogonal to the
+    dominant eigenvector.
     """
-    # A contiguous, writable float64 array is shifted in place; anything
-    # else is first copied into one.
-    try:
-        stack = np.require(moments, np.float64, ["C", "W"])
-    except ValueError:
-        # Matrices of different shapes: name the first bad one, if any.
-        for a in moments:
-            _shifted(a)
-        raise ValueError("spectral_norm_estimates: moments differ in size") from None
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.size == 0:
-        for a in stack:
-            _shifted(a)
-        return np.empty(0)
-    n_moments, n = stack.shape[0], stack.shape[-1]
-    diag = stack.reshape(n_moments, n * n)[:, :: n + 1]
-    saved = diag.copy()
-    try:
-        fro = _shift_valid(stack, diag)
-        if fro is None:
-            # Name the first bad moment, as a per-moment check would.
-            diag[...] = saved
-            for a in stack:
-                _shifted(a)
-        v = np.full((n_moments, n, 1), 1.0 / np.sqrt(n))
-        for _ in range(50):
-            w = stack @ v
-            nw = np.sqrt(np.swapaxes(w, 1, 2) @ w)
-            np.divide(w, nw, out=v, where=nw != 0.0)
-        rayleigh = ((np.swapaxes(v, 1, 2) @ stack) @ v).reshape(-1)
-    finally:
-        diag[...] = saved
+    shifted, fro = _checked_copy(stack, "spectral_norm_estimates", shift=True)
+    n_moments, n = shifted.shape[:2]
+    v = np.full((n_moments, n, 1), 1.0 / np.sqrt(n))
+    for _ in range(50):
+        w = shifted @ v
+        nw = np.sqrt(np.swapaxes(w, 1, 2) @ w)
+        np.divide(w, nw, out=v, where=nw != 0.0)
+    rayleigh = ((np.swapaxes(v, 1, 2) @ shifted) @ v).reshape(-1)
     return np.minimum(np.maximum(rayleigh, fro / np.sqrt(n)), fro)
 
 
@@ -196,9 +167,10 @@ def vectorize_spd(a: np.ndarray) -> np.ndarray:
 
     The scaling makes the plain dot product of two vectorized matrices equal
     their Frobenius inner product, so cosine over vectors equals cosine over
-    matrices.
+    matrices. The matrix is checked as a stack of one: square, non-empty,
+    finite and symmetric.
     """
-    a = _check_square_symmetric(a, "vectorize_spd")
-    flat, scale = _triu_layout(a.shape[0])
+    a = _checked_copy(np.asarray(a)[None], "vectorize_spd", shift=False)[0][0]
+    flat, scale = _triu_layout(len(a))
     return a.take(flat) * scale
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -622,6 +623,25 @@ class TestDeformableConv:
         for got, ref in zip(frames, expect, strict=True):
             assert np.array_equal(got, ref)
 
+    def test_huge_offsets_spill_like_out_of_frame_ones(self):
+        # An offset of 1e19 or more used to overflow the int64 corner index
+        # with an invalid-value warning. Past one pixel outside the frame
+        # every corner spills, so a huge offset samples what one of 50 does.
+        rng = np.random.default_rng(50)
+        cfg = random_cfg(rng, 1, 3, c_prime=4)
+        x = random_pixels(rng, t=5, c=4, h=4, w=5)
+        off = pixel_major(rng.uniform(-1.5, 1.5, (5, 18, 4, 5)))
+        far = rng.random(off.shape) < 0.3
+        up = rng.random(off.shape) < 0.5
+        near, huge = off.copy(), off.copy()
+        near[far] = np.where(up, 50.0, -50.0)[far]
+        huge[far] = np.where(up, 1e19, -1e300)[far]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = deformable_conv(x, huge, cfg)
+        for g, ref in zip(got, deformable_conv(x, near, cfg), strict=True):
+            assert np.array_equal(g, ref)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_offsets(self, bad):
         rng = np.random.default_rng(14)
@@ -770,25 +790,22 @@ class TestMultiScaleDescriptors:
         assert list(seq.times) == list(range(8)) + list(range(6)) + list(range(4))
 
     def test_each_moment_validated_once_before_vectorizing(self, monkeypatch):
-        # The power estimate validates all of a clip's moments at once, as
-        # one (N, C, C) stack, and runs no per-moment check when the stack
-        # is valid; the sqrt, given its norm, only shifts a moment;
-        # vectorize_spd checks each root.
+        # One check serves both callers: the power estimate validates all of
+        # a clip's moments at once, as one (N, C, C) stack; the sqrt, given
+        # its norm, only shifts a moment; vectorize_spd checks each root as
+        # a stack of one.
         rng = np.random.default_rng(32)
         clip = random_clip(rng, t=6)
         frames = multi_scale_frames(clip, [random_cfg(rng, 1, 1), random_cfg(rng, 3, 3)])
-        calls = {"_shift_valid": [], "_shifted": [], "_check_square_symmetric": []}
-        for name, log in calls.items():
-            original = getattr(linalg, name)
-            monkeypatch.setattr(
-                linalg, name, lambda a, *rest, log=log, f=original: log.append(a.shape) or f(a, *rest)
-            )
+        calls = []
+        original = linalg._checked_copy
+        monkeypatch.setattr(
+            linalg,
+            "_checked_copy",
+            lambda stack, *rest, **kw: calls.append(stack.shape) or original(stack, *rest, **kw),
+        )
         assert len(multi_scale_descriptors(frames)) == 6 + 4
-        assert calls == {
-            "_shift_valid": [(10, 3, 3)],
-            "_shifted": [],
-            "_check_square_symmetric": [(3, 3)] * 10,
-        }
+        assert calls == [(10, 3, 3)] + [(1, 3, 3)] * 10
 
     def test_identity_single_scale_equals_cov_mn_bitwise(self):
         rng = np.random.default_rng(18)

@@ -1,6 +1,8 @@
 """Dense SPD primitives against closed-form cases and independent oracles."""
 
+import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -186,8 +188,9 @@ class TestSpectralNormEstimates:
         }[kind]
         with pytest.raises(ValueError) as alone:
             own_norm_sqrt(bad)
+        stack = np.zeros((3, 0, 0)) if kind == "empty" else np.array([good, bad, good])
         with pytest.raises(ValueError) as stacked:
-            spectral_norm_estimates([good, bad, good])
+            spectral_norm_estimates(stack)
         assert str(stacked.value) == str(alone.value)
         assert str(alone.value).startswith("spectral_norm_estimates: ")
 
@@ -207,10 +210,10 @@ class TestSpectralNormEstimates:
         assert got.tobytes() == np.concatenate(per_scale).tobytes()
         assert_estimates_match_reference(moments)
 
-    @pytest.mark.parametrize("bad", ["none", "zero", "negative", "asymmetric"])
+    @pytest.mark.parametrize("bad", ["none", "zero", "negative", "asymmetric", "non-finite"])
     def test_stack_bytes_unchanged(self, bad):
-        # The stack is shifted in place and restored, whether the estimate
-        # returns or raises.
+        # The estimate shifts a copy, so the stack is only read, whether the
+        # estimate returns or raises.
         rng = np.random.default_rng(46)
         good = [second_moment(rng.standard_normal((16, 36))) for _ in range(3)]
         extra = {
@@ -218,6 +221,7 @@ class TestSpectralNormEstimates:
             "zero": [np.zeros((16, 16))],
             "negative": [-good[0]],
             "asymmetric": [good[0] + np.triu(np.ones((16, 16)), 1)],
+            "non-finite": [np.where(np.eye(16) == 1, np.nan, good[0])],
         }[bad]
         stack = np.array(good + extra)
         before = stack.tobytes()
@@ -235,22 +239,54 @@ class TestSpectralNormEstimates:
         frozen.flags.writeable = False
         assert np.array_equal(spectral_norm_estimates(frozen), spectral_norm_estimates(stack))
 
-    @pytest.mark.parametrize("order", [("zero", "asymmetric"), ("asymmetric", "zero")])
+    @pytest.mark.parametrize(
+        "order",
+        list(itertools.product(["nan", "inf", "asymmetric", "zero", "negated"], repeat=2)),
+        ids="-".join,
+    )
     def test_first_of_two_bad_moments_is_named(self, order):
-        good = random_spd(np.random.default_rng(48), 4)
-        bad = {"zero": np.zeros((4, 4)), "asymmetric": good + np.triu(np.ones((4, 4)), 1)}
+        # Two bad moments among good ones, at two of the first, middle and
+        # last slots: the stack raises the first one's own error, with no
+        # numpy warning on the way. The infinities have both signs, so
+        # arithmetic on them would warn.
+        rng = np.random.default_rng(48)
+        good = [random_spd(rng, 4) for _ in range(5)]
+        diag = np.eye(4) == 1
+        bad = {
+            "nan": np.where(diag, np.nan, good[0]),
+            "inf": np.where(diag, np.inf * np.array([1, -1, 1, -1]), good[0]),
+            "asymmetric": good[0] + np.triu(np.ones((4, 4)), 1),
+            "zero": np.zeros((4, 4)),
+            "negated": -good[0],
+        }
         with pytest.raises(ValueError) as alone:
             own_norm_sqrt(bad[order[0]])
-        with pytest.raises(ValueError) as stacked:
-            spectral_norm_estimates(np.array([good] + [bad[kind] for kind in order]))
-        assert str(stacked.value) == str(alone.value)
-
-    def test_rejects_moments_of_different_sizes(self):
-        with pytest.raises(ValueError, match="moments differ in size"):
-            spectral_norm_estimates([np.eye(3), np.eye(4)])
+        for slots in itertools.combinations((0, 2, 4), 2):
+            stack = np.array(good)
+            stack[list(slots)] = [bad[kind] for kind in order]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError) as stacked:
+                    spectral_norm_estimates(stack)
+            assert str(stacked.value) == str(alone.value), slots
 
     def test_no_moments_no_estimates(self):
-        assert spectral_norm_estimates([]).shape == (0,)
+        assert spectral_norm_estimates(np.empty((0, 4, 4))).shape == (0,)
+
+    def test_peak_memory_is_one_copy(self):
+        # The shifted copy is the one stack-sized allocation: the asymmetry
+        # check runs in its buffer before it is filled, so a second
+        # temporary such as ``a + eps * I`` would break the bound.
+        rng = np.random.default_rng(49)
+        stack = np.array([second_moment(rng.standard_normal((128, 36))) for _ in range(18)])
+        spectral_norm_estimates(stack)
+        tracemalloc.start()
+        try:
+            spectral_norm_estimates(stack)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * stack.nbytes
 
 
 class TestNewtonSchulzSqrt:
