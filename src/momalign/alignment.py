@@ -69,15 +69,16 @@ class TransportPlan:
 
 
 def similarity_matrix(q: DescriptorSequence, s: DescriptorSequence) -> np.ndarray:
-    """Pairwise cosine similarities; entries lie in [-1, 1]."""
+    """Pairwise cosine similarities, in [-1, 1]. Each row is divided by its
+    own norm, however small, so only a row of zero norm scores 0."""
     if q.dim != s.dim:
         raise ValueError(f"similarity_matrix: descriptor length mismatch {q.dim} vs {s.dim}")
     qv = q.vectors
     sv = s.vectors
-    qn = np.linalg.norm(qv, axis=1)
-    sn = np.linalg.norm(sv, axis=1)
-    qu = np.where(qn[:, None] < 1e-12, 0.0, qv / np.maximum(qn, 1e-300)[:, None])
-    su = np.where(sn[:, None] < 1e-12, 0.0, sv / np.maximum(sn, 1e-300)[:, None])
+    qn = np.linalg.norm(qv, axis=1, keepdims=True)
+    sn = np.linalg.norm(sv, axis=1, keepdims=True)
+    qu = np.divide(qv, qn, out=np.zeros_like(qv), where=qn != 0.0)
+    su = np.divide(sv, sn, out=np.zeros_like(sv), where=sn != 0.0)
     sim = qu @ su.T
     return np.clip(sim, -1.0, 1.0)
 

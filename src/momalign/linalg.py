@@ -24,53 +24,12 @@ DEFAULT_SQRT_ITERATIONS = 5
 DEFAULT_EPS_SCALE = 1e-5
 
 
-def _shift(a: np.ndarray) -> np.ndarray:
-    """``a + eps * I`` with ``eps = DEFAULT_EPS_SCALE * trace / dim``."""
-    return a + DEFAULT_EPS_SCALE * float(np.trace(a)) / len(a) * np.eye(len(a))
-
-
 #: The moment checks' messages, in the order a matrix is checked.
 _FAULTS = (
     "non-finite entries",
     "matrix is not symmetric within tolerance",
     "non-positive input after eps shift",
 )
-
-
-def _checked_copy(stack, what: str, shift: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """A float64 copy of an (N, C, C) stack whose matrices are all square,
-    non-empty, finite, symmetric within ``1e-8 * max(1, max|a|)`` and, with
-    ``shift``, of positive trace and Frobenius norm (also returned) once the
-    copy is shifted by each one's ``eps * I``. Whole-stack reductions check
-    them; the first bad matrix raises its first failed check, after ``what``."""
-    stack = np.asarray(stack, dtype=np.float64)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise ValueError(f"{what}: expected a square matrix, got shape {stack.shape[1:]}")
-    n_matrices, n = stack.shape[:2]
-    if n == 0:
-        raise ValueError(f"{what}: empty matrix")
-    # |A|, then |A - A^T| (skipping non-finite matrices, zeroed after), use
-    # the copy's buffer before the stack fills it: no second temporary.
-    copy = np.abs(stack)
-    bound = copy.max(axis=(1, 2))
-    finite = np.isfinite(bound)
-    np.subtract(stack, stack.transpose(0, 2, 1), out=copy, where=finite[:, None, None])
-    np.abs(copy, out=copy)
-    faults = [~finite, copy.max(axis=(1, 2)) > 1e-8 * np.maximum(1.0, bound)]
-    np.copyto(copy, stack)
-    copy[~finite] = 0.0
-    fro = None
-    if shift:
-        diag = copy.reshape(n_matrices, n * n)[:, :: n + 1]
-        diag += DEFAULT_EPS_SCALE * diag.sum(axis=1, keepdims=True) / n
-        flat = copy.reshape(n_matrices, n * n, 1)
-        fro = np.sqrt(np.swapaxes(flat, 1, 2) @ flat).reshape(-1)
-        faults.append((fro <= 0.0) | (diag.sum(axis=1) <= 0.0))
-    bad = np.array(faults)
-    if bad.any():
-        # The first bad matrix, then the first check it fails.
-        raise ValueError(f"{what}: {_FAULTS[bad[:, bad.any(axis=0).argmax()].argmax()]}")
-    return copy, fro
 
 
 def spectral_norm_estimates(stack: np.ndarray) -> np.ndarray:
@@ -90,8 +49,32 @@ def spectral_norm_estimates(stack: np.ndarray) -> np.ndarray:
     eigenvalue, which guards against a start vector nearly orthogonal to the
     dominant eigenvector.
     """
-    shifted, fro = _checked_copy(stack, "spectral_norm_estimates", shift=True)
-    n_moments, n = shifted.shape[:2]
+    stack = np.asarray(stack, dtype=np.float64)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        shape = stack.shape[1:]
+        raise ValueError(f"spectral_norm_estimates: expected a square matrix, got shape {shape}")
+    n_moments, n = stack.shape[:2]
+    if n == 0:
+        raise ValueError("spectral_norm_estimates: empty matrix")
+    # |A|, then |A - A^T| (skipping non-finite moments, zeroed after), use
+    # `shifted`'s buffer before the stack fills it: no second temporary.
+    shifted = np.abs(stack)
+    bound = shifted.max(axis=(1, 2))
+    finite = np.isfinite(bound)
+    np.subtract(stack, stack.transpose(0, 2, 1), out=shifted, where=finite[:, None, None])
+    np.abs(shifted, out=shifted)
+    asymmetric = shifted.max(axis=(1, 2)) > 1e-8 * np.maximum(1.0, bound)
+    np.copyto(shifted, stack)
+    shifted[~finite] = 0.0
+    diag = shifted.reshape(n_moments, n * n)[:, :: n + 1]
+    diag += DEFAULT_EPS_SCALE * diag.sum(axis=1, keepdims=True) / n
+    flat = shifted.reshape(n_moments, n * n, 1)
+    fro = np.sqrt(np.swapaxes(flat, 1, 2) @ flat).reshape(-1)
+    bad = np.array([~finite, asymmetric, (fro <= 0.0) | (diag.sum(axis=1) <= 0.0)])
+    if bad.any():
+        # The first bad moment, then the first check it fails.
+        fault = _FAULTS[bad[:, bad.any(axis=0).argmax()].argmax()]
+        raise ValueError(f"spectral_norm_estimates: {fault}")
     v = np.full((n_moments, n, 1), 1.0 / np.sqrt(n))
     for _ in range(50):
         w = shifted @ v
@@ -123,9 +106,9 @@ def newton_schulz_sqrt(a: np.ndarray, norm: float) -> np.ndarray:
     """
     if not 0.0 < norm < math.inf:
         raise ValueError(f"newton_schulz_sqrt: norm must be positive and finite, got {norm}")
-    shifted = _shift(np.asarray(a, dtype=np.float64))
-    ident = np.eye(shifted.shape[0])
-    y = shifted / norm
+    a = np.asarray(a, dtype=np.float64)
+    ident = np.eye(len(a))
+    y = (a + DEFAULT_EPS_SCALE * float(np.trace(a)) / len(a) * ident) / norm
     # Z_0 = I makes Z_0 Y_0 = Y_0 and Z_1 = T_0 Z_0 = T_0 exact, and the last
     # Z is never read: 3 * DEFAULT_SQRT_ITERATIONS - 3 products in all.
     t = 0.5 * (3.0 * ident - y)
@@ -167,10 +150,10 @@ def vectorize_spd(a: np.ndarray) -> np.ndarray:
 
     The scaling makes the plain dot product of two vectorized matrices equal
     their Frobenius inner product, so cosine over vectors equals cosine over
-    matrices. The matrix is checked as a stack of one: square, non-empty,
-    finite and symmetric.
+    matrices. ``a`` is a root from ``newton_schulz_sqrt``, trusted as it is:
+    exactly symmetric by construction and finite because its moment was
+    validated, so only its upper triangle is read.
     """
-    a = _checked_copy(np.asarray(a)[None], "vectorize_spd", shift=False)[0][0]
     flat, scale = _triu_layout(len(a))
     return a.take(flat) * scale
 

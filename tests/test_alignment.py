@@ -26,16 +26,16 @@ from momalign.descriptor import DescriptorSequence
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; defined as 0 when either norm is below 1e-12."""
+    """Cosine similarity; defined as 0 when either norm is zero."""
     u = np.asarray(u, dtype=np.float64).ravel()
     v = np.asarray(v, dtype=np.float64).ravel()
     if u.shape != v.shape:
         raise ValueError(f"cosine: length mismatch {u.shape} vs {v.shape}")
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
-    if nu < 1e-12 or nv < 1e-12:
+    if nu == 0.0 or nv == 0.0:
         return 0.0
-    c = float(np.dot(u, v) / (nu * nv))
+    c = float(np.dot(u / nu, v / nv))
     return min(1.0, max(-1.0, c))
 
 
@@ -682,13 +682,15 @@ class TestAlignmentInvariances:
             assert emd_score(q, s) == pytest.approx(emd_score(s, q), abs=1e-9)
 
     def test_positive_scale_invariance(self):
+        # Tiny scales included: only a zero row is scored as zero, however
+        # small the others' norms.
         rng = np.random.default_rng(12)
         for _ in range(30):
             q = random_seq(rng, 4)
             s = random_seq(rng, 5)
-            c = float(rng.uniform(0.1, 10.0))
-            scaled = make_seq(c * q.vectors)
-            assert emd_score(scaled, s) == pytest.approx(emd_score(q, s), abs=1e-9)
+            for c in (float(rng.uniform(0.1, 10.0)), 1e-6, 1e-12, 1e-20, 1e-100):
+                scaled = make_seq(c * q.vectors)
+                assert emd_score(scaled, s) == pytest.approx(emd_score(q, s), abs=1e-9)
 
     def test_support_permutation_invariance(self):
         rng = np.random.default_rng(13)

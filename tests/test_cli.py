@@ -674,8 +674,26 @@ class TestAblate:
 class TestClipRange:
     """Stored clips must lie in the float32 range that ``synth`` writes. A
     float64 clip beyond it, though finite, overflows the second moments and
-    cosine norms built from it; one at the float32 maximum scores as the
-    stored set does. Warnings are errors, so an overflow warning fails."""
+    cosine norms built from it; one at the float32 maximum, or scaled down by
+    a power of two, scores as the stored set does. Warnings are errors, so an
+    overflow warning fails."""
+
+    @staticmethod
+    def assert_scores_as_stored(dataset, data, capsys):
+        """``eval`` of all six metrics prints the same RECORD lines for the
+        rescaled set ``data`` as for the stored one."""
+        records = []
+        for manifest in (dataset / "data" / "manifest.tsv", data / "manifest.tsv"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, _ = run_cli(
+                    capsys, "eval", "--manifest", str(manifest), "--metric", ",".join(METRICS),
+                    "--episodes", "4",
+                )
+            assert code == 0
+            records.append([l for l in out.splitlines() if l.startswith("RECORD")])
+        assert len(records[0]) == 6
+        assert records[1] == records[0]
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_eval_rejects_clip_beyond_float32(self, dataset, tmp_path, capsys, metric):
@@ -708,18 +726,13 @@ class TestClipRange:
 
     def test_float32_max_clips_score_as_stored(self, dataset, tmp_path, capsys):
         data = rescaled_copy(dataset / "data", tmp_path / "data", None)
-        records = []
-        for manifest in (dataset / "data" / "manifest.tsv", data / "manifest.tsv"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                code, out, _ = run_cli(
-                    capsys, "eval", "--manifest", str(manifest), "--metric", ",".join(METRICS),
-                    "--episodes", "4",
-                )
-            assert code == 0
-            records.append([l for l in out.splitlines() if l.startswith("RECORD")])
-        assert len(records[0]) == 6
-        assert records[1] == records[0]
+        self.assert_scores_as_stored(dataset, data, capsys)
+
+    def test_tiny_clips_score_as_stored(self, dataset, tmp_path, capsys):
+        # A power-of-two scale is exact, so every score is bitwise that of the
+        # stored set; cosine divides each row by its own norm, however small.
+        data = rescaled_copy(dataset / "data", tmp_path / "data", 2.0**-40)
+        self.assert_scores_as_stored(dataset, data, capsys)
 
     def test_float32_max_clip_aligns_as_stored(self, paper_dataset, tmp_path, capsys):
         stored = [str(paper_dataset / "clips" / f"c00{c}_i000.fsq") for c in (0, 1)]

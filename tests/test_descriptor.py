@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from momalign import descriptor, linalg
+from momalign import descriptor
 from momalign.descriptor import (
     DESK_C_IN,
     DESK_C_PRIME,
@@ -790,22 +790,21 @@ class TestMultiScaleDescriptors:
         assert list(seq.times) == list(range(8)) + list(range(6)) + list(range(4))
 
     def test_each_moment_validated_once_before_vectorizing(self, monkeypatch):
-        # One check serves both callers: the power estimate validates all of
-        # a clip's moments at once, as one (N, C, C) stack; the sqrt, given
-        # its norm, only shifts a moment; vectorize_spd checks each root as
-        # a stack of one.
+        # The power estimate validates all of a clip's moments at once, as
+        # one (N, C, C) stack; the sqrt, given its norm, and vectorize_spd,
+        # given its root, trust what they are handed.
         rng = np.random.default_rng(32)
         clip = random_clip(rng, t=6)
         frames = multi_scale_frames(clip, [random_cfg(rng, 1, 1), random_cfg(rng, 3, 3)])
         calls = []
-        original = linalg._checked_copy
+        original = descriptor.spectral_norm_estimates
         monkeypatch.setattr(
-            linalg,
-            "_checked_copy",
-            lambda stack, *rest, **kw: calls.append(stack.shape) or original(stack, *rest, **kw),
+            descriptor,
+            "spectral_norm_estimates",
+            lambda stack: calls.append(stack.shape) or original(stack),
         )
         assert len(multi_scale_descriptors(frames)) == 6 + 4
-        assert calls == [(10, 3, 3)] + [(1, 3, 3)] * 10
+        assert calls == [(10, 3, 3)]
 
     def test_identity_single_scale_equals_cov_mn_bitwise(self):
         rng = np.random.default_rng(18)
