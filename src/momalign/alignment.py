@@ -68,13 +68,23 @@ class TransportPlan:
     primal_residual: float
 
 
+def _unit_scaled(v: np.ndarray) -> np.ndarray:
+    """``v`` times 2^-e, e the multiple of 256 nearest the binary exponent of
+    its largest |entry|, which then lies within 2^±129. The scaling is exact,
+    so cosines and normalized products keep their bits, and no square or
+    product of two entries over- or underflows at any float64 scale.
+    Ordinary scales have e = 0 and are returned as they are."""
+    e = 256 * round(int(np.frexp(max(v.max(), -v.min()))[1]) / 256)
+    return np.ldexp(v, -e) if e else v
+
+
 def similarity_matrix(q: DescriptorSequence, s: DescriptorSequence) -> np.ndarray:
     """Pairwise cosine similarities, in [-1, 1]. Each row is divided by its
     own norm, however small, so only a row of zero norm scores 0."""
     if q.dim != s.dim:
         raise ValueError(f"similarity_matrix: descriptor length mismatch {q.dim} vs {s.dim}")
-    qv = q.vectors
-    sv = s.vectors
+    qv = _unit_scaled(q.vectors)
+    sv = _unit_scaled(s.vectors)
     qn = np.linalg.norm(qv, axis=1, keepdims=True)
     sn = np.linalg.norm(sv, axis=1, keepdims=True)
     qu = np.divide(qv, qn, out=np.zeros_like(qv), where=qn != 0.0)
@@ -86,12 +96,15 @@ def similarity_matrix(q: DescriptorSequence, s: DescriptorSequence) -> np.ndarra
 def cross_reference_products(
     q: DescriptorSequence, s: DescriptorSequence
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Raw cross-reference inner products, before clamping.
+    """Raw cross-reference inner products, before clamping, of the sequences
+    ``_unit_scaled`` returns.
 
     mu_l = <Q[l], mean(S)>, gamma_l' = <S[l'], mean(Q)>. ``q`` and ``s``
     share one descriptor length, as ``similarity_matrix`` checks first.
     """
-    return q.vectors @ s.vectors.mean(axis=0), s.vectors @ q.vectors.mean(axis=0)
+    qv = _unit_scaled(q.vectors)
+    sv = _unit_scaled(s.vectors)
+    return qv @ sv.mean(axis=0), sv @ qv.mean(axis=0)
 
 
 def _floor_normalize(raw: np.ndarray) -> np.ndarray:
@@ -276,6 +289,25 @@ def solve_emd(sim: np.ndarray, masses: Masses) -> TransportPlan:
         float(np.max(np.abs(plan.sum(axis=0) - masses.gamma))),
     )
     return TransportPlan(plan, objective, score, pivots, min_reduced_cost, primal_residual)
+
+
+def score_upper_bound(sim: np.ndarray, masses: Masses) -> float:
+    """An upper bound on ``solve_emd(sim, masses).score`` in O(L_q L_s).
+
+    Any (u, v) with u_i + v_j <= 1 - sim_ij bounds the minimum cost from
+    below by <mu, u> + <gamma, v> (LP duality), so it bounds the score, the
+    total mass less that cost, from above. Two such pairs are tried: u the
+    row minima of the cost and v the column minima of what is left, and the
+    same with rows and columns swapped; the larger dual objective is kept.
+    """
+    cost = 1.0 - sim
+    u = cost.min(axis=1)
+    v = (cost - u[:, None]).min(axis=0)
+    v2 = cost.min(axis=0)
+    u2 = (cost - v2[None, :]).min(axis=1)
+    mu, gamma = masses.mu, masses.gamma
+    dual = max(mu @ u + gamma @ v, mu @ u2 + gamma @ v2)
+    return float(mu.sum() - dual)
 
 
 def emd_score(q: DescriptorSequence, s: DescriptorSequence) -> float:

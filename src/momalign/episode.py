@@ -122,18 +122,44 @@ def score_pair(q: DescriptorSequence, s: DescriptorSequence, metric: str) -> flo
     return getattr(alignment, _METRIC_TABLE[metric][1])(q, s)
 
 
+#: A prototype is left unsolved only when its score bound is below the best
+#: exact score so far by more than this, which is far above the rounding of
+#: a bound or a score (about 1e-15).
+_PRUNE_MARGIN = 1e-9
+
+
 def classify_query(
     query: DescriptorSequence,
     prototypes: list[DescriptorSequence],
     metric: str,
-) -> tuple[int, np.ndarray]:
-    """Alignment-score logits under ``metric``, one of ``METRICS``, against
-    every prototype; argmax prediction, exact ties broken by lowest class
-    index."""
+) -> int:
+    """Index of the prototype that scores highest against ``query`` under
+    ``metric``, one of ``METRICS``; exact ties go to the lowest index.
+
+    For the ``emd_score`` metrics, prototypes are visited by decreasing
+    ``alignment.score_upper_bound`` (lowest index on ties), and the visit
+    stops at the first bound below the best exact score so far less
+    ``_PRUNE_MARGIN``: no prototype left can reach that score, so the
+    prediction is that of scoring every prototype. Only the prediction is
+    returned, since a pruned prototype has no exact score.
+    """
     if not prototypes:
         raise ValueError("classify_query: empty prototype set")
-    logits = np.array([score_pair(query, p, metric) for p in prototypes])
-    return int(np.argmax(logits)), logits
+    if _METRIC_TABLE[metric][1] != "emd_score":
+        return int(np.argmax([score_pair(query, p, metric) for p in prototypes]))
+    pairs = [
+        (alignment.similarity_matrix(query, p), alignment.marginal_masses(query, p))
+        for p in prototypes
+    ]
+    bounds = np.array([alignment.score_upper_bound(sim, masses) for sim, masses in pairs])
+    best, pred = -np.inf, 0
+    for i in np.argsort(-bounds, kind="stable").tolist():
+        if bounds[i] < best - _PRUNE_MARGIN:
+            break
+        score = alignment.solve_emd(*pairs[i]).score
+        if score > best or (score == best and i < pred):
+            best, pred = score, i
+    return pred
 
 
 def _episode_accuracy(
@@ -152,7 +178,7 @@ def _episode_accuracy(
         for entry, ci in episode.query:
             query = descriptors[(entry.clip_id, rep)]
             try:
-                pred, _ = classify_query(query, prototypes, metric)
+                pred = classify_query(query, prototypes, metric)
             except ValueError as exc:
                 support = {e.clip_id: descriptors[(e.clip_id, rep)] for e, _ in episode.support}
                 raise ValueError(

@@ -6,6 +6,9 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
 from momalign.alignment import (
@@ -19,6 +22,7 @@ from momalign.alignment import (
     fixed_alignment_cross,
     fixed_alignment_pp,
     marginal_masses,
+    score_upper_bound,
     similarity_matrix,
     solve_emd,
 )
@@ -673,6 +677,49 @@ class TestAlignmentScore:
             assert -1.0 - 1e-12 <= emd_score(q, s) <= 1.0 + 1e-12
 
 
+#: Slack for rounding where the bound is tight (a 1 x n problem has one
+#: feasible plan, so its bound is its score); far below the 1e-9 margin
+#: ``classify_query`` prunes with.
+BOUND_ROUNDING = 1e-12
+
+
+@st.composite
+def bound_instances(draw):
+    """Similarities in [-1, 1] of shape (1-12) x (1-12), and masses
+    normalized from raw values of either sign, so that some entries sit at
+    the EPS_MASS floor."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 12))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    sim = draw(arrays(np.float64, (m, n), elements=unit))
+    raw_mu = draw(arrays(np.float64, m, elements=unit))
+    raw_gamma = draw(arrays(np.float64, n, elements=unit))
+    return sim, Masses(_floor_normalize(raw_mu), _floor_normalize(raw_gamma))
+
+
+class TestScoreUpperBound:
+    @settings(max_examples=300, deadline=None)
+    @given(instance=bound_instances())
+    def test_bounds_exact_score(self, instance):
+        sim, masses = instance
+        assert score_upper_bound(sim, masses) >= solve_emd(sim, masses).score - BOUND_ROUNDING
+
+    def test_tight_on_a_single_row(self):
+        rng = np.random.default_rng(40)
+        sim = rng.uniform(-1, 1, size=(1, 6))
+        masses = random_masses(rng, 1, 6)
+        assert score_upper_bound(sim, masses) == pytest.approx(solve_emd(sim, masses).score, abs=1e-12)
+
+    def test_not_vacuous(self):
+        # A query aligned with one support and opposed to another: the
+        # bound on the second pair is below the first pair's exact score.
+        e = np.eye(4)
+        q = make_seq(e[:2])
+        near, far = make_seq(e[:2]), make_seq(-e[:2])
+        best = emd_score(q, near)
+        assert score_upper_bound(similarity_matrix(q, far), marginal_masses(q, far)) < best - 1e-9
+
+
 class TestAlignmentInvariances:
     def test_symmetry(self):
         rng = np.random.default_rng(11)
@@ -682,15 +729,20 @@ class TestAlignmentInvariances:
             assert emd_score(q, s) == pytest.approx(emd_score(s, q), abs=1e-9)
 
     def test_positive_scale_invariance(self):
-        # Tiny scales included: only a zero row is scored as zero, however
-        # small the others' norms.
+        # Tiny and huge scales included: only a zero row is scored as zero,
+        # however small the others' norms, and no norm or cross-reference
+        # product over- or underflows (warnings are errors in this suite).
         rng = np.random.default_rng(12)
         for _ in range(30):
             q = random_seq(rng, 4)
             s = random_seq(rng, 5)
-            for c in (float(rng.uniform(0.1, 10.0)), 1e-6, 1e-12, 1e-20, 1e-100):
+            for c in (float(rng.uniform(0.1, 10.0)), 1e-6, 1e-12, 1e-20, 1e-100,
+                      1e-160, 1e-300, 1e160, 1e300):
                 scaled = make_seq(c * q.vectors)
                 assert emd_score(scaled, s) == pytest.approx(emd_score(q, s), abs=1e-9)
+            # A power of two scales exactly, so the score keeps its bits.
+            for c in (2.0**-600, 2.0**-40, 2.0**700):
+                assert emd_score(make_seq(c * q.vectors), s) == emd_score(q, s)
 
     def test_support_permutation_invariance(self):
         rng = np.random.default_rng(13)

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from momalign import cli, descriptor, episode, synthgen
+from momalign import alignment, cli, descriptor, episode, synthgen
 from momalign.descriptor import default_scales
 from momalign.episode import (
     METRICS,
@@ -13,9 +13,14 @@ from momalign.episode import (
     classify_query,
     evaluate,
     sample_episode,
+    score_pair,
 )
 from momalign.seqio import Manifest, ManifestEntry
-from test_alignment import make_seq
+from test_alignment import BOUND_ROUNDING, make_seq
+
+
+#: The metrics whose prediction ``classify_query`` prunes.
+EMD_METRICS = tuple(m for m in METRICS if episode._METRIC_TABLE[m][1] == "emd_score")
 
 
 def toy_manifest(classes=10, per_class=4):
@@ -113,17 +118,26 @@ class TestBuildPrototypes:
         )
 
 
+def full_argmax(query, prototypes, metric):
+    """The prediction from every prototype's exact score, lowest index on ties."""
+    return int(np.argmax([score_pair(query, p, metric) for p in prototypes]))
+
+
 class TestClassifyQuery:
     def test_matching_prototype_wins(self):
         e = np.eye(4)
         protos = [make_seq(e[:1]), make_seq(e[1:2])]
-        pred, logits = classify_query(make_seq(e[1:2]), protos, "a2")
+        query = make_seq(e[1:2])
+        pred = classify_query(query, protos, "a2")
+        logits = [score_pair(query, p, "a2") for p in protos]
         assert pred == 1
         assert logits[1] == pytest.approx(1.0, abs=1e-6)
 
     def test_tie_breaks_to_lowest_index(self):
         proto = make_seq(np.ones((2, 3)))
-        pred, logits = classify_query(make_seq(np.ones((2, 3))), [proto, proto, proto], "a2")
+        query = make_seq(np.ones((2, 3)))
+        pred = classify_query(query, [proto, proto, proto], "a2")
+        logits = [score_pair(query, p, "a2") for p in (proto, proto, proto)]
         assert pred == 0
         assert logits[0] == logits[1] == logits[2]
 
@@ -131,8 +145,85 @@ class TestClassifyQuery:
         rng = np.random.default_rng(3)
         protos = [make_seq(rng.standard_normal((3, 5))) for _ in range(4)]
         query = make_seq(rng.standard_normal((3, 5)))
-        pred, logits = classify_query(query, protos, metric="a2")
+        pred = classify_query(query, protos, metric="a2")
+        logits = np.array([score_pair(query, p, "a2") for p in protos])
         assert pred == int(np.argmax(logits))
+
+    @pytest.mark.parametrize("metric", EMD_METRICS)
+    def test_identical_prototypes_tie_to_lowest_index(self, metric):
+        rng = np.random.default_rng(4)
+        query = make_seq(rng.standard_normal((3, 5)))
+        same = make_seq(rng.standard_normal((3, 5)))
+        assert classify_query(query, [same, same, same], metric) == 0
+        # Two copies of the winner, at indices 1 and 3, among weaker ones.
+        winner = make_seq(query.vectors + 0.01 * rng.standard_normal((3, 5)))
+        others = [make_seq(rng.standard_normal((3, 5))) for _ in range(3)]
+        protos = [others[0], winner, others[1], winner, others[2]]
+        assert full_argmax(query, protos, metric) == 1
+        assert classify_query(query, protos, metric) == 1
+
+    def test_pruned_prediction_matches_full_argmax(self, small_dataset, monkeypatch):
+        # Every query of a seeded evaluation, under every emd_score metric:
+        # the pruned prediction is the argmax of all exact scores.
+        calls = []
+        original = episode.classify_query
+
+        def recording(query, prototypes, metric):
+            pred = original(query, prototypes, metric)
+            calls.append((query, prototypes, metric, pred))
+            return pred
+
+        monkeypatch.setattr(episode, "classify_query", recording)
+        evaluate(
+            small_dataset, 4, 1, 4, episodes=6, seed=5, metrics=list(EMD_METRICS),
+            scales=default_scales(seed=5),
+        )
+        assert len(calls) == 6 * 4 * len(EMD_METRICS)
+        for query, prototypes, metric, pred in calls:
+            assert pred == full_argmax(query, prototypes, metric)
+
+    def test_close_prototypes_match_full_argmax(self):
+        # Prototypes near the query and near each other, so that several
+        # bounds overlap and several transports are solved.
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            base = rng.standard_normal((4, 6))
+            query = make_seq(base + 0.3 * rng.standard_normal((4, 6)))
+            protos = [make_seq(base + 0.3 * rng.standard_normal((4, 6))) for _ in range(5)]
+            assert classify_query(query, protos, "a2") == full_argmax(query, protos, "a2")
+
+    def test_bound_holds_on_captured_pairs(self, small_dataset, monkeypatch):
+        # Every (sim, masses) pair a seeded evaluation bounds, pruned or not.
+        pairs = []
+        original = alignment.score_upper_bound
+
+        def recording(sim, masses):
+            pairs.append((sim, masses))
+            return original(sim, masses)
+
+        monkeypatch.setattr(alignment, "score_upper_bound", recording)
+        evaluate(
+            small_dataset, 4, 1, 4, episodes=6, seed=5, metrics=list(EMD_METRICS),
+            scales=default_scales(seed=5),
+        )
+        assert len(pairs) == 6 * 4 * 4 * len(EMD_METRICS)
+        for sim, masses in pairs:
+            assert original(sim, masses) >= alignment.solve_emd(sim, masses).score - BOUND_ROUNDING
+
+    def test_pruning_skips_solves(self, small_dataset, monkeypatch):
+        # The bound is not vacuous: a separable set leaves most transports
+        # unsolved.
+        solves = []
+        original = alignment.solve_emd
+
+        def counting(sim, masses):
+            solves.append(sim.shape)
+            return original(sim, masses)
+
+        monkeypatch.setattr(alignment, "solve_emd", counting)
+        evaluate(small_dataset, 4, 1, 4, episodes=6, seed=5, metrics=["a2"],
+                 scales=default_scales(seed=5))
+        assert 6 * 4 <= len(solves) < 6 * 4 * 4
 
     def test_rejects_empty_prototypes(self):
         with pytest.raises(ValueError):
