@@ -177,8 +177,8 @@ class ScaleConfig:
 class DescriptorSequence:
     """Ordered unit-role descriptors with per-scale provenance.
 
-    ``vectors`` is L x D with L, D >= 1; ``scale_ids`` and ``times`` give
-    each entry's originating scale index and output timestamp.
+    ``vectors`` is a finite L x D array with L, D >= 1; ``scale_ids`` and
+    ``times`` give each entry's originating scale index and output timestamp.
     """
 
     vectors: np.ndarray
@@ -193,6 +193,8 @@ class DescriptorSequence:
             raise ValueError("DescriptorSequence: inconsistent shapes")
         if v.size == 0:
             raise ValueError(f"DescriptorSequence: L and D must be >= 1, got shape {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("DescriptorSequence: non-finite entries")
         object.__setattr__(self, "vectors", v)
         object.__setattr__(self, "scale_ids", s)
         object.__setattr__(self, "times", t)
@@ -256,21 +258,21 @@ def offset_mlp(diff: np.ndarray, cfg: ScaleConfig) -> np.ndarray:
     return off.reshape(t, h, w, -1)
 
 
-def deformable_conv(x: np.ndarray, offsets: np.ndarray, cfg: ScaleConfig) -> list[np.ndarray]:
+def deformable_conv(x: np.ndarray, offsets: np.ndarray, cfg: ScaleConfig) -> np.ndarray:
     """Deformable spatial convolution of a pixel-major (T, H, W, C') clip with
     zero padding, same-size output.
 
-    For each frame returns a C_out x M matrix (M = H * W). Sampling is
+    Returns a C-contiguous (T, C_out, M) array, M = H * W. Sampling is
     bilinear, so a frame's sampling is one linear map from its M pixels to
     its M * grid^2 (location, kernel point) samples: each sample's four
     corner weights (00, 01, 10, 11) are assigned into its row of an
     (M * grid^2, M + 1) interpolation matrix at the corners' pixel columns,
     and a corner outside the frame goes to the spill column M, which the
     product leaves out. The patch is ``interp[:, :M] @ x[t].reshape(M, C')``,
-    and it meets the kernel in one GEMM, ``theta_s.T @ patch.T``. Sampling
-    positions, corner columns and corner weights are computed for a block
-    of ``_SAMPLE_BLOCK`` frames at once; the interpolation matrix and both
-    GEMMs are per frame. The interpolation matrix takes
+    and one GEMM, ``theta_s.T @ patch.T``, writes it into the frame's output
+    slot. Sampling positions, corner columns and corner weights are computed
+    for a block of ``_SAMPLE_BLOCK`` frames at once; the interpolation matrix
+    and both GEMMs are per frame. The interpolation matrix takes
     M * (M + 1) * grid^2 * 8 bytes per frame (266 KB at 6x6 with grid 5), so
     it grows quadratically with the frame area. With all-zero offsets the
     result equals a standard grid convolution with the same kernel.
@@ -293,7 +295,7 @@ def deformable_conv(x: np.ndarray, offsets: np.ndarray, cfg: ScaleConfig) -> lis
     base_cols = np.arange(w)[:, None] + np.tile(k, cfg.grid)
     # Where each sample's row starts in the flattened interpolation matrix.
     row_starts = np.arange(0, m * n_points * (m + 1), m + 1).reshape(h, w, n_points)
-    out: list[np.ndarray] = []
+    out = np.empty((t, cfg.c_out, m))
     for start in range(0, t, _SAMPLE_BLOCK):
         block = offsets[start : start + _SAMPLE_BLOCK]
         rows = base_rows + block[..., 1::2]
@@ -332,49 +334,46 @@ def deformable_conv(x: np.ndarray, offsets: np.ndarray, cfg: ScaleConfig) -> lis
             interp = np.zeros((m * n_points, m + 1))
             interp.reshape(-1)[frame_index] = frame_weight
             patch = interp[:, :m] @ x[ti].reshape(m, c)
-            out.append(cfg.theta_s.T @ patch.reshape(m, n_points * c).T)
+            np.matmul(cfg.theta_s.T, patch.reshape(m, n_points * c).T, out=out[ti])
             # Freed before the next frame allocates its own.
             del interp, patch
     return out
 
 
-def scale_frames(x: np.ndarray, cfg: ScaleConfig) -> list[np.ndarray]:
+def scale_frames(x: np.ndarray, cfg: ScaleConfig) -> np.ndarray:
     """The per-scale pipeline on a pixel-major (T, H, W, C_in) clip: temporal
-    conv, temporal-difference offsets and deformable conv. Returns
-    T - tau + 1 frames, each C_out x M. ``x`` is released once the temporal
-    conv has read it, so a caller that hands over its only reference frees
-    the clip before the deformable conv."""
+    conv, temporal-difference offsets and deformable conv. Returns the
+    T - tau + 1 frames as one (T', C_out, M) array. ``x`` is released once
+    the temporal conv has read it, so a caller that hands over its only
+    reference frees the clip before the deformable conv."""
     xt = temporal_conv(x, cfg)
     del x
     offsets = offset_mlp(temporal_difference(xt), cfg)
     return deformable_conv(xt, offsets, cfg)
 
 
-def _second_order(frames: list[np.ndarray]) -> list[np.ndarray]:
-    """A clip's C x M frames as normalized, vectorized second moments. The
-    moments fill one (N, C, C) stack, whose power estimate validates them
-    and shifts a copy once for the clip, with the bits of a per-moment
-    estimate."""
-    c = frames[0].shape[0]
-    moments = np.empty((len(frames), c, c))
-    for slot, f in zip(moments, frames):
-        slot[...] = second_moment(f)
+def _second_order(per_scale: list[np.ndarray]) -> list[np.ndarray]:
+    """Each scale's (T', C, M) frames as normalized, vectorized second
+    moments, one ``second_moment`` call per scale. They fill one (N, C, C)
+    stack, whose power estimate validates them and shifts a copy once for
+    the clip, with the bits of a per-moment estimate."""
+    moments = np.concatenate([second_moment(frames) for frames in per_scale])
     norms = spectral_norm_estimates(moments)
     return [vectorize_spd(newton_schulz_sqrt(a, norm)) for a, norm in zip(moments, norms)]
 
 
-def _first_order(frames: list[np.ndarray]) -> list[np.ndarray]:
-    return [f.mean(axis=1) for f in frames]
+def _first_order(per_scale: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate([frames.mean(axis=2) for frames in per_scale])
 
 
-def multi_scale_frames(clip: FeatureClip, scales: list[ScaleConfig]) -> list[list[np.ndarray]]:
-    """Every scale's ``scale_frames`` of one clip, in scale order: the frames
-    both multi-scale representations reduce. The scales are checked before
-    any frame is built: there must be at least one, and all must share one
-    c_out, so that all descriptors of a sequence have one dimension. The
-    clip is laid out pixel-major, (T, H, W, C), once for all scales; the
-    last scale gets the only reference to that copy, which is freed before
-    its deformable conv."""
+def multi_scale_frames(clip: FeatureClip, scales: list[ScaleConfig]) -> list[np.ndarray]:
+    """Every scale's ``scale_frames`` of one clip, in scale order, one
+    (T', C_out, M) array each: the frames both multi-scale representations
+    reduce. The scales are checked before any frame is built: there must be
+    at least one, and all must share one c_out, so that all descriptors of
+    a sequence have one dimension. The clip is laid out pixel-major,
+    (T, H, W, C), once for all scales; the last scale gets the only
+    reference to that copy, which is freed before its deformable conv."""
     if not scales:
         raise ValueError("multi_scale_frames: no scales given")
     if any(s.c_out != scales[0].c_out for s in scales):
@@ -384,26 +383,25 @@ def multi_scale_frames(clip: FeatureClip, scales: list[ScaleConfig]) -> list[lis
     return frames + [scale_frames(layout.pop(), scales[-1])]
 
 
-def _sequence(per_scale: list[list[np.ndarray]], reduce) -> DescriptorSequence:
-    """Reduce every C x M frame of every scale to one vector, ordered
-    scale-major, time-minor; ``reduce`` takes all of the clip's frames in
-    one call."""
+def _sequence(per_scale: list[np.ndarray], reduce) -> DescriptorSequence:
+    """Reduce every (T', C, M) scale of frames to one vector per frame,
+    ordered scale-major, time-minor; ``reduce`` takes all of the clip's
+    scales in one call."""
     counts = [len(frames) for frames in per_scale]
-    vectors = reduce([f for frames in per_scale for f in frames])
     return DescriptorSequence(
-        np.array(vectors),
+        reduce(per_scale),
         np.repeat(np.arange(len(counts)), counts),
         np.concatenate([np.arange(k) for k in counts]),
     )
 
 
-def _clip_frames(clip: FeatureClip) -> list[list[np.ndarray]]:
-    """The raw clip as a single scale of C x M frames."""
-    _, c, h, w = clip.data.shape
-    return [[x.reshape(c, h * w) for x in clip.data]]
+def _clip_frames(clip: FeatureClip) -> list[np.ndarray]:
+    """The raw clip as a single scale of (T, C, M) frames."""
+    t, c, h, w = clip.data.shape
+    return [clip.data.reshape(t, c, h * w)]
 
 
-def multi_scale_descriptors(frames: list[list[np.ndarray]]) -> DescriptorSequence:
+def multi_scale_descriptors(frames: list[np.ndarray]) -> DescriptorSequence:
     """Normalized, vectorized second moments across all scales of
     ``multi_scale_frames(clip, scales)``.
 
@@ -423,7 +421,7 @@ def gap_descriptor(clip: FeatureClip) -> DescriptorSequence:
     return _sequence(_clip_frames(clip), _first_order)
 
 
-def multi_scale_first_order(frames: list[list[np.ndarray]]) -> DescriptorSequence:
+def multi_scale_first_order(frames: list[np.ndarray]) -> DescriptorSequence:
     """Multi-scale ablation arm without the second-order moment: each frame
     of ``multi_scale_frames(clip, scales)`` is spatially averaged."""
     return _sequence(frames, _first_order)

@@ -15,7 +15,8 @@ from .seqio import Manifest, ManifestEntry
 #: Metric selector -> (representation, scorer). The representation names the
 #: ``descriptor`` function that extracts a clip's sequence, the scorer the
 #: ``alignment`` function that scores a query against a prototype. Both are
-#: looked up by name when called.
+#: looked up by name when called: perfbench's tracer replaces module
+#: attributes, so a table of function objects would bypass it.
 _METRIC_TABLE = {
     "a2": ("multi_scale_descriptors", "emd_score"),
     "pp": ("multi_scale_descriptors", "fixed_alignment_pp"),

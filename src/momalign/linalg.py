@@ -122,19 +122,23 @@ def newton_schulz_sqrt(a: np.ndarray, norm: float) -> np.ndarray:
 
 
 def second_moment(features: np.ndarray) -> np.ndarray:
-    """Uncentered second-order moment (1/M) sum_m t_m t_m^T.
-
-    ``features`` is a C x M matrix whose columns are the M spatial feature
-    vectors. The output is exactly symmetric by construction and PSD up to
-    rounding; ``spectral_norm_estimates`` rejects it if it is not finite.
+    """Uncentered second-order moment (1/M) sum_m t_m t_m^T of a C x M
+    matrix whose columns are the M spatial feature vectors, or of each matrix
+    of an (N, C, M) stack, with the bits of a call on that matrix alone.
+    Exactly symmetric by construction and PSD up to rounding;
+    ``spectral_norm_estimates`` rejects it if it is not finite.
     """
     f = np.asarray(features, dtype=np.float64)
-    if f.ndim != 2:
-        raise ValueError(f"second_moment: expected a 2-D matrix, got shape {f.shape}")
-    if f.shape[1] < 1:
+    if f.ndim not in (2, 3):
+        raise ValueError(f"second_moment: expected a 2-D matrix or 3-D stack, got shape {f.shape}")
+    if f.shape[-1] < 1:
         raise ValueError("second_moment: empty feature set (M = 0)")
-    q = (f @ f.T) / f.shape[1]
-    return 0.5 * (q + q.T)
+    q = f @ f.swapaxes(-1, -2)
+    # In place where it can be: a stack's moments allocate two arrays, not four.
+    q /= f.shape[-1]
+    s = q + q.swapaxes(-1, -2)
+    s *= 0.5
+    return s
 
 
 @lru_cache(maxsize=16)

@@ -502,6 +502,18 @@ def mixed_offsets(rng, shape):
 
 
 class TestDeformableConv:
+    @pytest.mark.parametrize("t", [1, 4, 6])
+    def test_returns_one_contiguous_stack(self, t):
+        # T = 6 ends on a partial sampling block.
+        rng = np.random.default_rng(8)
+        cfg = random_cfg(rng, 1, 3, c_prime=4)
+        off = rng.uniform(-1.5, 1.5, (t, 5, 4, 18))
+        frames = deformable_conv(random_pixels(rng, t=t, c=4, h=5, w=4), off, cfg)
+        assert isinstance(frames, np.ndarray)
+        assert frames.shape == (t, cfg.c_out, 5 * 4)
+        assert frames.dtype == np.float64
+        assert frames.flags.c_contiguous
+
     def test_zero_offsets_1x1_is_pointwise(self):
         rng = np.random.default_rng(9)
         cfg = random_cfg(rng, 1, 1, c_prime=4)
@@ -711,8 +723,8 @@ class TestScaleMoment:
         rng = np.random.default_rng(14)
         cfg = random_cfg(rng, 3, 1)
         frames = scale_frames(random_pixels(rng, t=8), cfg)
-        assert len(frames) == 6
-        assert all(f.shape == (cfg.c_out, 4 * 5) for f in frames)
+        assert frames.shape == (6, cfg.c_out, 4 * 5)
+        assert frames.flags.c_contiguous
 
     def test_moments_are_psd(self):
         rng = np.random.default_rng(15)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from momalign import alignment, cli, descriptor, episode, synthgen
-from momalign.descriptor import default_scales
+from momalign.descriptor import DescriptorSequence, default_scales
 from momalign.episode import (
     METRICS,
     build_prototypes,
@@ -228,6 +228,34 @@ class TestClassifyQuery:
     def test_rejects_empty_prototypes(self):
         with pytest.raises(ValueError):
             classify_query(make_seq(np.zeros((1, 2))), [], "a2")
+
+
+class TestNonFiniteDescriptors:
+    """A NaN or an infinity in a descriptor would score silently: pp and cr
+    return nan, and ``classify_query`` predicts class 0."""
+
+    @pytest.mark.parametrize("metric", ["a2", "pp", "cr"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refused_at_construction(self, small_dataset, metric, bad):
+        clip = synthgen.load_clip(small_dataset.resolve(small_dataset.entries[0]))
+        frames = descriptor.multi_scale_frames(clip, default_scales(seed=0))
+        seq = getattr(descriptor, episode._METRIC_TABLE[metric][0])(frames)
+        assert np.isfinite(score_pair(seq, seq, metric))
+        vectors = seq.vectors.copy()
+        vectors[len(seq) // 2, 1] = bad
+        with pytest.raises(ValueError, match="^DescriptorSequence: non-finite entries$"):
+            DescriptorSequence(vectors, seq.scale_ids, seq.times)
+
+    def test_extraction_error_names_the_clip(self, small_dataset, monkeypatch):
+        monkeypatch.setattr(
+            descriptor, "vectorize_spd", lambda a: np.full(len(a) * (len(a) + 1) // 2, np.nan)
+        )
+        with pytest.raises(ValueError) as exc:
+            evaluate(small_dataset, 3, 1, 3, episodes=1, seed=0, metrics=["a2"],
+                     scales=default_scales(seed=0))
+        path, _, message = str(exc.value).partition(": ")
+        assert path in {str(small_dataset.resolve(e)) for e in small_dataset.entries}
+        assert message == "DescriptorSequence: non-finite entries"
 
 
 class TestEvaluate:

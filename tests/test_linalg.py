@@ -438,10 +438,23 @@ class TestSecondMoment:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             second_moment(np.empty((3, 0)))
+        with pytest.raises(ValueError, match=r"^second_moment: empty feature set \(M = 0\)$"):
+            second_moment(np.empty((2, 3, 0)))
 
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            second_moment(np.zeros((2, 2, 2)))
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4, 5)], ids=["1-D", "4-D"])
+    def test_rejects_other_ranks(self, shape):
+        with pytest.raises(ValueError, match=r"^second_moment: expected a 2-D matrix or 3-D stack"):
+            second_moment(np.zeros(shape))
+
+    @pytest.mark.parametrize("c", [16, 64, 128])
+    @pytest.mark.parametrize("m", [1, 36])
+    @pytest.mark.parametrize("n", [1, 28])
+    def test_stack_matches_per_matrix_calls(self, c, m, n):
+        rng = np.random.default_rng([c, m, n])
+        stack = rng.standard_normal((n, c, m)) * rng.uniform(0.01, 100.0)
+        got = second_moment(stack)
+        assert got.shape == (n, c, c)
+        assert np.array_equal(got, np.array([second_moment(f) for f in stack]))
 
 
 class TestVectorizeSpd:
