@@ -68,43 +68,19 @@ class TransportPlan:
     primal_residual: float
 
 
-def _unit_scaled(v: np.ndarray) -> np.ndarray:
-    """``v`` times 2^-e, e the multiple of 256 nearest the binary exponent of
-    its largest |entry|, which then lies within 2^±129. The scaling is exact,
-    so cosines and normalized products keep their bits, and no square or
-    product of two entries over- or underflows at any float64 scale.
-    Ordinary scales have e = 0 and are returned as they are."""
-    e = 256 * round(int(np.frexp(max(v.max(), -v.min()))[1]) / 256)
-    return np.ldexp(v, -e) if e else v
-
-
 def similarity_matrix(q: DescriptorSequence, s: DescriptorSequence) -> np.ndarray:
-    """Pairwise cosine similarities, in [-1, 1]. Each row is divided by its
-    own norm, however small, so only a row of zero norm scores 0."""
+    """Pairwise cosine similarities, in [-1, 1], of the sequences' ``scaled``
+    rows. Each row is divided by its own norm, however small, so only a row
+    of zero norm scores 0."""
     if q.dim != s.dim:
         raise ValueError(f"similarity_matrix: descriptor length mismatch {q.dim} vs {s.dim}")
-    qv = _unit_scaled(q.vectors)
-    sv = _unit_scaled(s.vectors)
+    qv, sv = q.scaled, s.scaled
     qn = np.linalg.norm(qv, axis=1, keepdims=True)
     sn = np.linalg.norm(sv, axis=1, keepdims=True)
     qu = np.divide(qv, qn, out=np.zeros_like(qv), where=qn != 0.0)
     su = np.divide(sv, sn, out=np.zeros_like(sv), where=sn != 0.0)
     sim = qu @ su.T
     return np.clip(sim, -1.0, 1.0)
-
-
-def cross_reference_products(
-    q: DescriptorSequence, s: DescriptorSequence
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw cross-reference inner products, before clamping, of the sequences
-    ``_unit_scaled`` returns.
-
-    mu_l = <Q[l], mean(S)>, gamma_l' = <S[l'], mean(Q)>. ``q`` and ``s``
-    share one descriptor length, as ``similarity_matrix`` checks first.
-    """
-    qv = _unit_scaled(q.vectors)
-    sv = _unit_scaled(s.vectors)
-    return qv @ sv.mean(axis=0), sv @ qv.mean(axis=0)
 
 
 def _floor_normalize(raw: np.ndarray) -> np.ndarray:
@@ -127,9 +103,15 @@ def _floor_normalize(raw: np.ndarray) -> np.ndarray:
 
 
 def marginal_masses(q: DescriptorSequence, s: DescriptorSequence) -> Masses:
-    """Cross-reference masses, clamped at EPS_MASS and normalized to sum 1."""
-    raw_mu, raw_gamma = cross_reference_products(q, s)
-    return Masses(_floor_normalize(raw_mu), _floor_normalize(raw_gamma))
+    """Cross-reference masses, clamped at EPS_MASS and normalized to sum 1.
+
+    The raw masses are the cross-reference products of the sequences'
+    ``scaled`` rows, mu_l = <Q[l], mean(S)> and gamma_l' = <S[l'], mean(Q)>.
+    ``q`` and ``s`` share one descriptor length, as ``similarity_matrix``
+    checks first.
+    """
+    qv, sv = q.scaled, s.scaled
+    return Masses(_floor_normalize(qv @ sv.mean(axis=0)), _floor_normalize(sv @ qv.mean(axis=0)))
 
 
 def _least_cost_start(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):

@@ -14,7 +14,7 @@ plain arrays in that layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -179,11 +179,18 @@ class DescriptorSequence:
 
     ``vectors`` is a finite L x D array with L, D >= 1; ``scale_ids`` and
     ``times`` give each entry's originating scale index and output timestamp.
+    ``scaled`` is ``vectors`` times 2^-e, e the multiple of 256 nearest the
+    binary exponent of its largest |entry|, which then lies within 2^±129.
+    The scaling is exact, so cosines and normalized products of ``scaled``
+    rows keep their bits, and no square or product of two entries over- or
+    underflows at any float64 scale. It is computed once, when the sequence
+    is built; ordinary scales have e = 0, and ``scaled`` is ``vectors``.
     """
 
     vectors: np.ndarray
     scale_ids: np.ndarray
     times: np.ndarray
+    scaled: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=np.float64)
@@ -193,9 +200,13 @@ class DescriptorSequence:
             raise ValueError("DescriptorSequence: inconsistent shapes")
         if v.size == 0:
             raise ValueError(f"DescriptorSequence: L and D must be >= 1, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        # A NaN or an infinity anywhere makes this bound non-finite.
+        bound = float(np.maximum(v.max(), -v.min()))
+        if not np.isfinite(bound):
             raise ValueError("DescriptorSequence: non-finite entries")
+        e = 256 * round(int(np.frexp(bound)[1]) / 256)
         object.__setattr__(self, "vectors", v)
+        object.__setattr__(self, "scaled", np.ldexp(v, -e) if e else v)
         object.__setattr__(self, "scale_ids", s)
         object.__setattr__(self, "times", t)
 
@@ -276,14 +287,12 @@ def deformable_conv(x: np.ndarray, offsets: np.ndarray, cfg: ScaleConfig) -> np.
     M * (M + 1) * grid^2 * 8 bytes per frame (266 KB at 6x6 with grid 5), so
     it grows quadratically with the frame area. With all-zero offsets the
     result equals a standard grid convolution with the same kernel.
+    ``offsets`` is the (T, H, W, 2 * grid^2) field ``offset_mlp`` returns,
+    its shape trusted; only its finiteness is checked, since a finite
+    offset head can overflow.
     """
     t, h, w, c = x.shape
     n_points = cfg.grid * cfg.grid
-    if offsets.shape != (t, h, w, 2 * n_points):
-        raise ValueError(
-            f"deformable_conv: offset field shape {offsets.shape} inconsistent "
-            f"with clip {(t, h, w, 2 * n_points)}"
-        )
     if not np.all(np.isfinite(offsets)):
         raise ValueError("deformable_conv: non-finite offsets")
     m = h * w

@@ -41,7 +41,6 @@ class Episode:
     and hidden from the classifier."""
 
     ways: int
-    shots: int
     support: tuple[tuple[ManifestEntry, int], ...]
     query: tuple[tuple[ManifestEntry, int], ...]
 
@@ -93,7 +92,7 @@ def sample_episode(
             support.append((clips[p], ci))
         for p in picks[k:]:
             query.append((clips[p], ci))
-    return Episode(n, k, tuple(support), tuple(query))
+    return Episode(n, tuple(support), tuple(query))
 
 
 def _clip_list(seqs: dict[str, DescriptorSequence]) -> str:
@@ -101,14 +100,14 @@ def _clip_list(seqs: dict[str, DescriptorSequence]) -> str:
 
 
 def build_prototypes(
-    support_by_class: list[dict[str, DescriptorSequence]], k: int
+    support_by_class: list[dict[str, DescriptorSequence]],
 ) -> list[DescriptorSequence]:
-    """Per-class prototype: entrywise mean of K support descriptor sequences,
-    each class given as ``{clip id: sequence}``."""
+    """Per-class prototype: entrywise mean of the class's support descriptor
+    sequences, each class given as ``{clip id: sequence}``. Every class has
+    the K sequences ``sample_episode`` drew; only their structure, which a
+    manifest of mixed clip lengths can break, is checked."""
     prototypes = []
     for ci, seqs in enumerate(support_by_class):
-        if len(seqs) != k:
-            raise ValueError(f"build_prototypes: class {ci} has {len(seqs)} != {k} sequences")
         first, *rest = seqs.values()
         if not all(first.same_structure(s) for s in rest):
             raise ValueError(
@@ -142,10 +141,9 @@ def classify_query(
     stops at the first bound below the best exact score so far less
     ``_PRUNE_MARGIN``: no prototype left can reach that score, so the
     prediction is that of scoring every prototype. Only the prediction is
-    returned, since a pruned prototype has no exact score.
+    returned, since a pruned prototype has no exact score. ``prototypes`` is
+    not empty: ``evaluate`` checks that an episode has at least one way.
     """
-    if not prototypes:
-        raise ValueError("classify_query: empty prototype set")
     if _METRIC_TABLE[metric][1] != "emd_score":
         return int(np.argmax([score_pair(query, p, metric) for p in prototypes]))
     pairs = [
@@ -174,7 +172,7 @@ def _episode_accuracy(
         by_class: list[dict[str, DescriptorSequence]] = [{} for _ in range(episode.ways)]
         for entry, ci in episode.support:
             by_class[ci][entry.clip_id] = descriptors[(entry.clip_id, rep)]
-        prototypes = build_prototypes(by_class, episode.shots)
+        prototypes = build_prototypes(by_class)
         correct = 0
         for entry, ci in episode.query:
             query = descriptors[(entry.clip_id, rep)]

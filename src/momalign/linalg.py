@@ -126,13 +126,11 @@ def second_moment(features: np.ndarray) -> np.ndarray:
     matrix whose columns are the M spatial feature vectors, or of each matrix
     of an (N, C, M) stack, with the bits of a call on that matrix alone.
     Exactly symmetric by construction and PSD up to rounding;
-    ``spectral_norm_estimates`` rejects it if it is not finite.
+    ``spectral_norm_estimates`` rejects it if it is not finite. The frames
+    are trusted: they come from ``scale_frames`` or a ``FeatureClip``, so
+    M >= 1.
     """
     f = np.asarray(features, dtype=np.float64)
-    if f.ndim not in (2, 3):
-        raise ValueError(f"second_moment: expected a 2-D matrix or 3-D stack, got shape {f.shape}")
-    if f.shape[-1] < 1:
-        raise ValueError("second_moment: empty feature set (M = 0)")
     q = f @ f.swapaxes(-1, -2)
     # In place where it can be: a stack's moments allocate two arrays, not four.
     q /= f.shape[-1]

@@ -17,7 +17,6 @@ from momalign.alignment import (
     Masses,
     _floor_normalize,
     _least_cost_start,
-    cross_reference_products,
     emd_score,
     fixed_alignment_cross,
     fixed_alignment_pp,
@@ -368,15 +367,29 @@ class TestSimilarityMatrix:
             similarity_matrix(random_seq(rng, 2, dim=3), random_seq(rng, 2, dim=4))
 
 
+def raw_products(q: DescriptorSequence, s: DescriptorSequence) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-reference products of the sequences' scaled rows, before
+    clamping: mu_l = <Q[l], mean(S)>, gamma_l' = <S[l'], mean(Q)>."""
+    return q.scaled @ s.scaled.mean(axis=0), s.scaled @ q.scaled.mean(axis=0)
+
+
+def assert_masses_of(q: DescriptorSequence, s: DescriptorSequence, raw_mu, raw_gamma):
+    """``marginal_masses(q, s)`` is the floor-normalized raw products, bit for bit."""
+    masses = marginal_masses(q, s)
+    assert np.array_equal(masses.mu, _floor_normalize(raw_mu))
+    assert np.array_equal(masses.gamma, _floor_normalize(raw_gamma))
+
+
 class TestMarginalMasses:
     def test_hand_example_with_clamp(self):
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0])
         q = make_seq([e1, e2])
         s = make_seq([e1, e1])
-        raw_mu, raw_gamma = cross_reference_products(q, s)
+        raw_mu, raw_gamma = raw_products(q, s)
         assert np.allclose(raw_mu, [1.0, 0.0], atol=1e-15)
         assert np.allclose(raw_gamma, [0.5, 0.5], atol=1e-15)
+        assert_masses_of(q, s, raw_mu, raw_gamma)
         masses = marginal_masses(q, s)
         assert masses.mu[0] == pytest.approx(1.0, abs=1e-5)
         assert masses.mu[1] >= EPS_MASS
@@ -392,12 +405,13 @@ class TestMarginalMasses:
         rng = np.random.default_rng(3)
         q = random_seq(rng, 4)
         s = random_seq(rng, 4)
-        raw_mu, raw_gamma = cross_reference_products(q, s)
+        raw_mu, raw_gamma = raw_products(q, s)
         s_mean = s.vectors.mean(axis=0)
         q_mean = q.vectors.mean(axis=0)
         for l in range(4):
             assert raw_mu[l] == pytest.approx(float(q.vectors[l] @ s_mean), abs=1e-12)
             assert raw_gamma[l] == pytest.approx(float(s.vectors[l] @ q_mean), abs=1e-12)
+        assert_masses_of(q, s, raw_mu, raw_gamma)
 
     def test_output_satisfies_invariants(self):
         rng = np.random.default_rng(4)

@@ -88,31 +88,26 @@ class TestSampleEpisode:
 class TestBuildPrototypes:
     def test_single_shot_identity(self):
         seq = make_seq(np.random.default_rng(0).standard_normal((3, 4)))
-        protos = build_prototypes([{"a": seq}], k=1)
+        protos = build_prototypes([{"a": seq}])
         assert np.array_equal(protos[0].vectors, seq.vectors)
 
     def test_mean_of_identical_is_identity(self):
         seq = make_seq(np.random.default_rng(1).standard_normal((3, 4)))
-        protos = build_prototypes([{"a": seq, "b": seq}], k=2)
+        protos = build_prototypes([{"a": seq, "b": seq}])
         assert np.allclose(protos[0].vectors, seq.vectors, atol=1e-15)
 
     def test_elementwise_mean_oracle(self):
         rng = np.random.default_rng(2)
         u = rng.standard_normal((3, 4))
         v = rng.standard_normal((3, 4))
-        protos = build_prototypes([{"u": make_seq(u), "v": make_seq(v)}], k=2)
+        protos = build_prototypes([{"u": make_seq(u), "v": make_seq(v)}])
         assert np.allclose(protos[0].vectors, (u + v) / 2, atol=1e-15)
-
-    def test_rejects_wrong_count(self):
-        seq = make_seq(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            build_prototypes([{"a": seq}], k=2)
 
     def test_rejects_structure_mismatch(self):
         a = make_seq(np.zeros((2, 2)))
         b = make_seq(np.zeros((3, 2)))
         with pytest.raises(ValueError) as exc:
-            build_prototypes([{"x": a, "y": a}, {"a": a, "b": b}], k=2)
+            build_prototypes([{"x": a, "y": a}, {"a": a, "b": b}])
         assert str(exc.value) == (
             "build_prototypes: structure mismatch within class 1: a (L=2), b (L=3)"
         )
@@ -224,10 +219,6 @@ class TestClassifyQuery:
         evaluate(small_dataset, 4, 1, 4, episodes=6, seed=5, metrics=["a2"],
                  scales=default_scales(seed=5))
         assert 6 * 4 <= len(solves) < 6 * 4 * 4
-
-    def test_rejects_empty_prototypes(self):
-        with pytest.raises(ValueError):
-            classify_query(make_seq(np.zeros((1, 2))), [], "a2")
 
 
 class TestNonFiniteDescriptors:
