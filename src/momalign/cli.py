@@ -255,7 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--manifest", required=True)
         p.add_argument("--episodes", type=int)
         p.add_argument(
-            "--workers", type=int, help="checked to be >= 1; scoring is serial, so no effect"
+            "--workers",
+            type=int,
+            help="processes that extract and score (at most the CPU count); "
+            "the report is the same for any count",
         )
         p.add_argument("--ways", type=int)
         p.add_argument("--shots", type=int)

@@ -4,6 +4,9 @@ alignment score, and accuracy aggregation with confidence intervals."""
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,29 +167,125 @@ def classify_query(
 def _episode_accuracy(
     episode: Episode,
     descriptors: dict[tuple[str, str], DescriptorSequence],
-    metrics: list[str],
-) -> dict[str, float]:
-    accs = {}
-    for metric in metrics:
-        rep = _METRIC_TABLE[metric][0]
-        by_class: list[dict[str, DescriptorSequence]] = [{} for _ in range(episode.ways)]
-        for entry, ci in episode.support:
-            by_class[ci][entry.clip_id] = descriptors[(entry.clip_id, rep)]
-        prototypes = build_prototypes(by_class)
-        correct = 0
-        for entry, ci in episode.query:
-            query = descriptors[(entry.clip_id, rep)]
+    metric: str,
+) -> float:
+    rep = _METRIC_TABLE[metric][0]
+    by_class: list[dict[str, DescriptorSequence]] = [{} for _ in range(episode.ways)]
+    for entry, ci in episode.support:
+        by_class[ci][entry.clip_id] = descriptors[(entry.clip_id, rep)]
+    prototypes = build_prototypes(by_class)
+    correct = 0
+    for entry, ci in episode.query:
+        query = descriptors[(entry.clip_id, rep)]
+        try:
+            pred = classify_query(query, prototypes, metric)
+        except ValueError as exc:
+            support = {e.clip_id: descriptors[(e.clip_id, rep)] for e, _ in episode.support}
+            raise ValueError(
+                f"query {_clip_list({entry.clip_id: query})} against support "
+                f"{_clip_list(support)}: {exc}"
+            ) from None
+        correct += int(pred == ci)
+    return correct / len(episode.query)
+
+
+def _share_count(workers: int, n_items: int) -> int:
+    """How many shares ``_fork_map`` splits ``n_items`` items into: at most
+    ``workers``, one per item and one per CPU, and 1 where ``os.fork`` is
+    missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(workers, n_items, os.cpu_count() or 1))
+
+
+def _run_share(fn, items: list) -> list[tuple[bool, object]]:
+    """``(True, fn(item))`` per item, in order, up to the first item that
+    raises, which ends the list as ``(False, exception)``."""
+    outcomes = []
+    for item in items:
+        try:
+            outcomes.append((True, fn(item)))
+        except Exception as exc:
+            outcomes.append((False, exc))
+            break
+    return outcomes
+
+
+def _run_child(fn, items: list, fd: int) -> None:
+    """A forked worker's whole life: run its share, pickle each outcome to
+    pipe ``fd`` and exit without returning into the parent's stack. The
+    share runs to its end before the first write, so a full pipe never
+    holds back the work."""
+    code = 1
+    try:
+        with os.fdopen(fd, "wb") as pipe:
+            for ok, value in _run_share(fn, items):
+                try:
+                    data = pickle.dumps((ok, value))
+                except Exception as exc:
+                    data = pickle.dumps((False, RuntimeError(f"unpicklable worker result: {exc}")))
+                pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork_map(fn, items: list, workers: int) -> list:
+    """``[fn(item) for item in items]``, the items split into ``W =
+    _share_count(workers, len(items))`` shares: item ``i`` runs in share
+    ``i % W``. Share 0 runs here; every other share runs in an ``os.fork``
+    child, which inherits ``fn`` and the items and pipes its outcomes back.
+    The first item that raises, in item order, re-raises here, as the
+    serial loop would. A child that exits without a full result raises a
+    ``RuntimeError`` naming it. Every child is killed and reaped before
+    this returns or raises."""
+    shares = _share_count(workers, len(items))
+    if shares == 1:
+        return [fn(item) for item in items]
+    outcomes: list = [None] * len(items)
+    children = []
+    try:
+        for share in range(1, shares):
+            read_fd, write_fd = os.pipe()
+            # Signals wait until the child is on the list the finally reaps.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
             try:
-                pred = classify_query(query, prototypes, metric)
-            except ValueError as exc:
-                support = {e.clip_id: descriptors[(e.clip_id, rep)] for e, _ in episode.support}
-                raise ValueError(
-                    f"query {_clip_list({entry.clip_id: query})} against support "
-                    f"{_clip_list(support)}: {exc}"
-                ) from None
-            correct += int(pred == ci)
-        accs[metric] = correct / len(episode.query)
-    return accs
+                pid = os.fork()
+                if pid == 0:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                    os.close(read_fd)
+                    _run_child(fn, items[share::shares], write_fd)
+                os.close(write_fd)
+                children.append((share, pid, os.fdopen(read_fd, "rb")))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for j, outcome in enumerate(_run_share(fn, items[::shares])):
+            outcomes[j * shares] = outcome
+        for share, pid, pipe in children:
+            for i in range(share, len(items), shares):
+                try:
+                    outcomes[i] = pickle.load(pipe)
+                except Exception as exc:
+                    raise RuntimeError(
+                        f"evaluate: worker {share} (pid {pid}) ended without a full result: "
+                        f"{type(exc).__name__}"
+                    ) from None
+                if not outcomes[i][0]:
+                    break
+    finally:
+        for _, pid, pipe in children:
+            pipe.close()
+            # Unreaped, an exited child stays a zombie, so its pid is valid.
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    # A share stops at its first failure, so an item it left unrun follows
+    # a failed one here.
+    results = []
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+        results.append(value)
+    return results
 
 
 def evaluate(
@@ -205,11 +304,15 @@ def evaluate(
     once), the multi-scale ones built from ``scales``. Arguments are checked
     here, before any clip is loaded; the stages behind this trust them.
 
-    Deterministic for fixed (manifest, config, seed): per-episode seeds derive
-    from (seed, episode index) and episodes are scored serially, in order.
-    ``workers`` is checked to be >= 1 and changes nothing else. A
-    ``ValueError`` from extracting a clip is re-raised naming the clip's path,
-    and one from scoring a query names it and the support clips.
+    Deterministic for fixed (manifest, config, seed): per-episode seeds
+    derive from (seed, episode index). Two task lists run through
+    ``_fork_map`` on up to ``workers`` processes (no more than the CPUs):
+    each sampled clip's extraction, in clip-id order, then each (episode,
+    metric) score. Results come back in task order, so the report is the
+    same for every ``workers``. A ``ValueError`` from extracting a clip is
+    re-raised naming the clip's path, and one from scoring a query names
+    it and the support clips; with several failures, the first in task
+    order is raised, as in a serial run.
     """
     sizes = {"ways": n, "shots": k, "queries": z, "episodes": episodes, "workers": workers,
              "metrics": len(metrics)}
@@ -236,24 +339,34 @@ def evaluate(
     for ep in sampled:
         for entry, _ in ep.support + ep.query:
             entries.setdefault(entry.clip_id, entry)
-    descriptors: dict[tuple[str, str], DescriptorSequence] = {}
-    for clip_id in sorted(entries):
+
+    def extract(clip_id: str) -> dict[str, DescriptorSequence]:
         path = manifest.resolve(entries[clip_id])
         clip = synthgen.load_clip(path)
         try:
             if _MULTI_SCALE.intersection(reps):
                 frames = descriptor.multi_scale_frames(clip, scales)
-            for rep in reps:
-                source = frames if rep in _MULTI_SCALE else clip
-                descriptors[(clip_id, rep)] = getattr(descriptor, rep)(source)
+            return {
+                rep: getattr(descriptor, rep)(frames if rep in _MULTI_SCALE else clip)
+                for rep in reps
+            }
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
-    per_episode = [_episode_accuracy(ep, descriptors, metrics) for ep in sampled]
+    clip_ids = sorted(entries)
+    descriptors = {
+        (clip_id, rep): seq
+        for clip_id, seqs in zip(clip_ids, _fork_map(extract, clip_ids, workers))
+        for rep, seq in seqs.items()
+    }
+    tasks = [(ep, m) for ep in sampled for m in metrics]
+    accuracies = _fork_map(
+        lambda task: _episode_accuracy(task[0], descriptors, task[1]), tasks, workers
+    )
 
     results = []
-    for m in metrics:
-        accs = np.array([pe[m] for pe in per_episode])
+    for i, m in enumerate(metrics):
+        accs = np.array(accuracies[i :: len(metrics)])
         mean = float(accs.mean())
         if episodes > 1:
             stderr = float(accs.std(ddof=1)) / math.sqrt(episodes)

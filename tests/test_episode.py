@@ -1,5 +1,9 @@
 """Episodic evaluation: sampling, prototypes, classification, determinism."""
 
+import os
+import shutil
+import signal
+import time
 from collections import Counter
 
 import numpy as np
@@ -354,14 +358,20 @@ class TestEvaluate:
         )
         assert len(report.results) == len(METRICS)
 
-    def test_each_clip_loaded_once(self, small_dataset, monkeypatch):
-        loads = Counter()
+    def test_each_clip_loaded_once(self, small_dataset, monkeypatch, tmp_path):
+        # Loads are logged one line each to an O_APPEND file, so those made
+        # in forked workers count as well as the parent's.
+        log = tmp_path / "loads.log"
         used = set()
         load_clip = synthgen.load_clip
         sample = episode.sample_episode
 
         def counting_load(path):
-            loads[path] += 1
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, f"{path}\n".encode())
+            finally:
+                os.close(fd)
             return load_clip(path)
 
         def recording_sample(*args):
@@ -371,22 +381,164 @@ class TestEvaluate:
 
         monkeypatch.setattr(synthgen, "load_clip", counting_load)
         monkeypatch.setattr(episode, "sample_episode", recording_sample)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         reports = []
         for workers in (1, 4):
-            loads.clear()
+            log.write_text("")
             reports.append(
                 evaluate(
                     small_dataset, 3, 1, 3, episodes=4, seed=2, metrics=list(METRICS),
                     scales=default_scales(seed=2), workers=workers,
                 )
             )
-            assert loads == Counter(dict.fromkeys(used, 1))
+            loads = Counter(log.read_text().splitlines())
+            assert loads == Counter(dict.fromkeys(map(str, used), 1))
         serial, threaded = reports
         for rs, rt in zip(serial.results, threaded.results, strict=True):
             assert rs.metric == rt.metric
             assert rs.mean_accuracy == rt.mean_accuracy
             assert rs.ci95 == rt.ci95
             assert np.array_equal(rs.episode_accuracies, rt.episode_accuracies)
+
+
+@pytest.fixture
+def deadline():
+    """Fails a test that runs past a minute instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError("test ran past its 60 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkMap:
+    """``evaluate``'s worker processes. ``os.cpu_count`` reads 4, so up to 4
+    shares fork on any machine."""
+
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+    def test_items_run_in_their_shares_and_return_in_order(self, deadline):
+        out = episode._fork_map(lambda i: (i, os.getpid()), list(range(10)), workers=3)
+        assert [i for i, _ in out] == list(range(10))
+        pids = [pid for _, pid in out]
+        assert pids == [pids[i % 3] for i in range(10)]
+        assert pids[0] == os.getpid()
+        assert len(set(pids)) == 3
+        assert_no_children()
+
+    @pytest.mark.parametrize(
+        "workers, items, cpus, shares",
+        [
+            (1, 10, 4, 1),
+            (4, 10, 4, 4),
+            (1000, 10, 4, 4),
+            (1000, 3, 64, 3),
+            (64, 10_000, 2, 2),
+            (4, 0, 4, 1),
+            (4, 10, None, 1),
+        ],
+    )
+    def test_share_count(self, monkeypatch, workers, items, cpus, shares):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert episode._share_count(workers, items) == shares
+
+    def test_without_fork_every_share_runs_here(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert episode._share_count(4, 10) == 1
+        assert episode._fork_map(lambda i: os.getpid(), [0, 1, 2], 4) == [os.getpid()] * 3
+
+    @pytest.mark.parametrize("failing, first", [((3,), 3), ((3, 4), 3), ((4, 7), 4)])
+    def test_first_failure_in_item_order(self, failing, first, deadline):
+        def fn(i):
+            if i in failing:
+                raise ValueError(f"item {i}")
+            return i
+
+        with pytest.raises(ValueError, match=f"^item {first}$"):
+            episode._fork_map(fn, list(range(10)), workers=2)
+        assert_no_children()
+
+    def test_unpicklable_failure_is_named(self, deadline):
+        def fn(i):
+            if i == 1:
+                raise ValueError(lambda: i)
+            return i
+
+        with pytest.raises(RuntimeError, match="unpicklable worker result"):
+            episode._fork_map(fn, [0, 1], workers=2)
+        assert_no_children()
+
+    def test_extraction_error_line_matches_serial(self, small_dataset, tmp_path, capsys, deadline):
+        root = tmp_path / "data"
+        shutil.copytree(small_dataset.root, root)
+        # 6 ways x (1 shot + 2 queries) draws all 18 clips, so the sorted
+        # clip ids are the extraction items. Item 1 (share 1) fails, and so
+        # does item 2, later in item order, in share 0 or 2.
+        entries = sorted(small_dataset.entries, key=lambda e: e.clip_id)
+        for entry in entries[1:3]:
+            (root / entry.path).write_bytes(b"FSQ")
+        errors = []
+        for workers in ("1", "2", "4"):
+            code = cli.main(
+                [
+                    "eval", "--manifest", str(root / "manifest.tsv"), "--ways", "6",
+                    "--shots", "1", "--queries", "12", "--episodes", "1", "--metric", "gap-a2",
+                    "--workers", workers,
+                ]
+            )
+            assert code == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == errors[2]
+        assert len(errors[0].splitlines()) == 1
+        assert errors[0].startswith(f"error: {root / entries[1].path}: ")
+        assert_no_children()
+
+    def test_dead_worker_raises(self, small_dataset, monkeypatch, deadline):
+        parent = os.getpid()
+        gap_descriptor = descriptor.gap_descriptor
+
+        def dying(clip):
+            if os.getpid() != parent:
+                os._exit(3)
+            return gap_descriptor(clip)
+
+        monkeypatch.setattr(descriptor, "gap_descriptor", dying)
+        dead = r"^evaluate: worker 1 \(pid \d+\) ended without a full result"
+        with pytest.raises(RuntimeError, match=dead):
+            evaluate(
+                small_dataset, 3, 1, 3, episodes=2, seed=0, metrics=["gap-a2"],
+                scales=default_scales(seed=0), workers=2,
+            )
+        assert_no_children()
+
+    def test_interrupt_kills_workers(self, small_dataset, monkeypatch, deadline):
+        parent = os.getpid()
+
+        def stalled(clip):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(descriptor, "gap_descriptor", stalled)
+        started = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            evaluate(
+                small_dataset, 3, 1, 3, episodes=2, seed=0, metrics=["gap-a2"],
+                scales=default_scales(seed=0), workers=4,
+            )
+        assert time.perf_counter() - started < 30
+        assert_no_children()
 
 
 def count_scale_frames(monkeypatch) -> list:
