@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--workers",
             type=int,
-            help="processes that extract and score (at most the CPU count); "
+            help="processes that extract and score (at most the CPUs it may use); "
             "the report is the same for any count",
         )
         p.add_argument("--ways", type=int)

@@ -282,11 +282,10 @@ def deformable_conv(x: np.ndarray, offsets: np.ndarray, cfg: ScaleConfig) -> np.
     product leaves out. The patch is ``interp[:, :M] @ x[t].reshape(M, C')``,
     and one GEMM, ``theta_s.T @ patch.T``, writes it into the frame's output
     slot. Sampling positions, corner columns and corner weights are computed
-    for a block of ``_SAMPLE_BLOCK`` frames at once; both GEMMs are per
-    frame. One interpolation matrix and one patch buffer serve every frame:
-    each frame assigns its cells and zeroes them after its product. The
-    matrix takes M * (M + 1) * grid^2 * 8 bytes (266 KB at 6x6 with grid 5),
-    so it grows quadratically with the frame area. With all-zero offsets the
+    for a block of ``_SAMPLE_BLOCK`` frames at once; the interpolation matrix
+    and both GEMMs are per frame. The interpolation matrix takes
+    M * (M + 1) * grid^2 * 8 bytes per frame (266 KB at 6x6 with grid 5), so
+    it grows quadratically with the frame area. With all-zero offsets the
     result equals a standard grid convolution with the same kernel.
     ``offsets`` is the (T, H, W, 2 * grid^2) field ``offset_mlp`` returns,
     its shape trusted; only its finiteness is checked, since a finite
@@ -306,8 +305,6 @@ def deformable_conv(x: np.ndarray, offsets: np.ndarray, cfg: ScaleConfig) -> np.
     # Where each sample's row starts in the flattened interpolation matrix.
     row_starts = np.arange(0, m * n_points * (m + 1), m + 1).reshape(h, w, n_points)
     out = np.empty((t, cfg.c_out, m))
-    interp = np.zeros((m * n_points, m + 1))
-    patch = np.empty((m * n_points, c))
     for start in range(0, t, _SAMPLE_BLOCK):
         block = offsets[start : start + _SAMPLE_BLOCK]
         rows = base_rows + block[..., 1::2]
@@ -343,12 +340,12 @@ def deformable_conv(x: np.ndarray, offsets: np.ndarray, cfg: ScaleConfig) -> np.
             np.copyto(index[:, q], row_starts + m, where=~(row_in[dr] & col_in[dc]))
         del r0, row_in, col_in
         for ti, frame_index, frame_weight in zip(range(start, t), index, weight):
+            interp = np.zeros((m * n_points, m + 1))
             interp.reshape(-1)[frame_index] = frame_weight
-            np.matmul(interp[:, :m], x[ti].reshape(m, c), out=patch)
+            patch = interp[:, :m] @ x[ti].reshape(m, c)
             np.matmul(cfg.theta_s.T, patch.reshape(m, n_points * c).T, out=out[ti])
-            # Only this frame's cells are set; zero them for the next.
-            interp.reshape(-1)[frame_index] = 0.0
-        del index, weight, frame_index, frame_weight
+            # Freed before the next frame allocates its own.
+            del interp, patch
     return out
 
 

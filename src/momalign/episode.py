@@ -191,11 +191,16 @@ def _episode_accuracy(
 
 def _share_count(workers: int, n_items: int) -> int:
     """How many shares ``_fork_map`` splits ``n_items`` items into: at most
-    ``workers``, one per item and one per CPU, and 1 where ``os.fork`` is
+    ``workers``, one per item and one per CPU this process may run on (its
+    affinity mask where the platform has one), and 1 where ``os.fork`` is
     missing."""
     if not hasattr(os, "fork"):
         return 1
-    return max(1, min(workers, n_items, os.cpu_count() or 1))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(workers, n_items, cpus))
 
 
 def _run_share(fn, items: list) -> list[tuple[bool, object]]:
@@ -211,14 +216,19 @@ def _run_share(fn, items: list) -> list[tuple[bool, object]]:
     return outcomes
 
 
-def _run_child(fn, items: list, fd: int) -> None:
-    """A forked worker's whole life: run its share, pickle each outcome to
-    pipe ``fd`` and exit without returning into the parent's stack. The
-    share runs to its end before the first write, so a full pipe never
-    holds back the work."""
+def _run_child(fn, items: list, read_fd: int, write_fd: int, mask) -> None:
+    """A forked worker's whole life: restore the signal ``mask`` the fork
+    was made under, close the parent's end ``read_fd``, run its share,
+    pickle each outcome to pipe ``write_fd`` and exit without returning
+    into the parent's stack. Signals stay blocked until inside the ``try``,
+    so an interrupt cannot unwind the child past ``os._exit``. The share
+    runs to its end before the first write, so a full pipe never holds
+    back the work."""
     code = 1
     try:
-        with os.fdopen(fd, "wb") as pipe:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        os.close(read_fd)
+        with os.fdopen(write_fd, "wb") as pipe:
             for ok, value in _run_share(fn, items):
                 try:
                     data = pickle.dumps((ok, value))
@@ -240,8 +250,6 @@ def _fork_map(fn, items: list, workers: int) -> list:
     ``RuntimeError`` naming it. Every child is killed and reaped before
     this returns or raises."""
     shares = _share_count(workers, len(items))
-    if shares == 1:
-        return [fn(item) for item in items]
     outcomes: list = [None] * len(items)
     children = []
     try:
@@ -252,9 +260,7 @@ def _fork_map(fn, items: list, workers: int) -> list:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                    os.close(read_fd)
-                    _run_child(fn, items[share::shares], write_fd)
+                    _run_child(fn, items[share::shares], read_fd, write_fd, mask)
                 os.close(write_fd)
                 children.append((share, pid, os.fdopen(read_fd, "rb")))
             finally:
@@ -308,11 +314,11 @@ def evaluate(
     derive from (seed, episode index). Two task lists run through
     ``_fork_map`` on up to ``workers`` processes (no more than the CPUs):
     each sampled clip's extraction, in clip-id order, then each (episode,
-    metric) score. Results come back in task order, so the report is the
-    same for every ``workers``. A ``ValueError`` from extracting a clip is
-    re-raised naming the clip's path, and one from scoring a query names
-    it and the support clips; with several failures, the first in task
-    order is raised, as in a serial run.
+    metric) score, metric by metric. Results come back in task order, so
+    the report is the same for every ``workers``. A ``ValueError`` from
+    extracting a clip is re-raised naming the clip's path, and one from
+    scoring a query names it and the support clips; with several failures,
+    the first in task order is raised, as in a serial run.
     """
     sizes = {"ways": n, "shots": k, "queries": z, "episodes": episodes, "workers": workers,
              "metrics": len(metrics)}
@@ -359,14 +365,15 @@ def evaluate(
         for clip_id, seqs in zip(clip_ids, _fork_map(extract, clip_ids, workers))
         for rep, seq in seqs.items()
     }
-    tasks = [(ep, m) for ep in sampled for m in metrics]
+    # Metric-major, so each share scores alternate episodes of every metric.
+    tasks = [(ep, m) for m in metrics for ep in sampled]
     accuracies = _fork_map(
         lambda task: _episode_accuracy(task[0], descriptors, task[1]), tasks, workers
     )
 
     results = []
     for i, m in enumerate(metrics):
-        accs = np.array(accuracies[i :: len(metrics)])
+        accs = np.array(accuracies[i * episodes : (i + 1) * episodes])
         mean = float(accs.mean())
         if episodes > 1:
             stderr = float(accs.std(ddof=1)) / math.sqrt(episodes)

@@ -381,7 +381,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(synthgen, "load_clip", counting_load)
         monkeypatch.setattr(episode, "sample_episode", recording_sample)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        set_cpus(monkeypatch, 4)
         reports = []
         for workers in (1, 4):
             log.write_text("")
@@ -415,18 +415,23 @@ def deadline():
     signal.signal(signal.SIGALRM, previous)
 
 
+def set_cpus(monkeypatch, cpus):
+    """Make ``_share_count`` see ``cpus`` usable CPUs on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 def assert_no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 class TestForkMap:
-    """``evaluate``'s worker processes. ``os.cpu_count`` reads 4, so up to 4
-    shares fork on any machine."""
+    """``evaluate``'s worker processes. The affinity mask reads 4 CPUs, so
+    up to 4 shares fork on any machine."""
 
     @pytest.fixture(autouse=True)
     def four_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        set_cpus(monkeypatch, 4)
 
     def test_items_run_in_their_shares_and_return_in_order(self, deadline):
         out = episode._fork_map(lambda i: (i, os.getpid()), list(range(10)), workers=3)
@@ -446,12 +451,22 @@ class TestForkMap:
             (1000, 3, 64, 3),
             (64, 10_000, 2, 2),
             (4, 0, 4, 1),
-            (4, 10, None, 1),
         ],
     )
     def test_share_count(self, monkeypatch, workers, items, cpus, shares):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        set_cpus(monkeypatch, cpus)
         assert episode._share_count(workers, items) == shares
+
+    def test_share_count_reads_the_affinity_mask(self, monkeypatch):
+        set_cpus(monkeypatch, 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert episode._share_count(4, 10) == 1
+
+    @pytest.mark.parametrize("cpus, shares", [(3, 3), (None, 1)])
+    def test_share_count_without_affinity_reads_cpu_count(self, monkeypatch, cpus, shares):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert episode._share_count(4, 10) == shares
 
     def test_without_fork_every_share_runs_here(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
@@ -502,6 +517,32 @@ class TestForkMap:
         assert errors[0] == errors[1] == errors[2]
         assert len(errors[0].splitlines()) == 1
         assert errors[0].startswith(f"error: {root / entries[1].path}: ")
+        assert_no_children()
+
+    def test_each_share_scores_every_metric(self, small_dataset, monkeypatch, tmp_path, deadline):
+        # Scores are logged one line each to an O_APPEND file, so those made
+        # in forked workers count as well as the parent's.
+        log = tmp_path / "scores.log"
+        episode_accuracy = episode._episode_accuracy
+
+        def logging_accuracy(ep, descriptors, metric):
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, f"{metric} {os.getpid()}\n".encode())
+            finally:
+                os.close(fd)
+            return episode_accuracy(ep, descriptors, metric)
+
+        monkeypatch.setattr(episode, "_episode_accuracy", logging_accuracy)
+        metrics = ["gap-a2", "pp"]
+        evaluate(
+            small_dataset, 3, 1, 3, episodes=4, seed=0, metrics=metrics,
+            scales=default_scales(seed=0), workers=2,
+        )
+        scored = Counter(tuple(line.split()) for line in log.read_text().splitlines())
+        assert len(scored) == 4
+        assert sorted(scored.values()) == [2, 2, 2, 2]
+        assert {m for m, _ in scored} == set(metrics)
         assert_no_children()
 
     def test_dead_worker_raises(self, small_dataset, monkeypatch, deadline):
