@@ -275,18 +275,29 @@ def deformable_conv(x: np.ndarray, offsets: np.ndarray, cfg: ScaleConfig) -> np.
 
     Returns a C-contiguous (T, C_out, M) array, M = H * W. Sampling is
     bilinear, so a frame's sampling is one linear map from its M pixels to
-    its M * grid^2 (location, kernel point) samples: each sample's four
-    corner weights (00, 01, 10, 11) are assigned into its row of an
-    (M * grid^2, M + 1) interpolation matrix at the corners' pixel columns,
-    and a corner outside the frame goes to the spill column M, which the
-    product leaves out. The patch is ``interp[:, :M] @ x[t].reshape(M, C')``,
-    and one GEMM, ``theta_s.T @ patch.T``, writes it into the frame's output
-    slot. Sampling positions, corner columns and corner weights are computed
-    for a block of ``_SAMPLE_BLOCK`` frames at once; the interpolation matrix
-    and both GEMMs are per frame. The interpolation matrix takes
-    M * (M + 1) * grid^2 * 8 bytes per frame (266 KB at 6x6 with grid 5), so
-    it grows quadratically with the frame area. With all-zero offsets the
-    result equals a standard grid convolution with the same kernel.
+    its M * grid^2 (location, kernel point) samples, read into one
+    (M * grid^2, C') patch buffer; one GEMM, ``theta_s.T @ patch.T``, then
+    writes the frame's output slot. Sampling positions, corner pixels and
+    in-frame tests are computed for a block of ``_SAMPLE_BLOCK`` frames at
+    once, and the block is read one of two ways:
+
+    - No sample of the block has a fractional position (zero or integer
+      offsets, as every seeded scale's zero-initialized head gives): each
+      sample is its corner (0, 0) at weight 1, so the patch is a row gather,
+      ``take`` of the frame's pixels plus a zero row M for samples outside
+      the frame. The patch has the bits the interpolation product below
+      gives it: the pixels are copied as ``x + 0.0``, so a -0.0 pixel reads
+      +0.0, as that product sums it.
+    - Otherwise each sample's four corner weights (00, 01, 10, 11) are
+      assigned into its row of an (M * grid^2, M + 1) interpolation matrix
+      at the corners' pixel columns, a corner outside the frame goes to the
+      spill column M, which the product leaves out, and the patch is
+      ``interp[:, :M] @ x[t].reshape(M, C')``. The matrix is per frame and
+      takes M * (M + 1) * grid^2 * 8 bytes (266 KB at 6x6 with grid 5), so
+      it grows quadratically with the frame area.
+
+    With all-zero offsets the result equals a standard grid convolution
+    with the same kernel.
     ``offsets`` is the (T, H, W, 2 * grid^2) field ``offset_mlp`` returns,
     its shape trusted; only its finiteness is checked, since a finite
     offset head can overflow.
@@ -305,6 +316,9 @@ def deformable_conv(x: np.ndarray, offsets: np.ndarray, cfg: ScaleConfig) -> np.
     # Where each sample's row starts in the flattened interpolation matrix.
     row_starts = np.arange(0, m * n_points * (m + 1), m + 1).reshape(h, w, n_points)
     out = np.empty((t, cfg.c_out, m))
+    # One frame's pixels with a zero spill row M, and one frame's patch.
+    padded = np.zeros((m + 1, c))
+    patch = np.empty((m * n_points, c))
     for start in range(0, t, _SAMPLE_BLOCK):
         block = offsets[start : start + _SAMPLE_BLOCK]
         rows = base_rows + block[..., 1::2]
@@ -316,6 +330,27 @@ def deformable_conv(x: np.ndarray, offsets: np.ndarray, cfg: ScaleConfig) -> np.
         c0 = np.floor(cols).astype(np.int64)
         rows -= r0
         cols -= c0
+        row_in = ((r0 >= 0) & (r0 < h), (r0 >= -1) & (r0 < h - 1))
+        col_in = ((c0 >= 0) & (c0 < w), (c0 >= -1) & (c0 < w - 1))
+        # Pixel of corner (0, 0), in place of r0.
+        r0 *= w
+        r0 += c0
+        del c0
+        if not (rows.any() or cols.any()):
+            # Integral block: each sample reads its corner (0, 0)'s row of
+            # ``padded``, or the zero row M where that corner spills.
+            np.copyto(r0, m, where=~(row_in[0] & col_in[0]))
+            pixel = r0.reshape(len(block), -1)
+            del rows, cols, r0, row_in, col_in
+            for f, ti in enumerate(range(start, start + len(block))):
+                np.add(x[ti].reshape(m, c), 0.0, out=padded[:m])
+                # Every index is in range; mode="clip" only spares the
+                # buffer "raise" copies ``out`` through.
+                np.take(padded, pixel[f], axis=0, out=patch, mode="clip")
+                np.matmul(cfg.theta_s.T, patch.reshape(m, n_points * c).T, out=out[ti])
+            # Freed before the next block builds its own.
+            del pixel
+            continue
         # Per frame of the block, each corner's weight and flat
         # interpolation-matrix index, corner-major. Corner (dr, dc) weighs a
         # row weight times a column weight, and it is in the frame where
@@ -327,25 +362,22 @@ def deformable_conv(x: np.ndarray, offsets: np.ndarray, cfg: ScaleConfig) -> np.
         for q, (dr, dc) in enumerate(corners):
             np.multiply(row_weight[dr], col_weight[dc], out=weight[:, q])
         del rows, cols, row_weight, col_weight
-        row_in = ((r0 >= 0) & (r0 < h), (r0 >= -1) & (r0 < h - 1))
-        col_in = ((c0 >= 0) & (c0 < w), (c0 >= -1) & (c0 < w - 1))
-        # Flat index of corner (0, 0), in place of r0.
-        r0 *= w
-        r0 += c0
+        # Flat index of corner (0, 0).
         r0 += row_starts
-        del c0
         index = np.empty(weight.shape, dtype=np.int64)
         for q, (dr, dc) in enumerate(corners):
             np.add(r0, dr * w + dc, out=index[:, q])
             np.copyto(index[:, q], row_starts + m, where=~(row_in[dr] & col_in[dc]))
         del r0, row_in, col_in
-        for ti, frame_index, frame_weight in zip(range(start, t), index, weight):
+        for f, ti in enumerate(range(start, start + len(block))):
             interp = np.zeros((m * n_points, m + 1))
-            interp.reshape(-1)[frame_index] = frame_weight
-            patch = interp[:, :m] @ x[ti].reshape(m, c)
+            interp.reshape(-1)[index[f]] = weight[f]
+            np.matmul(interp[:, :m], x[ti].reshape(m, c), out=patch)
             np.matmul(cfg.theta_s.T, patch.reshape(m, n_points * c).T, out=out[ti])
             # Freed before the next frame allocates its own.
-            del interp, patch
+            del interp
+        # Freed before the next block builds its own.
+        del index, weight
     return out
 
 

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momalign import descriptor
 from momalign.descriptor import (
@@ -251,11 +253,25 @@ class TestTemporalDifference:
 
 
 class TestOffsetMlp:
-    def test_zero_init_head_gives_zero_offsets(self):
-        rng = np.random.default_rng(7)
-        cfg = ScaleConfig.from_seed(3, 3, c_in=6, c_prime=4, c_out=3, seed=1)
-        diff = random_pixels(rng, t=4, c=4, h=3, w=3)
-        assert np.all(offset_mlp(diff, cfg) == 0.0)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        tau=st.integers(1, 5),
+        grid=st.sampled_from([1, 3, 5, 7]),
+        c_in=st.integers(1, 64),
+        c_prime=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.integers(-300, 300),
+    )
+    def test_zero_init_head_gives_zero_offsets(self, tau, grid, c_in, c_prime, seed, exponent):
+        # Every seeded scale starts as a standard convolution: its offsets
+        # are exactly zero for a finite input at any scale, so
+        # deformable_conv reads whole pixels.
+        cfg = ScaleConfig.from_seed(tau, grid, c_in=c_in, c_prime=c_prime, c_out=3, seed=seed)
+        rng = np.random.default_rng(seed)
+        diff = random_pixels(rng, t=3, c=c_prime, h=3, w=2) * 10.0**exponent
+        off = offset_mlp(diff, cfg)
+        assert off.shape == (3, 3, 2, 2 * grid * grid)
+        assert np.all(off == 0.0)
 
     def test_matches_per_pixel_oracle(self):
         rng = np.random.default_rng(8)
@@ -592,28 +608,42 @@ class TestDeformableConv:
         for got, ref in zip(frames, expect, strict=True):
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("kind", ["zero", "mixed", "small"])
+    @pytest.mark.parametrize("kind", ["zero", "integer", "mixed", "small"])
     @pytest.mark.parametrize("h, w", [(6, 6), (4, 5), (1, 5), (5, 1)])
     @pytest.mark.parametrize("grid", [1, 3, 5])
     @pytest.mark.parametrize("c_prime", [8, 32, 256])
     def test_matches_bincount_build_bitwise(self, c_prime, grid, h, w, kind):
         # Assigning each in-frame corner's weight gives the bits bincount
         # summed: a sample's in-frame corners are four distinct pixels, and
-        # bincount only ever added 0.0 to a weight.
+        # bincount only ever added 0.0 to a weight. Zero and integer offsets
+        # read each sample's pixel instead, with the same bits, -0.0 pixels
+        # included; array_equal cannot tell -0.0 from 0.0, so the bit
+        # patterns are compared.
         rng = np.random.default_rng([c_prime, grid, h, w, ord(kind[0])])
         cfg = random_cfg(rng, 1, grid, c_in=c_prime, c_prime=c_prime, c_out=3)
         x = random_pixels(rng, t=2, c=c_prime, h=h, w=w)
         shape = (2, 2 * grid * grid, h, w)
         if kind == "zero":
             off = np.zeros(shape)
+        elif kind == "integer":
+            # Shifts inside the frame and past its edge, and some of 50 that
+            # deformable_conv gets as +-1e300: it clips those to one pixel
+            # past the edge, where 50 spills too, while the build without
+            # the clip would overflow int64 at 1e300.
+            off = rng.integers(-max(h, w) - 2, max(h, w) + 3, shape).astype(np.float64)
+            huge = rng.random(shape) < 0.1
+            off[huge] = np.where(rng.random(shape) < 0.5, 50.0, -50.0)[huge]
+            assert np.any(off != 0.0)
         elif kind == "mixed":
             off = mixed_offsets(rng, shape)
         else:
             off = rng.uniform(-1e-3, 1e-3, shape)
-        frames = deformable_conv(x, pixel_major(off), cfg)
+        sampled = np.where(huge, np.copysign(1e300, off), off) if kind == "integer" else off
+        x[rng.random(x.shape) < 0.2] = -0.0
+        frames = deformable_conv(x, pixel_major(sampled), cfg)
         expect = bincount_deformable_conv(x, pixel_major(off), cfg)
         for got, ref in zip(frames, expect, strict=True):
-            assert np.array_equal(got, ref)
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     @pytest.mark.parametrize("grid", [1, 3, 5])
     @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 9])
@@ -634,6 +664,26 @@ class TestDeformableConv:
         expect = per_frame_deformable_conv(x, off, cfg)
         for got, ref in zip(frames, expect, strict=True):
             assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("grid", [1, 3, 5])
+    @pytest.mark.parametrize("fractional", [(1, 3, 2, 0), (6, 0, 4, 1), (8, 5, 0, 0)])
+    def test_mixed_blocks_match_per_frame_sampling_bitwise(self, grid, fractional):
+        # Integer offsets everywhere but one sample of one frame (frame,
+        # row, column, offset channel). With T' = 9 that frame's block is
+        # read through the interpolation matrix, its other frames integral
+        # ones included, and the other blocks are read as pixels: the
+        # fractional block comes first, second, or last and alone.
+        rng = np.random.default_rng([grid, *fractional])
+        h, w = 6, 5
+        cfg = random_cfg(rng, 1, grid, c_in=8, c_prime=8, c_out=3)
+        x = random_pixels(rng, t=9, c=8, h=h, w=w)
+        x[rng.random(x.shape) < 0.2] = -0.0
+        off = rng.integers(-3, 4, (9, h, w, 2 * grid * grid)).astype(np.float64)
+        off[fractional] += 0.375
+        frames = deformable_conv(x, off, cfg)
+        expect = per_frame_deformable_conv(x, off, cfg)
+        for got, ref in zip(frames, expect, strict=True):
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     def test_huge_offsets_spill_like_out_of_frame_ones(self):
         # An offset of 1e19 or more used to overflow the int64 corner index
@@ -666,14 +716,15 @@ class TestDeformableConv:
 
     def test_working_set_does_not_grow_with_frames(self):
         # The sampling index math is per block of frames and the
-        # interpolation matrix per frame, so beyond its output the call's
-        # peak memory must not scale with T.
+        # interpolation matrix or pixel read per frame, so beyond its output
+        # the call's peak memory must not scale with T, at fractional or
+        # zero offsets.
         rng = np.random.default_rng(15)
         cfg = random_cfg(rng, 1, 5, c_in=32, c_prime=32, c_out=16)
 
-        def working_set(t):
+        def working_set(t, scale):
             x = random_pixels(rng, t=t, c=32, h=6, w=6)
-            off = pixel_major(rng.uniform(-1.5, 1.5, (t, 50, 6, 6)))
+            off = pixel_major(scale * rng.uniform(-1.5, 1.5, (t, 50, 6, 6)))
             tracemalloc.start()
             try:
                 frames = deformable_conv(x, off, cfg)
@@ -682,25 +733,30 @@ class TestDeformableConv:
                 tracemalloc.stop()
             return peak - sum(f.nbytes for f in frames)
 
-        assert working_set(28) <= 1.25 * working_set(2)
+        for scale in (1.0, 0.0):
+            assert working_set(28, scale) <= 1.25 * working_set(2, scale)
 
     def test_working_set_is_one_frame(self):
-        # Each frame's interpolation matrix and patch are freed before the
-        # next frame allocates its own, so beyond its output the call's peak
-        # is near one frame's pair (2.1 MB here), not two.
+        # One patch serves every frame, and each frame's interpolation
+        # matrix is freed before the next frame allocates its own, so beyond
+        # its output the call's peak is near one frame's pair (2.1 MB here),
+        # not two. Zero offsets read pixels into the same patch and build no
+        # matrix, so their peak is near the patch alone (1.8 MB); numpy's
+        # take with mode="raise" would copy the patch once more.
         rng = np.random.default_rng(16)
         cfg = random_cfg(rng, 1, 5, c_in=256, c_prime=256, c_out=128)
         x = random_pixels(rng, t=4, c=256, h=6, w=6)
-        off = pixel_major(rng.uniform(-1.5, 1.5, (4, 50, 6, 6)))
-        tracemalloc.start()
-        try:
-            frames = deformable_conv(x, off, cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         m, n_points = 6 * 6, 5 * 5
-        one_frame = (m * n_points * 256 + m * n_points * (m + 1)) * 8
-        assert peak - sum(f.nbytes for f in frames) <= 1.25 * one_frame
+        patch = m * n_points * 256 * 8
+        for scale, one_frame in ((1.0, patch + m * n_points * (m + 1) * 8), (0.0, patch)):
+            off = pixel_major(scale * rng.uniform(-1.5, 1.5, (4, 50, 6, 6)))
+            tracemalloc.start()
+            try:
+                frames = deformable_conv(x, off, cfg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - sum(f.nbytes for f in frames) <= 1.25 * one_frame
 
     def test_zero_clip_zero_output(self):
         rng = np.random.default_rng(12)
