@@ -148,8 +148,10 @@ class ScaleConfig:
         aggregates over its tau-frame window (a zero-mean random temporal
         kernel would cancel the window and leave no temporal pooling). Its
         taps are one read-only broadcast of ``channel_map / tau``, not tau
-        copies. The offset head's final layer (and both biases) start at
-        zero, so the deformable stage warm-starts as a standard convolution.
+        copies, and ``temporal_conv`` relies on that zero tap stride to
+        project each frame once. The offset head's final layer (and both
+        biases) start at zero, so the deformable stage warm-starts as a
+        standard convolution.
         """
         _check_sizes(tau, grid, c_in=c_in, c_prime=c_prime, c_out=c_out)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, tau, grid])))
@@ -229,8 +231,13 @@ def temporal_conv(x: np.ndarray, cfg: ScaleConfig) -> np.ndarray:
     """Valid temporal convolution of a pixel-major (T, H, W, C_in) clip:
     T frames become T - tau + 1, returned as a (T', H, W, C') array.
 
-    The clip is one (T * M, C_in) matrix with M = H * W, so tap k is one GEMM
-    over all output frames at once: ``acc += P[k*M : (k + T')*M] @ theta_t[k]``.
+    The clip is one (T * M, C_in) matrix P with M = H * W, and tap k's
+    product covers all output frames at once, ``P[k*M : (k + T')*M] @
+    theta_t[k]``. When the taps share one map (a zero stride on the tap axis,
+    as ``ScaleConfig.from_seed`` builds them), every frame is projected once,
+    ``proj = P @ theta_t[0]``, and tap k's product is the row slice
+    ``proj[k*M : (k + T')*M]``; any other kernel takes one GEMM per tap. The
+    taps are summed in tap order, and at tau = 1 the result is the product.
     """
     t, h, w, c = x.shape
     if cfg.tau > t:
@@ -240,9 +247,17 @@ def temporal_conv(x: np.ndarray, cfg: ScaleConfig) -> np.ndarray:
     t_out = t - cfg.tau + 1
     m = h * w
     pixels = x.reshape(t * m, c)
-    acc = pixels[: t_out * m] @ cfg.theta_t[0]
+    shared = cfg.theta_t.strides[0] == 0
+    proj = pixels @ cfg.theta_t[0] if shared else None
+
+    def tap(k: int) -> np.ndarray:
+        rows = slice(k * m, (k + t_out) * m)
+        return proj[rows] if shared else pixels[rows] @ cfg.theta_t[k]
+
+    acc = tap(0)
     for k in range(1, cfg.tau):
-        acc += pixels[k * m : (k + t_out) * m] @ cfg.theta_t[k]
+        # The first sum is a new buffer, so ``proj`` is never written.
+        acc = acc + tap(k) if k == 1 else np.add(acc, tap(k), out=acc)
     return acc.reshape(t_out, h, w, cfg.c_prime)
 
 

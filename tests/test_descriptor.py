@@ -12,7 +12,11 @@ from hypothesis import strategies as st
 from momalign import descriptor
 from momalign.descriptor import (
     DESK_C_IN,
+    DESK_C_OUT,
     DESK_C_PRIME,
+    PAPER_C_IN,
+    PAPER_C_OUT,
+    PAPER_C_PRIME,
     DescriptorSequence,
     FeatureClip,
     ScaleConfig,
@@ -178,6 +182,24 @@ def reference_temporal_conv(x, cfg):
     return out
 
 
+def per_tap_temporal_conv(x, cfg):
+    """Reference: one GEMM per tap, summed in tap order, as ``temporal_conv``
+    ran before taps that share one map shared one projection."""
+    t, h, w, c = x.shape
+    t_out, m = t - cfg.tau + 1, h * w
+    pixels = x.reshape(t * m, c)
+    acc = pixels[: t_out * m] @ cfg.theta_t[0]
+    for k in range(1, cfg.tau):
+        acc += pixels[k * m : (k + t_out) * m] @ cfg.theta_t[k]
+    return acc.reshape(t_out, h, w, cfg.c_prime)
+
+
+def materialized(cfg):
+    """``cfg`` with its temporal taps copied into tau dense slices, so that
+    ``temporal_conv`` takes one GEMM per tap."""
+    return dataclasses.replace(cfg, theta_t=np.array(cfg.theta_t))
+
+
 class TestTemporalConv:
     def test_pointwise_kernel_keeps_length(self):
         rng = np.random.default_rng(0)
@@ -216,6 +238,75 @@ class TestTemporalConv:
         assert out.shape == expect.shape == (4, 4, 5, 32)
         for got, ref in zip(out, expect):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize(
+        "c_in, c_prime, c_out, t",
+        [
+            (DESK_C_IN, DESK_C_PRIME, DESK_C_OUT, 8),
+            (DESK_C_IN, DESK_C_PRIME, DESK_C_OUT, 28),
+            (PAPER_C_IN, PAPER_C_PRIME, PAPER_C_OUT, 6),
+            (PAPER_C_IN, PAPER_C_PRIME, PAPER_C_OUT, 8),
+        ],
+    )
+    def test_shared_taps_match_per_tap_bitwise_at_workload_shapes(self, c_in, c_prime, c_out, t):
+        # from_seed's taps share one map, so each frame is projected once;
+        # at the shapes of the stored clips that has the bits of one GEMM
+        # per tap over the same kernel, materialized, summed in tap order.
+        rng = np.random.default_rng(23)
+        clip = FeatureClip(rng.standard_normal((t, c_in, 6, 6)))
+        scales = default_scales(c_in, c_prime, c_out)
+        dense = [materialized(cfg) for cfg in scales]
+        x = pixel_major(clip.data)
+        for cfg, ref in zip(scales, dense, strict=True):
+            assert cfg.theta_t.strides[0] == 0
+            assert ref.theta_t.strides[0] != 0
+            out = temporal_conv(x, cfg)
+            assert np.array_equal(out, temporal_conv(x, ref))
+            assert np.array_equal(out, per_tap_temporal_conv(x, ref))
+        got, ref = multi_scale_frames(clip, scales), multi_scale_frames(clip, dense)
+        for g, r in zip(got, ref, strict=True):
+            assert np.array_equal(g, r)
+
+    @pytest.mark.parametrize(
+        "c_in, c_prime, h, w",
+        [
+            (64, 1, 6, 6),
+            (2048, 2, 6, 6),
+            (2048, 5, 6, 6),
+            (256, 33, 6, 6),
+            (64, 32, 1, 1),
+            (64, 32, 2, 3),
+            (2048, 32, 2, 3),
+        ],
+    )
+    def test_shared_taps_match_per_tap_at_odd_shapes(self, c_in, c_prime, h, w):
+        # At some shapes OpenBLAS rounds a row slice of one product unlike
+        # the same rows multiplied alone, so the two paths agree to within
+        # rounding only: measured at most 7.4e-15 * max|ref| per frame.
+        rng = np.random.default_rng(24)
+        for tau in (3, 5):
+            cfg = ScaleConfig.from_seed(tau, 1, c_in=c_in, c_prime=c_prime, c_out=4)
+            for t in (5, 6, 8):
+                x = random_pixels(rng, t=t, c=c_in, h=h, w=w)
+                out = temporal_conv(x, cfg)
+                expect = temporal_conv(x, materialized(cfg))
+                for got, ref in zip(out, expect, strict=True):
+                    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_shared_taps_hold_projection_and_sum(self):
+        # Shared taps hold the T-frame projection and the T'-frame sum, not
+        # one product per tap: at tau = 5, T = 28 the peak is near
+        # (T + T') frames of M * C' entries (measured 1.002 times that).
+        rng = np.random.default_rng(25)
+        cfg = ScaleConfig.from_seed(5, 1)
+        x = random_pixels(rng, t=28, c=DESK_C_IN, h=6, w=6)
+        tracemalloc.start()
+        try:
+            temporal_conv(x, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * (28 + 24) * 6 * 6 * DESK_C_PRIME * 8
 
     def test_output_is_pixel_major(self):
         rng = np.random.default_rng(22)
@@ -733,8 +824,11 @@ class TestDeformableConv:
                 tracemalloc.stop()
             return peak - sum(f.nbytes for f in frames)
 
+        # Against one full sampling block, so the ratio measures growth with
+        # T alone: measured 1.005 at fractional offsets and 1.012 at zero.
         for scale in (1.0, 0.0):
-            assert working_set(28, scale) <= 1.25 * working_set(2, scale)
+            block = descriptor._SAMPLE_BLOCK
+            assert working_set(28, scale) <= 1.05 * working_set(block, scale)
 
     def test_working_set_is_one_frame(self):
         # One patch serves every frame, and each frame's interpolation
