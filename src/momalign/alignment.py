@@ -11,6 +11,14 @@ cycle plus that subtree. Supplies are epsilon-perturbed for the pivot phase
 so every pivot strictly decreases the objective (no degenerate cycling); the
 flows on that same final tree are then re-solved against the unperturbed
 masses, deepest node first, so the reported plan and objective are exact.
+
+``solve_emd_above`` runs the same pivots with a stop score. Every basis
+tree carries a plan, and one that is feasible for the unperturbed masses
+scores at most the optimum, so a feasible plan scoring above the stop proves
+the optimum is above it (LP duality), and the pivots can end there. The
+tree's plan is checked only once the perturbed plan's score, which each
+pivot raises by theta times the entering reduced cost, clears the stop: the
+same re-solve, now with no negative flow allowed.
 """
 
 from __future__ import annotations
@@ -144,15 +152,17 @@ def _least_cost_start(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
     return basis, flows
 
 
-def solve_emd(sim: np.ndarray, masses: Masses) -> TransportPlan:
-    """Exact optimum of min <1 - SIM, A> under the marginal constraints.
+def _simplex(sim: np.ndarray, masses: Masses, stop: float):
+    """The transportation simplex behind ``solve_emd`` and ``solve_emd_above``:
+    a plan, its score, the pivots made and the minimum reduced cost of the
+    last pricing (-inf before the first).
 
-    Deterministic: entering variables are chosen by most negative reduced
-    cost with lowest (row, col) index on ties; leaving variables by minimum
-    ratio with lowest edge index on ties. The leaving tie only settles a
-    floating-point coincidence: supplies gain delta each and the last demand
-    m * delta (Orden's perturbation), so in exact arithmetic no basic flow is
-    zero and the minimum ratio is attained by one edge, from any basic start.
+    It pivots to the optimum, unless a basis tree on the way carries a plan
+    that is feasible for the unperturbed masses and scores above ``stop``;
+    that plan is returned instead. The perturbed plan's score, kept in O(1)
+    per pivot, says when to look: only once it clears ``stop`` is the tree's
+    plan re-solved and checked for a negative flow. With ``stop = inf`` it
+    never looks, so it runs to the optimum.
     """
     sim = np.asarray(sim, dtype=np.float64)
     if sim.ndim != 2:
@@ -204,10 +214,31 @@ def solve_emd(sim: np.ndarray, masses: Masses) -> TransportPlan:
                     pot[nxt] = edge_cost[e] - base
                     stack.append(nxt)
 
+    def exact_plan():
+        # Exact flows on the tree, deepest node first (lowest index on ties):
+        # a node's mass less its children's flows goes up its edge. Row 0's
+        # remainder is the rounding imbalance of the masses and is dropped.
+        residual = masses.mu.tolist() + masses.gamma.tolist()
+        plan = np.zeros((m, n))
+        for node in sorted(range(1, m + n), key=depth.__getitem__, reverse=True):
+            plan[basis[up_edge[node]]] = residual[node]
+            residual[parent[node]] -= residual[node]
+        return plan
+
     for nxt, e in adj[0].items():
         hang(nxt, 0, e)
 
+    # The perturbed plan's score: a pivot lowers its cost by theta times the
+    # entering cell's reduced cost, and raises its score by as much.
+    running = sum(f * (1.0 - c) for f, c in zip(flows, edge_cost))
+    min_reduced_cost = -np.inf
     for pivots in range(200 * (m + n) + 1000):
+        if running > stop:
+            plan = exact_plan()
+            if np.min(plan) >= 0.0:
+                score = float(np.sum(sim * plan))
+                if score > stop:
+                    return plan, score, pivots, min_reduced_cost
         p = np.array(pot)
         reduced = cost - p[:m, None] - p[None, m:]
         reduced[basic] = 0.0
@@ -236,6 +267,7 @@ def solve_emd(sim: np.ndarray, masses: Masses) -> TransportPlan:
         leaving = min(e for e in minus_edges if flows[e] == theta)
         for k, e in enumerate(cycle):
             flows[e] += theta if k % 2 == 1 else -theta
+        running -= theta * min_reduced_cost
         li, lj = basis[leaving]
         del adj[li][m + lj], adj[m + lj][li]
         basic[li, lj] = False
@@ -253,24 +285,46 @@ def solve_emd(sim: np.ndarray, masses: Masses) -> TransportPlan:
     else:
         raise RuntimeError("solve_emd: pivot limit exceeded")
 
-    # Exact flows on the final tree, deepest node first (lowest index on
-    # ties): a node's mass less its children's flows goes up its edge. Row
-    # 0's remainder is the rounding imbalance of the masses and is dropped.
-    residual = masses.mu.tolist() + masses.gamma.tolist()
-    plan = np.zeros((m, n))
-    for node in sorted(range(1, m + n), key=depth.__getitem__, reverse=True):
-        plan[basis[up_edge[node]]] = residual[node]
-        residual[parent[node]] -= residual[node]
+    plan = exact_plan()
     if np.min(plan) < -1e-9:
         raise RuntimeError("solve_emd: negative flow beyond tolerance on final basis")
     plan = np.maximum(plan, 0.0)
-    objective = float(np.sum(cost * plan))
-    score = float(np.sum(sim * plan))
+    return plan, float(np.sum(sim * plan)), pivots, min_reduced_cost
+
+
+def solve_emd(sim: np.ndarray, masses: Masses) -> TransportPlan:
+    """Exact optimum of min <1 - SIM, A> under the marginal constraints.
+
+    Deterministic: entering variables are chosen by most negative reduced
+    cost with lowest (row, col) index on ties; leaving variables by minimum
+    ratio with lowest edge index on ties. The leaving tie only settles a
+    floating-point coincidence: supplies gain delta each and the last demand
+    m * delta (Orden's perturbation), so in exact arithmetic no basic flow is
+    zero and the minimum ratio is attained by one edge, from any basic start.
+    """
+    sim = np.asarray(sim, dtype=np.float64)
+    plan, score, pivots, min_reduced_cost = _simplex(sim, masses, np.inf)
+    objective = float(np.sum((1.0 - sim) * plan))
     primal_residual = max(
         float(np.max(np.abs(plan.sum(axis=1) - masses.mu))),
         float(np.max(np.abs(plan.sum(axis=0) - masses.gamma))),
     )
     return TransportPlan(plan, objective, score, pivots, min_reduced_cost, primal_residual)
+
+
+def solve_emd_above(sim: np.ndarray, masses: Masses, stop: float) -> float:
+    """The score of a plan that is feasible for ``masses`` and scores above
+    ``stop``, or, when no plan does, ``solve_emd(sim, masses).score``, bit
+    for bit.
+
+    A feasible plan's score is at most the optimum's, so a result above
+    ``stop`` proves the optimum is above ``stop`` without solving to it: the
+    pivots stop at the first basis tree whose plan, re-solved against the
+    unperturbed masses as ``solve_emd`` re-solves its last, has no negative
+    flow and scores above ``stop``. A result at or below ``stop`` is the
+    optimum.
+    """
+    return _simplex(sim, masses, stop)[1]
 
 
 def score_upper_bound(sim: np.ndarray, masses: Masses) -> float:

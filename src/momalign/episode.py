@@ -127,7 +127,9 @@ def score_pair(q: DescriptorSequence, s: DescriptorSequence, metric: str) -> flo
 
 #: A prototype is left unsolved only when its score bound is below the best
 #: exact score so far by more than this, which is far above the rounding of
-#: a bound or a score (about 1e-15).
+#: a bound or a score (about 1e-15). The first prototype's solve stops once
+#: a feasible plan scores above every other bound by more than this: that
+#: plan's score is at most the exact score, so no other prototype can tie.
 _PRUNE_MARGIN = 1e-9
 
 
@@ -140,12 +142,19 @@ def classify_query(
     ``metric``, one of ``METRICS``; exact ties go to the lowest index.
 
     For the ``emd_score`` metrics, prototypes are visited by decreasing
-    ``alignment.score_upper_bound`` (lowest index on ties), and the visit
-    stops at the first bound below the best exact score so far less
-    ``_PRUNE_MARGIN``: no prototype left can reach that score, so the
-    prediction is that of scoring every prototype. Only the prediction is
-    returned, since a pruned prototype has no exact score. ``prototypes`` is
-    not empty: ``evaluate`` checks that an episode has at least one way.
+    ``alignment.score_upper_bound`` (lowest index on ties). The first is
+    solved by ``alignment.solve_emd_above`` with a stop score, the largest
+    other bound plus ``_PRUNE_MARGIN`` (-inf when there is no other): a
+    result above it is the score of a feasible plan, so at most the first's
+    exact score (LP duality), and every other exact score is below it by
+    more than the margin, so the first is the prediction. Otherwise the
+    result is the first's exact score, and the visit goes on with
+    ``alignment.solve_emd``. It stops at the first bound below the best
+    exact score so far less ``_PRUNE_MARGIN``: no prototype left can reach
+    that score, so the prediction is that of scoring every prototype. Only
+    the prediction is returned, since a pruned or certified prototype has
+    no exact score. ``prototypes`` is not empty: ``evaluate`` checks that an
+    episode has at least one way.
     """
     if _METRIC_TABLE[metric][1] != "emd_score":
         return int(np.argmax([score_pair(query, p, metric) for p in prototypes]))
@@ -154,8 +163,12 @@ def classify_query(
         for p in prototypes
     ]
     bounds = np.array([alignment.score_upper_bound(sim, masses) for sim, masses in pairs])
-    best, pred = -np.inf, 0
-    for i in np.argsort(-bounds, kind="stable").tolist():
+    pred, *rest = np.argsort(-bounds, kind="stable").tolist()
+    stop = bounds[rest].max() + _PRUNE_MARGIN if rest else -np.inf
+    best = alignment.solve_emd_above(*pairs[pred], stop)
+    if best > stop:
+        return pred
+    for i in rest:
         if bounds[i] < best - _PRUNE_MARGIN:
             break
         score = alignment.solve_emd(*pairs[i]).score

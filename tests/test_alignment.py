@@ -17,6 +17,7 @@ from momalign.alignment import (
     Masses,
     _floor_normalize,
     _least_cost_start,
+    _simplex,
     emd_score,
     fixed_alignment_cross,
     fixed_alignment_pp,
@@ -24,6 +25,7 @@ from momalign.alignment import (
     score_upper_bound,
     similarity_matrix,
     solve_emd,
+    solve_emd_above,
 )
 from momalign.descriptor import DescriptorSequence
 
@@ -556,6 +558,79 @@ class TestSolveEmd:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve_emd(np.zeros((2, 2)), Masses([1.0], [1.0]))
+
+
+#: Largest amount by which a certified plan's score, summed from a re-solved
+#: plan, may exceed the optimum's.
+CERTIFIED_ROUNDING = 1e-12
+
+
+@st.composite
+def stop_instances(draw):
+    """A ``bound_instances`` draw, its optimum and a stop score: anywhere in
+    [-2, 2], within 0.05 of the optimum, between the first certified score
+    and the optimum (so that pivots run before a certificate), or one of
+    -inf, the optimum and +inf."""
+    sim, masses = draw(bound_instances())
+    optimum = solve_emd(sim, masses).score
+    first = solve_emd_above(sim, masses, -np.inf)
+    stop = draw(
+        st.one_of(
+            st.floats(-2.0, 2.0),
+            st.floats(-0.05, 0.05).map(lambda d: optimum + d),
+            st.floats(0.0, 1.0).map(lambda t: first + t * (optimum - first)),
+            st.sampled_from([-np.inf, optimum, np.inf]),
+        )
+    )
+    return sim, masses, optimum, stop
+
+
+class TestSolveEmdAbove:
+    def test_no_stop_is_solve_emd_bitwise(self):
+        for sim, masses in TestSolveEmd.pivot_rule_cases():
+            score = solve_emd_above(sim, masses, np.inf)
+            assert score.hex() == solve_emd(sim, masses).score.hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=stop_instances())
+    def test_above_stop_is_feasible_else_optimum(self, instance):
+        sim, masses, optimum, stop = instance
+        score = solve_emd_above(sim, masses, stop)
+        if score > stop:
+            assert score <= optimum + CERTIFIED_ROUNDING
+        else:
+            assert score.hex() == optimum.hex()
+
+    def test_certified_plan_is_feasible(self):
+        # Stops below the optimum, down to -inf, which the first tree with
+        # no negative flow clears: the plan is the certificate, so it meets
+        # the unperturbed masses with no negative flow.
+        early = 0
+        for sim, masses in emd_instances(seed=41, draws=10, max_size=80):
+            full = solve_emd(sim, masses)
+            for stop in (-np.inf, full.score - 0.05, full.score - 1e-3):
+                plan, score, pivots, _ = _simplex(sim, masses, stop)
+                assert score > stop
+                assert score == float(np.sum(sim * plan))
+                assert score <= full.score + CERTIFIED_ROUNDING
+                assert plan.min() >= 0.0
+                assert np.max(np.abs(plan.sum(axis=1) - masses.mu)) <= 1e-12
+                assert np.max(np.abs(plan.sum(axis=0) - masses.gamma)) <= 1e-12
+                early += pivots < full.pivots
+        assert early > 0
+
+    def test_stop_at_each_certified_score(self):
+        # Each certified score, taken as the next stop, is a plan's exact
+        # score that the perturbed running score may clear by rounding; the
+        # pivots then go on, so the result is a higher plan's score or the
+        # optimum, never that plan's score again.
+        for sim, masses in emd_instances(seed=42, draws=6, max_size=80):
+            optimum = solve_emd(sim, masses).score
+            stop, steps = -np.inf, 0
+            while (score := solve_emd_above(sim, masses, stop)) > stop:
+                stop, steps = score, steps + 1
+            assert score.hex() == optimum.hex()
+            assert steps >= 1
 
 
 def assert_least_cost_start(cost, supply, demand):

@@ -8,6 +8,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momalign import alignment, cli, descriptor, episode, synthgen
 from momalign.descriptor import DescriptorSequence, default_scales
@@ -122,6 +124,36 @@ def full_argmax(query, prototypes, metric):
     return int(np.argmax([score_pair(query, p, metric) for p in prototypes]))
 
 
+@st.composite
+def near_prototypes(draw):
+    """A query, 2-5 prototypes near it and an EMD metric. After the first,
+    a prototype may repeat an earlier one, or copy it with each entry scaled
+    by 1 + e, |e| up to 1e-13 to 1e-10, so that its score lies within
+    ``_PRUNE_MARGIN`` of the original's."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(2, 6))
+    spread = draw(st.sampled_from([0.1, 0.3, 1.0]))
+    centre = rng.standard_normal(dim)
+
+    def near(length):
+        return centre + spread * rng.standard_normal((length, dim))
+
+    query = make_seq(near(draw(st.integers(1, 5))))
+    protos = [make_seq(near(draw(st.integers(1, 5))))]
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["new", "repeat", "perturbed"]))
+        source = protos[draw(st.integers(0, len(protos) - 1))]
+        if kind == "new":
+            protos.append(make_seq(near(draw(st.integers(1, 5)))))
+        elif kind == "repeat":
+            protos.append(source)
+        else:
+            e = draw(st.sampled_from([1e-13, 1e-11, 1e-10]))
+            scale = 1.0 + rng.uniform(-e, e, source.vectors.shape)
+            protos.append(make_seq(source.vectors * scale))
+    return query, protos, draw(st.sampled_from(EMD_METRICS))
+
+
 class TestClassifyQuery:
     def test_matching_prototype_wins(self):
         e = np.eye(4)
@@ -191,6 +223,24 @@ class TestClassifyQuery:
             protos = [make_seq(base + 0.3 * rng.standard_normal((4, 6))) for _ in range(5)]
             assert classify_query(query, protos, "a2") == full_argmax(query, protos, "a2")
 
+    @settings(max_examples=200, deadline=None)
+    @given(draw=near_prototypes())
+    def test_prediction_is_argmax_of_exact_scores(self, draw):
+        # Certified, pruned or solved, every prediction is that of scoring
+        # every prototype, also where two scores tie or lie within the margin.
+        query, protos, metric = draw
+        assert classify_query(query, protos, metric) == full_argmax(query, protos, metric)
+
+    @pytest.mark.parametrize("metric", EMD_METRICS)
+    def test_single_prototype_needs_no_full_solve(self, metric, monkeypatch):
+        def refuse(sim, masses):
+            raise AssertionError("solve_emd called")
+
+        monkeypatch.setattr(alignment, "solve_emd", refuse)
+        rng = np.random.default_rng(7)
+        query = make_seq(rng.standard_normal((4, 5)))
+        assert classify_query(query, [make_seq(rng.standard_normal((3, 5)))], metric) == 0
+
     def test_bound_holds_on_captured_pairs(self, small_dataset, monkeypatch):
         # Every (sim, masses) pair a seeded evaluation bounds, pruned or not.
         pairs = []
@@ -211,18 +261,28 @@ class TestClassifyQuery:
 
     def test_pruning_skips_solves(self, small_dataset, monkeypatch):
         # The bound is not vacuous: a separable set leaves most transports
-        # unsolved.
-        solves = []
-        original = alignment.solve_emd
+        # unsolved. Each query solves its first prototype with a stop score,
+        # and on this set the certificate stops some of those solves.
+        solves, stopped = [], []
+        original, original_above = alignment.solve_emd, alignment.solve_emd_above
 
         def counting(sim, masses):
             solves.append(sim.shape)
             return original(sim, masses)
 
+        def counting_above(sim, masses, stop):
+            score = original_above(sim, masses, stop)
+            stopped.append(score > stop)
+            return score
+
         monkeypatch.setattr(alignment, "solve_emd", counting)
+        monkeypatch.setattr(alignment, "solve_emd_above", counting_above)
         evaluate(small_dataset, 4, 1, 4, episodes=6, seed=5, metrics=["a2"],
                  scales=default_scales(seed=5))
-        assert 6 * 4 <= len(solves) < 6 * 4 * 4
+        assert len(stopped) == 6 * 4
+        assert 6 * 4 <= len(solves) + len(stopped)
+        assert len(solves) < 6 * 4 * 4
+        assert any(stopped)
 
 
 class TestNonFiniteDescriptors:
