@@ -11,6 +11,8 @@ import pytest
 from momalign import descriptor, synthgen
 from momalign.linalg import (
     DEFAULT_EPS_SCALE,
+    _three_eye,
+    _triu_layout,
     newton_schulz_sqrt,
     second_moment,
     spectral_norm_estimates,
@@ -114,7 +116,7 @@ def reference_vectorize_spd(a):
 def reference_inputs(rng):
     """Full-rank, rank-deficient and rank-one second moments at the channel
     counts the pipeline uses, plus small, zero-padded and underflowing
-    cases."""
+    cases, a dead channel whose zeros are -0.0, and non-contiguous views."""
     for dim in (1, 2, 3, 16, 64, 128):
         yield random_spd(rng, dim)
         for m in (1, max(1, dim // 2), 36):
@@ -123,6 +125,12 @@ def reference_inputs(rng):
     padded[:4, :4] = random_spd(rng, 4)
     yield padded
     yield underflowing_moment()
+    # The sign of a zero is the one thing a diagonal-only eps shift could move.
+    dead = random_spd(rng, 16)
+    dead[5, :] = dead[:, 5] = -0.0
+    yield dead
+    yield second_moment(rng.standard_normal((16, 36))).T
+    yield second_moment(rng.standard_normal((32, 36)))[::2, ::2]
 
 
 @pytest.fixture(scope="module")
@@ -364,7 +372,7 @@ class TestNewtonSchulzSqrt:
     def test_matches_reference_bitwise(self):
         rng = np.random.default_rng(40)
         for a in reference_inputs(rng):
-            assert np.array_equal(own_norm_sqrt(a), reference_newton_schulz_sqrt(a))
+            assert own_norm_sqrt(a).tobytes() == reference_newton_schulz_sqrt(a).tobytes()
 
     def test_stacked_estimate_matches_own_estimate_bitwise(self):
         rng = np.random.default_rng(42)
@@ -372,7 +380,25 @@ class TestNewtonSchulzSqrt:
         for a, norm in zip(moments, spectral_norm_estimates(moments)):
             own = spectral_norm_estimates([a])[0]
             assert norm.tobytes() == own.tobytes()
-            assert np.array_equal(newton_schulz_sqrt(a, norm), own_norm_sqrt(a))
+            assert newton_schulz_sqrt(a, norm).tobytes() == own_norm_sqrt(a).tobytes()
+
+    def test_constant_never_written_and_results_fresh(self):
+        rng = np.random.default_rng(43)
+        results = []
+        for a in itertools.chain(reference_inputs(rng), reference_inputs(rng)):
+            before = a.tobytes()
+            out = own_norm_sqrt(a)
+            assert a.tobytes() == before
+            assert not np.shares_memory(out, a)
+            assert not np.shares_memory(out, _three_eye(len(a)))
+            assert not any(np.shares_memory(out, r) for r in results)
+            results.append(out)
+        for n in {len(r) for r in results}:
+            three = _three_eye(n)
+            assert three.tobytes() == (3.0 * np.eye(n)).tobytes()
+            assert not three.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                three[0, 0] = 0.0
 
     @pytest.mark.parametrize("norm", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_bad_norm(self, norm):
@@ -474,6 +500,14 @@ class TestVectorizeSpd:
             got = vectorize_spd(a)
             assert np.array_equal(got, reference_vectorize_spd(a))
             assert got.flags.c_contiguous
+
+    def test_layout_cache_is_read_only(self):
+        a = random_spd(np.random.default_rng(51), 5)
+        expected = vectorize_spd(a)
+        for cached in _triu_layout(5):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 0
+        assert vectorize_spd(a).tobytes() == expected.tobytes()
 
     def test_peak_memory_within_output_and_gather(self):
         # The root is trusted, not copied: the peak is the gathered triangle
