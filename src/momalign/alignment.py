@@ -12,13 +12,8 @@ so every pivot strictly decreases the objective (no degenerate cycling); the
 flows on that same final tree are then re-solved against the unperturbed
 masses, deepest node first, so the reported plan and objective are exact.
 
-``solve_emd_above`` runs the same pivots with a stop score. Every basis
-tree carries a plan, and one that is feasible for the unperturbed masses
-scores at most the optimum, so a feasible plan scoring above the stop proves
-the optimum is above it (LP duality), and the pivots can end there. The
-tree's plan is checked only once the perturbed plan's score, which each
-pivot raises by theta times the entering reduced cost, clears the stop: the
-same re-solve, now with no negative flow allowed.
+``best_alignment`` picks the candidate a query aligns to best and solves
+only the transports that decision needs: its docstring states the rule.
 """
 
 from __future__ import annotations
@@ -153,7 +148,7 @@ def _least_cost_start(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
 
 
 def _simplex(sim: np.ndarray, masses: Masses, stop: float):
-    """The transportation simplex behind ``solve_emd`` and ``solve_emd_above``:
+    """The transportation simplex behind ``solve_emd`` and ``best_alignment``:
     a plan, its score, the pivots made and the minimum reduced cost of the
     last pricing (-inf before the first).
 
@@ -312,22 +307,7 @@ def solve_emd(sim: np.ndarray, masses: Masses) -> TransportPlan:
     return TransportPlan(plan, objective, score, pivots, min_reduced_cost, primal_residual)
 
 
-def solve_emd_above(sim: np.ndarray, masses: Masses, stop: float) -> float:
-    """The score of a plan that is feasible for ``masses`` and scores above
-    ``stop``, or, when no plan does, ``solve_emd(sim, masses).score``, bit
-    for bit.
-
-    A feasible plan's score is at most the optimum's, so a result above
-    ``stop`` proves the optimum is above ``stop`` without solving to it: the
-    pivots stop at the first basis tree whose plan, re-solved against the
-    unperturbed masses as ``solve_emd`` re-solves its last, has no negative
-    flow and scores above ``stop``. A result at or below ``stop`` is the
-    optimum.
-    """
-    return _simplex(sim, masses, stop)[1]
-
-
-def score_upper_bound(sim: np.ndarray, masses: Masses) -> float:
+def _score_upper_bound(sim: np.ndarray, masses: Masses) -> float:
     """An upper bound on ``solve_emd(sim, masses).score`` in O(L_q L_s).
 
     Any (u, v) with u_i + v_j <= 1 - sim_ij bounds the minimum cost from
@@ -346,9 +326,47 @@ def score_upper_bound(sim: np.ndarray, masses: Masses) -> float:
     return float(mu.sum() - dual)
 
 
-def emd_score(q: DescriptorSequence, s: DescriptorSequence) -> float:
-    """End-to-end adaptive alignment score for a descriptor-sequence pair."""
-    return solve_emd(similarity_matrix(q, s), marginal_masses(q, s)).score
+#: A candidate is left unsolved only when its score bound is below the best
+#: exact score so far by more than this, which is far above the rounding of
+#: a bound or a score (about 1e-15). The first candidate's solve stops once
+#: a feasible plan scores above every other bound by more than this: that
+#: plan's score is at most the exact score, so no other candidate can tie.
+_PRUNE_MARGIN = 1e-9
+
+
+def best_alignment(query: DescriptorSequence, candidates: list[DescriptorSequence]) -> int:
+    """Index of the candidate whose exact EMD score against ``query``,
+    ``solve_emd`` on the pair's ``similarity_matrix`` and
+    ``marginal_masses``, is highest; exact ties go to the lowest index.
+    ``candidates`` is not empty.
+
+    Candidates are visited by decreasing ``_score_upper_bound`` (lowest
+    index on ties). The first is solved by ``_simplex`` with a stop score,
+    the largest other bound plus ``_PRUNE_MARGIN`` (-inf when there is no
+    other). Every basis tree carries a plan, and one that is feasible for
+    the unperturbed masses scores at most the optimum (LP duality), so a
+    result above the stop proves that the first's exact score beats every
+    other exact score by more than the margin: the first is the prediction.
+    Otherwise the result is the first's exact score, with ``solve_emd``'s
+    bits, and the visit goes on with ``solve_emd``. It stops at the first
+    bound below the best exact score so far less ``_PRUNE_MARGIN``: no
+    candidate left can reach that score. A candidate that could tie is
+    always solved, so the prediction is that of scoring every candidate.
+    """
+    pairs = [(similarity_matrix(query, c), marginal_masses(query, c)) for c in candidates]
+    bounds = np.array([_score_upper_bound(sim, masses) for sim, masses in pairs])
+    pred, *rest = np.argsort(-bounds, kind="stable").tolist()
+    stop = bounds[rest].max() + _PRUNE_MARGIN if rest else -np.inf
+    best = _simplex(*pairs[pred], stop)[1]
+    if best > stop:
+        return pred
+    for i in rest:
+        if bounds[i] < best - _PRUNE_MARGIN:
+            break
+        score = solve_emd(*pairs[i]).score
+        if score > best or (score == best and i < pred):
+            best, pred = score, i
+    return pred
 
 
 def fixed_alignment_pp(q: DescriptorSequence, s: DescriptorSequence) -> float:

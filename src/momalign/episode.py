@@ -17,16 +17,17 @@ from .seqio import Manifest, ManifestEntry
 
 #: Metric selector -> (representation, scorer). The representation names the
 #: ``descriptor`` function that extracts a clip's sequence, the scorer the
-#: ``alignment`` function that scores a query against a prototype. Both are
-#: looked up by name when called: perfbench's tracer replaces module
-#: attributes, so a table of function objects would bypass it.
+#: ``alignment`` function that scores a query against a prototype; the EMD
+#: metrics have none, since ``alignment.best_alignment`` makes their
+#: prediction. Both are looked up by name when called: perfbench's tracer
+#: replaces module attributes, so a table of function objects would bypass it.
 _METRIC_TABLE = {
-    "a2": ("multi_scale_descriptors", "emd_score"),
+    "a2": ("multi_scale_descriptors", None),
     "pp": ("multi_scale_descriptors", "fixed_alignment_pp"),
     "cr": ("multi_scale_descriptors", "fixed_alignment_cross"),
-    "gap-a2": ("gap_descriptor", "emd_score"),
-    "cov-mn-a2": ("cov_mn_descriptors", "emd_score"),
-    "ms-a2": ("multi_scale_first_order", "emd_score"),
+    "gap-a2": ("gap_descriptor", None),
+    "cov-mn-a2": ("cov_mn_descriptors", None),
+    "ms-a2": ("multi_scale_first_order", None),
 }
 
 #: Metric selectors: representation pathway x scoring rule.
@@ -122,15 +123,8 @@ def build_prototypes(
 
 
 def score_pair(q: DescriptorSequence, s: DescriptorSequence, metric: str) -> float:
+    """The ``pp`` or ``cr`` score of ``q`` against ``s``."""
     return getattr(alignment, _METRIC_TABLE[metric][1])(q, s)
-
-
-#: A prototype is left unsolved only when its score bound is below the best
-#: exact score so far by more than this, which is far above the rounding of
-#: a bound or a score (about 1e-15). The first prototype's solve stops once
-#: a feasible plan scores above every other bound by more than this: that
-#: plan's score is at most the exact score, so no other prototype can tie.
-_PRUNE_MARGIN = 1e-9
 
 
 def classify_query(
@@ -139,42 +133,15 @@ def classify_query(
     metric: str,
 ) -> int:
     """Index of the prototype that scores highest against ``query`` under
-    ``metric``, one of ``METRICS``; exact ties go to the lowest index.
-
-    For the ``emd_score`` metrics, prototypes are visited by decreasing
-    ``alignment.score_upper_bound`` (lowest index on ties). The first is
-    solved by ``alignment.solve_emd_above`` with a stop score, the largest
-    other bound plus ``_PRUNE_MARGIN`` (-inf when there is no other): a
-    result above it is the score of a feasible plan, so at most the first's
-    exact score (LP duality), and every other exact score is below it by
-    more than the margin, so the first is the prediction. Otherwise the
-    result is the first's exact score, and the visit goes on with
-    ``alignment.solve_emd``. It stops at the first bound below the best
-    exact score so far less ``_PRUNE_MARGIN``: no prototype left can reach
-    that score, so the prediction is that of scoring every prototype. Only
-    the prediction is returned, since a pruned or certified prototype has
-    no exact score. ``prototypes`` is not empty: ``evaluate`` checks that an
-    episode has at least one way.
+    ``metric``, one of ``METRICS``; exact ties go to the lowest index. The
+    EMD metrics ask ``alignment.best_alignment``, which solves only the
+    transports the prediction needs; ``pp`` and ``cr`` score every
+    prototype with ``score_pair``. ``prototypes`` is not empty:
+    ``evaluate`` checks that an episode has at least one way.
     """
-    if _METRIC_TABLE[metric][1] != "emd_score":
-        return int(np.argmax([score_pair(query, p, metric) for p in prototypes]))
-    pairs = [
-        (alignment.similarity_matrix(query, p), alignment.marginal_masses(query, p))
-        for p in prototypes
-    ]
-    bounds = np.array([alignment.score_upper_bound(sim, masses) for sim, masses in pairs])
-    pred, *rest = np.argsort(-bounds, kind="stable").tolist()
-    stop = bounds[rest].max() + _PRUNE_MARGIN if rest else -np.inf
-    best = alignment.solve_emd_above(*pairs[pred], stop)
-    if best > stop:
-        return pred
-    for i in rest:
-        if bounds[i] < best - _PRUNE_MARGIN:
-            break
-        score = alignment.solve_emd(*pairs[i]).score
-        if score > best or (score == best and i < pred):
-            best, pred = score, i
-    return pred
+    if _METRIC_TABLE[metric][1] is None:
+        return alignment.best_alignment(query, prototypes)
+    return int(np.argmax([score_pair(query, p, metric) for p in prototypes]))
 
 
 def _episode_accuracy(

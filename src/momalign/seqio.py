@@ -56,13 +56,17 @@ def write_container(tensors: dict[str, np.ndarray], path: str | Path) -> None:
     """Write named arrays to a single FSQ1 container file.
 
     Four-byte floats of either byte order are stored as f32, and every
-    other dtype as f64. Names must be unique (dict enforces) and non-empty.
+    other bool, integer or float dtype as f64; a complex or non-numeric
+    array is refused before the file is opened. Names must be unique (dict
+    enforces) and non-empty.
     """
     entries = []
     for name, arr in tensors.items():
         if not name:
             raise ValueError("tensor names must be non-empty")
         a = np.asarray(arr)
+        if a.dtype.kind not in "biuf":
+            raise ValueError(f"tensor '{name}': dtype {a.dtype} is not bool, int or float")
         a = a.astype("<f4" if a.dtype.kind == "f" and a.dtype.itemsize == 4 else "<f8", copy=False)
         # ascontiguousarray promotes rank-0 arrays to rank 1; restore shape.
         entries.append((name, np.ascontiguousarray(a).reshape(a.shape)))

@@ -14,7 +14,7 @@ from momalign import alignment, descriptor, episode, seqio, synthgen
 from momalign.cli import RunConfig, main
 from momalign.descriptor import DescriptorSequence, FeatureClip, ScaleConfig
 from momalign.linalg import DEFAULT_EPS_SCALE, second_moment
-from test_alignment import lp_oracle, make_seq, random_seq
+from test_alignment import emd_score, lp_oracle, make_seq, random_seq
 from test_descriptor import identity_scale, naive_standard_conv, pixel_major
 from test_linalg import own_norm_sqrt
 
@@ -144,19 +144,19 @@ def test_criterion_4_alignment_invariances(capsys):
     for _ in range(100):
         q = random_seq(rng, int(rng.integers(2, 7)), 10)
         s = random_seq(rng, int(rng.integers(2, 7)), 10)
-        base = alignment.emd_score(q, s)
+        base = emd_score(q, s)
 
-        worst_sym = max(worst_sym, abs(base - alignment.emd_score(s, q)))
+        worst_sym = max(worst_sym, abs(base - emd_score(s, q)))
 
         c = float(rng.uniform(0.1, 10.0))
         scaled = make_seq(c * q.vectors)
-        worst_scale = max(worst_scale, abs(base - alignment.emd_score(scaled, s)))
+        worst_scale = max(worst_scale, abs(base - emd_score(scaled, s)))
 
         perm = rng.permutation(len(s))
         permuted = DescriptorSequence(
             s.vectors[perm], s.scale_ids[perm], s.times[perm]
         )
-        worst_perm = max(worst_perm, abs(base - alignment.emd_score(q, permuted)))
+        worst_perm = max(worst_perm, abs(base - emd_score(q, permuted)))
     ok = max(worst_sym, worst_scale, worst_perm) <= 1e-9
     report(
         capsys,

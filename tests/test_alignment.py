@@ -17,15 +17,14 @@ from momalign.alignment import (
     Masses,
     _floor_normalize,
     _least_cost_start,
+    _score_upper_bound,
     _simplex,
-    emd_score,
+    best_alignment,
     fixed_alignment_cross,
     fixed_alignment_pp,
     marginal_masses,
-    score_upper_bound,
     similarity_matrix,
     solve_emd,
-    solve_emd_above,
 )
 from momalign.descriptor import DescriptorSequence
 
@@ -56,6 +55,12 @@ def make_seq(vectors, scale_ids=None, times=None):
 
 def random_seq(rng, n, dim=5):
     return make_seq(rng.standard_normal((n, dim)))
+
+
+def emd_score(q, s):
+    """End-to-end adaptive alignment score for a descriptor-sequence pair:
+    the optimum's score on the pair's similarity matrix and masses."""
+    return solve_emd(similarity_matrix(q, s), marginal_masses(q, s)).score
 
 
 def lp_oracle(sim, mu, gamma):
@@ -573,7 +578,7 @@ def stop_instances(draw):
     -inf, the optimum and +inf."""
     sim, masses = draw(bound_instances())
     optimum = solve_emd(sim, masses).score
-    first = solve_emd_above(sim, masses, -np.inf)
+    first = _simplex(sim, masses, -np.inf)[1]
     stop = draw(
         st.one_of(
             st.floats(-2.0, 2.0),
@@ -585,17 +590,21 @@ def stop_instances(draw):
     return sim, masses, optimum, stop
 
 
-class TestSolveEmdAbove:
+class TestSimplexStop:
+    """``_simplex(sim, masses, stop)``: the score of a plan that is feasible
+    for ``masses`` and scores above ``stop``, or else the optimum's score
+    with ``solve_emd``'s bits."""
+
     def test_no_stop_is_solve_emd_bitwise(self):
         for sim, masses in TestSolveEmd.pivot_rule_cases():
-            score = solve_emd_above(sim, masses, np.inf)
+            score = _simplex(sim, masses, np.inf)[1]
             assert score.hex() == solve_emd(sim, masses).score.hex()
 
     @settings(max_examples=300, deadline=None)
     @given(instance=stop_instances())
     def test_above_stop_is_feasible_else_optimum(self, instance):
         sim, masses, optimum, stop = instance
-        score = solve_emd_above(sim, masses, stop)
+        score = _simplex(sim, masses, stop)[1]
         if score > stop:
             assert score <= optimum + CERTIFIED_ROUNDING
         else:
@@ -627,7 +636,7 @@ class TestSolveEmdAbove:
         for sim, masses in emd_instances(seed=42, draws=6, max_size=80):
             optimum = solve_emd(sim, masses).score
             stop, steps = -np.inf, 0
-            while (score := solve_emd_above(sim, masses, stop)) > stop:
+            while (score := _simplex(sim, masses, stop)[1]) > stop:
                 stop, steps = score, steps + 1
             assert score.hex() == optimum.hex()
             assert steps >= 1
@@ -768,7 +777,7 @@ class TestAlignmentScore:
 
 #: Slack for rounding where the bound is tight (a 1 x n problem has one
 #: feasible plan, so its bound is its score); far below the 1e-9 margin
-#: ``classify_query`` prunes with.
+#: ``best_alignment`` prunes with.
 BOUND_ROUNDING = 1e-12
 
 
@@ -791,13 +800,13 @@ class TestScoreUpperBound:
     @given(instance=bound_instances())
     def test_bounds_exact_score(self, instance):
         sim, masses = instance
-        assert score_upper_bound(sim, masses) >= solve_emd(sim, masses).score - BOUND_ROUNDING
+        assert _score_upper_bound(sim, masses) >= solve_emd(sim, masses).score - BOUND_ROUNDING
 
     def test_tight_on_a_single_row(self):
         rng = np.random.default_rng(40)
         sim = rng.uniform(-1, 1, size=(1, 6))
         masses = random_masses(rng, 1, 6)
-        assert score_upper_bound(sim, masses) == pytest.approx(solve_emd(sim, masses).score, abs=1e-12)
+        assert _score_upper_bound(sim, masses) == pytest.approx(solve_emd(sim, masses).score, abs=1e-12)
 
     def test_not_vacuous(self):
         # A query aligned with one support and opposed to another: the
@@ -806,7 +815,62 @@ class TestScoreUpperBound:
         q = make_seq(e[:2])
         near, far = make_seq(e[:2]), make_seq(-e[:2])
         best = emd_score(q, near)
-        assert score_upper_bound(similarity_matrix(q, far), marginal_masses(q, far)) < best - 1e-9
+        assert _score_upper_bound(similarity_matrix(q, far), marginal_masses(q, far)) < best - 1e-9
+
+
+def full_argmax(query, candidates):
+    """The prediction from every candidate's exact score, lowest index on ties."""
+    return int(np.argmax([emd_score(query, c) for c in candidates]))
+
+
+@st.composite
+def near_candidates(draw):
+    """A query and 2-5 candidates near it. After the first, a candidate may
+    repeat an earlier one, or copy it with each entry scaled by 1 + e, |e| up
+    to 1e-13 to 1e-10, so that its score lies within ``_PRUNE_MARGIN`` of
+    the original's."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(2, 6))
+    spread = draw(st.sampled_from([0.1, 0.3, 1.0]))
+    centre = rng.standard_normal(dim)
+
+    def near(length):
+        return centre + spread * rng.standard_normal((length, dim))
+
+    query = make_seq(near(draw(st.integers(1, 5))))
+    candidates = [make_seq(near(draw(st.integers(1, 5))))]
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["new", "repeat", "perturbed"]))
+        source = candidates[draw(st.integers(0, len(candidates) - 1))]
+        if kind == "new":
+            candidates.append(make_seq(near(draw(st.integers(1, 5)))))
+        elif kind == "repeat":
+            candidates.append(source)
+        else:
+            e = draw(st.sampled_from([1e-13, 1e-11, 1e-10]))
+            scale = 1.0 + rng.uniform(-e, e, source.vectors.shape)
+            candidates.append(make_seq(source.vectors * scale))
+    return query, candidates
+
+
+class TestBestAlignment:
+    def test_close_candidates_match_full_argmax(self):
+        # Candidates near the query and near each other, so that several
+        # bounds overlap and several transports are solved.
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            base = rng.standard_normal((4, 6))
+            query = make_seq(base + 0.3 * rng.standard_normal((4, 6)))
+            candidates = [make_seq(base + 0.3 * rng.standard_normal((4, 6))) for _ in range(5)]
+            assert best_alignment(query, candidates) == full_argmax(query, candidates)
+
+    @settings(max_examples=200, deadline=None)
+    @given(draw=near_candidates())
+    def test_prediction_is_argmax_of_exact_scores(self, draw):
+        # Certified, pruned or solved, every prediction is that of scoring
+        # every candidate, also where two scores tie or lie within the margin.
+        query, candidates = draw
+        assert best_alignment(query, candidates) == full_argmax(query, candidates)
 
 
 class TestAlignmentInvariances:

@@ -8,8 +8,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from momalign import alignment, cli, descriptor, episode, synthgen
 from momalign.descriptor import DescriptorSequence, default_scales
@@ -22,11 +20,11 @@ from momalign.episode import (
     score_pair,
 )
 from momalign.seqio import Manifest, ManifestEntry
-from test_alignment import BOUND_ROUNDING, make_seq
+from test_alignment import BOUND_ROUNDING, emd_score, make_seq
 
 
-#: The metrics whose prediction ``classify_query`` prunes.
-EMD_METRICS = tuple(m for m in METRICS if episode._METRIC_TABLE[m][1] == "emd_score")
+#: The metrics whose prediction ``alignment.best_alignment`` makes.
+EMD_METRICS = tuple(m for m in METRICS if episode._METRIC_TABLE[m][1] is None)
 
 
 def toy_manifest(classes=10, per_class=4):
@@ -119,39 +117,15 @@ class TestBuildPrototypes:
         )
 
 
+def exact_score(q, s, metric):
+    """``q``'s score against ``s`` under ``metric``, solved to the optimum
+    for the EMD metrics."""
+    return emd_score(q, s) if metric in EMD_METRICS else score_pair(q, s, metric)
+
+
 def full_argmax(query, prototypes, metric):
     """The prediction from every prototype's exact score, lowest index on ties."""
-    return int(np.argmax([score_pair(query, p, metric) for p in prototypes]))
-
-
-@st.composite
-def near_prototypes(draw):
-    """A query, 2-5 prototypes near it and an EMD metric. After the first,
-    a prototype may repeat an earlier one, or copy it with each entry scaled
-    by 1 + e, |e| up to 1e-13 to 1e-10, so that its score lies within
-    ``_PRUNE_MARGIN`` of the original's."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    dim = draw(st.integers(2, 6))
-    spread = draw(st.sampled_from([0.1, 0.3, 1.0]))
-    centre = rng.standard_normal(dim)
-
-    def near(length):
-        return centre + spread * rng.standard_normal((length, dim))
-
-    query = make_seq(near(draw(st.integers(1, 5))))
-    protos = [make_seq(near(draw(st.integers(1, 5))))]
-    for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["new", "repeat", "perturbed"]))
-        source = protos[draw(st.integers(0, len(protos) - 1))]
-        if kind == "new":
-            protos.append(make_seq(near(draw(st.integers(1, 5)))))
-        elif kind == "repeat":
-            protos.append(source)
-        else:
-            e = draw(st.sampled_from([1e-13, 1e-11, 1e-10]))
-            scale = 1.0 + rng.uniform(-e, e, source.vectors.shape)
-            protos.append(make_seq(source.vectors * scale))
-    return query, protos, draw(st.sampled_from(EMD_METRICS))
+    return int(np.argmax([exact_score(query, p, metric) for p in prototypes]))
 
 
 class TestClassifyQuery:
@@ -160,7 +134,7 @@ class TestClassifyQuery:
         protos = [make_seq(e[:1]), make_seq(e[1:2])]
         query = make_seq(e[1:2])
         pred = classify_query(query, protos, "a2")
-        logits = [score_pair(query, p, "a2") for p in protos]
+        logits = [emd_score(query, p) for p in protos]
         assert pred == 1
         assert logits[1] == pytest.approx(1.0, abs=1e-6)
 
@@ -168,7 +142,7 @@ class TestClassifyQuery:
         proto = make_seq(np.ones((2, 3)))
         query = make_seq(np.ones((2, 3)))
         pred = classify_query(query, [proto, proto, proto], "a2")
-        logits = [score_pair(query, p, "a2") for p in (proto, proto, proto)]
+        logits = [emd_score(query, p) for p in (proto, proto, proto)]
         assert pred == 0
         assert logits[0] == logits[1] == logits[2]
 
@@ -177,7 +151,7 @@ class TestClassifyQuery:
         protos = [make_seq(rng.standard_normal((3, 5))) for _ in range(4)]
         query = make_seq(rng.standard_normal((3, 5)))
         pred = classify_query(query, protos, metric="a2")
-        logits = np.array([score_pair(query, p, "a2") for p in protos])
+        logits = np.array([emd_score(query, p) for p in protos])
         assert pred == int(np.argmax(logits))
 
     @pytest.mark.parametrize("metric", EMD_METRICS)
@@ -194,7 +168,7 @@ class TestClassifyQuery:
         assert classify_query(query, protos, metric) == 1
 
     def test_pruned_prediction_matches_full_argmax(self, small_dataset, monkeypatch):
-        # Every query of a seeded evaluation, under every emd_score metric:
+        # Every query of a seeded evaluation, under every EMD metric:
         # the pruned prediction is the argmax of all exact scores.
         calls = []
         original = episode.classify_query
@@ -213,23 +187,21 @@ class TestClassifyQuery:
         for query, prototypes, metric, pred in calls:
             assert pred == full_argmax(query, prototypes, metric)
 
-    def test_close_prototypes_match_full_argmax(self):
-        # Prototypes near the query and near each other, so that several
-        # bounds overlap and several transports are solved.
-        rng = np.random.default_rng(6)
-        for _ in range(100):
-            base = rng.standard_normal((4, 6))
-            query = make_seq(base + 0.3 * rng.standard_normal((4, 6)))
-            protos = [make_seq(base + 0.3 * rng.standard_normal((4, 6))) for _ in range(5)]
-            assert classify_query(query, protos, "a2") == full_argmax(query, protos, "a2")
+    @pytest.mark.parametrize("metric", ["pp", "cr"])
+    def test_fixed_metrics_score_every_prototype(self, metric, monkeypatch):
+        # pp and cr take the argmax of score_pair over every prototype and
+        # never reach the transport visit.
+        def refuse(query, candidates):
+            raise AssertionError("best_alignment called")
 
-    @settings(max_examples=200, deadline=None)
-    @given(draw=near_prototypes())
-    def test_prediction_is_argmax_of_exact_scores(self, draw):
-        # Certified, pruned or solved, every prediction is that of scoring
-        # every prototype, also where two scores tie or lie within the margin.
-        query, protos, metric = draw
-        assert classify_query(query, protos, metric) == full_argmax(query, protos, metric)
+        monkeypatch.setattr(alignment, "best_alignment", refuse)
+        rng = np.random.default_rng(5)
+        query = make_seq(rng.standard_normal((3, 5)))
+        protos = [make_seq(rng.standard_normal((3, 5))) for _ in range(4)]
+        protos.insert(2, protos[1])
+        pred = classify_query(query, protos, metric)
+        assert pred == int(np.argmax([score_pair(query, p, metric) for p in protos]))
+        assert pred != 2
 
     @pytest.mark.parametrize("metric", EMD_METRICS)
     def test_single_prototype_needs_no_full_solve(self, metric, monkeypatch):
@@ -244,13 +216,13 @@ class TestClassifyQuery:
     def test_bound_holds_on_captured_pairs(self, small_dataset, monkeypatch):
         # Every (sim, masses) pair a seeded evaluation bounds, pruned or not.
         pairs = []
-        original = alignment.score_upper_bound
+        original = alignment._score_upper_bound
 
         def recording(sim, masses):
             pairs.append((sim, masses))
             return original(sim, masses)
 
-        monkeypatch.setattr(alignment, "score_upper_bound", recording)
+        monkeypatch.setattr(alignment, "_score_upper_bound", recording)
         evaluate(
             small_dataset, 4, 1, 4, episodes=6, seed=5, metrics=list(EMD_METRICS),
             scales=default_scales(seed=5),
@@ -261,22 +233,23 @@ class TestClassifyQuery:
 
     def test_pruning_skips_solves(self, small_dataset, monkeypatch):
         # The bound is not vacuous: a separable set leaves most transports
-        # unsolved. Each query solves its first prototype with a stop score,
-        # and on this set the certificate stops some of those solves.
+        # unsolved. Each query solves its first prototype with a finite stop
+        # score, and on this set the certificate stops some of those solves.
         solves, stopped = [], []
-        original, original_above = alignment.solve_emd, alignment.solve_emd_above
+        original, original_simplex = alignment.solve_emd, alignment._simplex
 
         def counting(sim, masses):
             solves.append(sim.shape)
             return original(sim, masses)
 
-        def counting_above(sim, masses, stop):
-            score = original_above(sim, masses, stop)
-            stopped.append(score > stop)
-            return score
+        def counting_simplex(sim, masses, stop):
+            result = original_simplex(sim, masses, stop)
+            if np.isfinite(stop):
+                stopped.append(result[1] > stop)
+            return result
 
         monkeypatch.setattr(alignment, "solve_emd", counting)
-        monkeypatch.setattr(alignment, "solve_emd_above", counting_above)
+        monkeypatch.setattr(alignment, "_simplex", counting_simplex)
         evaluate(small_dataset, 4, 1, 4, episodes=6, seed=5, metrics=["a2"],
                  scales=default_scales(seed=5))
         assert len(stopped) == 6 * 4
@@ -295,7 +268,7 @@ class TestNonFiniteDescriptors:
         clip = synthgen.load_clip(small_dataset.resolve(small_dataset.entries[0]))
         frames = descriptor.multi_scale_frames(clip, default_scales(seed=0))
         seq = getattr(descriptor, episode._METRIC_TABLE[metric][0])(frames)
-        assert np.isfinite(score_pair(seq, seq, metric))
+        assert np.isfinite(exact_score(seq, seq, metric))
         vectors = seq.vectors.copy()
         vectors[len(seq) // 2, 1] = bad
         with pytest.raises(ValueError, match="^DescriptorSequence: non-finite entries$"):

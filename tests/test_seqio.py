@@ -81,6 +81,29 @@ class TestContainerRoundTrip:
         with pytest.raises(ValueError):
             write_container({"": np.zeros(2)}, tmp_path / "bad.fsq")
 
+    @pytest.mark.parametrize(
+        "a",
+        [np.array([1 + 2j, 3 - 4j]), np.array(["a", "b"]), np.array([1.0, None], dtype=object)],
+        ids=["complex", "str", "object"],
+    )
+    def test_rejects_complex_and_non_numeric(self, a, tmp_path):
+        # A complex array used to be stored without its imaginary part, with
+        # only a ComplexWarning, and a string array failed inside numpy.
+        p = tmp_path / "bad.fsq"
+        message = f"^tensor 'x': dtype {re.escape(str(a.dtype))} is not bool, int or float$"
+        with pytest.raises(ValueError, match=message):
+            write_container({"ok": np.zeros(2), "x": a}, p)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.int8, np.int64, np.uint32])
+    def test_bool_and_int_stored_as_f64(self, dtype, tmp_path):
+        p = tmp_path / "n.fsq"
+        a = np.array([0, 1, 1, 0], dtype=dtype)
+        write_container({"x": a}, p)
+        back = read_container(p)["x"]
+        assert back.dtype == np.float64
+        assert np.array_equal(back, a.astype(np.float64))
+
     @settings(max_examples=40, deadline=None)
     @given(
         tensors=st.dictionaries(

@@ -15,6 +15,7 @@ from momalign.synthgen import (
     load_clip,
     render_instance,
 )
+from test_alignment import emd_score
 
 
 def clean_cfg(**kw):
@@ -153,7 +154,7 @@ class TestRenderInstance:
             qa = descriptor.cov_mn_descriptors(a)
             qb = descriptor.cov_mn_descriptors(b)
             gaps.append(
-                alignment.emd_score(qa, qb) - alignment.fixed_alignment_pp(qa, qb)
+                emd_score(qa, qb) - alignment.fixed_alignment_pp(qa, qb)
             )
         assert np.mean(gaps) > 0.0
 
