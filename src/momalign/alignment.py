@@ -157,16 +157,10 @@ def _simplex(sim: np.ndarray, masses: Masses, stop: float):
     that plan is returned instead. The perturbed plan's score, kept in O(1)
     per pivot, says when to look: only once it clears ``stop`` is the tree's
     plan re-solved and checked for a negative flow. With ``stop = inf`` it
-    never looks, so it runs to the optimum.
+    never looks, so it runs to the optimum. It trusts ``sim``: ``solve_emd``
+    checks it, and ``best_alignment`` gets it from ``similarity_matrix``.
     """
-    sim = np.asarray(sim, dtype=np.float64)
-    if sim.ndim != 2:
-        raise ValueError("solve_emd: similarity matrix must be 2-D")
-    if not np.all(np.isfinite(sim)):
-        raise ValueError("solve_emd: non-finite cost entries")
     m, n = sim.shape
-    if masses.mu.size != m or masses.gamma.size != n:
-        raise ValueError("solve_emd: masses inconsistent with similarity shape")
     cost = 1.0 - sim
 
     total = float(masses.mu.sum())
@@ -298,6 +292,12 @@ def solve_emd(sim: np.ndarray, masses: Masses) -> TransportPlan:
     zero and the minimum ratio is attained by one edge, from any basic start.
     """
     sim = np.asarray(sim, dtype=np.float64)
+    if sim.ndim != 2:
+        raise ValueError("solve_emd: similarity matrix must be 2-D")
+    if not np.all(np.isfinite(sim)):
+        raise ValueError("solve_emd: non-finite cost entries")
+    if masses.mu.size != sim.shape[0] or masses.gamma.size != sim.shape[1]:
+        raise ValueError("solve_emd: masses inconsistent with similarity shape")
     plan, score, pivots, min_reduced_cost = _simplex(sim, masses, np.inf)
     objective = float(np.sum((1.0 - sim) * plan))
     primal_residual = max(

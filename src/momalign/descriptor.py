@@ -97,11 +97,13 @@ class ScaleConfig:
     def __post_init__(self):
         for name in ("theta_t", "theta_s", "offset_w1", "offset_b1", "offset_w2", "offset_b2"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
-            # A zero-stride axis repeats one slice: scan a broadcast base once.
-            distinct = tuple(slice(1) if st == 0 else slice(None) for st in arr.strides)
-            if not np.all(np.isfinite(arr[distinct])):
+            # C-ordered, so values alone fix every product's bits; taps that
+            # share one map (a zero tap stride) stay a broadcast of it.
+            shared = name == "theta_t" and arr.strides[:1] == (0,)
+            base = np.asarray(arr[:1] if shared else arr, order="C")
+            if not np.all(np.isfinite(base)):
                 raise ValueError(f"ScaleConfig: non-finite entries in {name}")
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, np.broadcast_to(base, arr.shape) if shared else base)
         for name, ndim in (("theta_t", 3), ("theta_s", 2), ("offset_w1", 2)):
             if getattr(self, name).ndim != ndim:
                 raise ValueError(f"ScaleConfig: {name} must be {ndim}-D")
@@ -148,8 +150,8 @@ class ScaleConfig:
         aggregates over its tau-frame window (a zero-mean random temporal
         kernel would cancel the window and leave no temporal pooling). Its
         taps are one read-only broadcast of ``channel_map / tau``, not tau
-        copies, and ``temporal_conv`` relies on that zero tap stride to
-        project each frame once. The offset head's final layer (and both
+        copies, so ``temporal_conv`` projects each frame once; a dense copy
+        gives the same frames. The offset head's final layer (and both
         biases) start at zero, so the deformable stage warm-starts as a
         standard convolution.
         """
@@ -231,13 +233,13 @@ def temporal_conv(x: np.ndarray, cfg: ScaleConfig) -> np.ndarray:
     """Valid temporal convolution of a pixel-major (T, H, W, C_in) clip:
     T frames become T - tau + 1, returned as a (T', H, W, C') array.
 
-    The clip is one (T * M, C_in) matrix P with M = H * W, and tap k's
-    product covers all output frames at once, ``P[k*M : (k + T')*M] @
-    theta_t[k]``. When the taps share one map (a zero stride on the tap axis,
-    as ``ScaleConfig.from_seed`` builds them), every frame is projected once,
-    ``proj = P @ theta_t[0]``, and tap k's product is the row slice
-    ``proj[k*M : (k + T')*M]``; any other kernel takes one GEMM per tap. The
-    taps are summed in tap order, and at tau = 1 the result is the product.
+    The clip is one (T * M, C_in) matrix P with M = H * W. Tap k adds the
+    row slice ``proj[k*M : (k + T')*M]`` of ``proj = P @ theta_t[k]``, all
+    output frames at once. Taps that share one map (a zero tap-axis stride,
+    as ``ScaleConfig.from_seed`` builds them) reuse the first projection,
+    the same product, so the frames depend on the kernel's values, not its
+    layout. The taps are summed in tap order; at tau = 1 the result is the
+    projection.
     """
     t, h, w, c = x.shape
     if cfg.tau > t:
@@ -247,17 +249,14 @@ def temporal_conv(x: np.ndarray, cfg: ScaleConfig) -> np.ndarray:
     t_out = t - cfg.tau + 1
     m = h * w
     pixels = x.reshape(t * m, c)
-    shared = cfg.theta_t.strides[0] == 0
-    proj = pixels @ cfg.theta_t[0] if shared else None
-
-    def tap(k: int) -> np.ndarray:
-        rows = slice(k * m, (k + t_out) * m)
-        return proj[rows] if shared else pixels[rows] @ cfg.theta_t[k]
-
-    acc = tap(0)
+    proj = pixels @ cfg.theta_t[0]
+    acc = proj[: t_out * m]
     for k in range(1, cfg.tau):
+        if cfg.theta_t.strides[0]:
+            proj = pixels @ cfg.theta_t[k]
+        rows = proj[k * m : (k + t_out) * m]
         # The first sum is a new buffer, so ``proj`` is never written.
-        acc = acc + tap(k) if k == 1 else np.add(acc, tap(k), out=acc)
+        acc = acc + rows if k == 1 else np.add(acc, rows, out=acc)
     return acc.reshape(t_out, h, w, cfg.c_prime)
 
 

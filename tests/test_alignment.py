@@ -557,12 +557,19 @@ class TestSolveEmd:
             Masses(mu, gamma)
 
     def test_rejects_non_finite_cost(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^solve_emd: non-finite cost entries$"):
             solve_emd(np.array([[np.nan]]), Masses([1.0], [1.0]))
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match="^solve_emd: masses inconsistent with similarity shape$"
+        ):
             solve_emd(np.zeros((2, 2)), Masses([1.0], [1.0]))
+
+    @pytest.mark.parametrize("sim", [[0.5], 0.5, np.zeros((1, 1, 1))])
+    def test_rejects_similarity_not_2d(self, sim):
+        with pytest.raises(ValueError, match="^solve_emd: similarity matrix must be 2-D$"):
+            solve_emd(sim, Masses([1.0], [1.0]))
 
 
 #: Largest amount by which a certified plan's score, summed from a re-solved

@@ -196,8 +196,21 @@ def per_tap_temporal_conv(x, cfg):
 
 def materialized(cfg):
     """``cfg`` with its temporal taps copied into tau dense slices, so that
-    ``temporal_conv`` takes one GEMM per tap."""
+    ``temporal_conv`` projects the clip once per tap."""
     return dataclasses.replace(cfg, theta_t=np.array(cfg.theta_t))
+
+
+#: (C_in, C', H, W) shapes at which OpenBLAS rounds a row slice of one
+#: product unlike the same rows multiplied alone.
+ODD_SHAPES = [
+    (64, 1, 6, 6),
+    (2048, 2, 6, 6),
+    (2048, 5, 6, 6),
+    (256, 33, 6, 6),
+    (64, 32, 1, 1),
+    (64, 32, 2, 3),
+    (2048, 32, 2, 3),
+]
 
 
 class TestTemporalConv:
@@ -250,8 +263,9 @@ class TestTemporalConv:
     )
     def test_shared_taps_match_per_tap_bitwise_at_workload_shapes(self, c_in, c_prime, c_out, t):
         # from_seed's taps share one map, so each frame is projected once;
-        # at the shapes of the stored clips that has the bits of one GEMM
-        # per tap over the same kernel, materialized, summed in tap order.
+        # that has the bits of the same kernel materialized and, at the
+        # shapes of the stored clips, of one GEMM over T' frames per tap,
+        # summed in tap order.
         rng = np.random.default_rng(23)
         clip = FeatureClip(rng.standard_normal((t, c_in, 6, 6)))
         scales = default_scales(c_in, c_prime, c_out)
@@ -267,31 +281,30 @@ class TestTemporalConv:
         for g, r in zip(got, ref, strict=True):
             assert np.array_equal(g, r)
 
-    @pytest.mark.parametrize(
-        "c_in, c_prime, h, w",
-        [
-            (64, 1, 6, 6),
-            (2048, 2, 6, 6),
-            (2048, 5, 6, 6),
-            (256, 33, 6, 6),
-            (64, 32, 1, 1),
-            (64, 32, 2, 3),
-            (2048, 32, 2, 3),
-        ],
-    )
+    @pytest.mark.parametrize("c_in, c_prime, h, w", ODD_SHAPES)
     def test_shared_taps_match_per_tap_at_odd_shapes(self, c_in, c_prime, h, w):
-        # At some shapes OpenBLAS rounds a row slice of one product unlike
-        # the same rows multiplied alone, so the two paths agree to within
-        # rounding only: measured at most 7.4e-15 * max|ref| per frame.
+        # Every tap slices a projection of all T frames, whether the taps
+        # share one map or not, so the shapes at which a row slice rounds
+        # unlike the rows alone cannot tell the two apart.
         rng = np.random.default_rng(24)
         for tau in (3, 5):
             cfg = ScaleConfig.from_seed(tau, 1, c_in=c_in, c_prime=c_prime, c_out=4)
             for t in (5, 6, 8):
                 x = random_pixels(rng, t=t, c=c_in, h=h, w=w)
                 out = temporal_conv(x, cfg)
-                expect = temporal_conv(x, materialized(cfg))
-                for got, ref in zip(out, expect, strict=True):
-                    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+                assert np.array_equal(out, temporal_conv(x, materialized(cfg)))
+
+    @pytest.mark.parametrize("c_in, c_prime, h, w", ODD_SHAPES)
+    def test_dense_copy_keeps_frames_and_descriptors_at_odd_shapes(self, c_in, c_prime, h, w):
+        rng = np.random.default_rng(26)
+        scales = default_scales(c_in, c_prime, 4)
+        dense = [materialized(cfg) for cfg in scales]
+        for t in (5, 6, 8):
+            clip = FeatureClip(rng.standard_normal((t, c_in, h, w)))
+            got, ref = multi_scale_frames(clip, scales), multi_scale_frames(clip, dense)
+            for g, r in zip(got, ref, strict=True):
+                assert np.array_equal(g, r)
+            assert_same_sequence(multi_scale_descriptors(got), multi_scale_descriptors(ref))
 
     def test_shared_taps_hold_projection_and_sum(self):
         # Shared taps hold the T-frame projection and the T'-frame sum, not
@@ -1159,6 +1172,42 @@ class TestScaleConfig:
         cfg = random_cfg(np.random.default_rng(29), 1, 3)
         with pytest.raises(ValueError, match=f"ScaleConfig: {field} must "):
             dataclasses.replace(cfg, **{field: np.zeros(shape)})
+
+    @pytest.mark.parametrize(
+        "c_in, c_prime, c_out, tau, grid",
+        [
+            (DESK_C_IN, DESK_C_PRIME, DESK_C_OUT, 3, 3),
+            (DESK_C_IN, DESK_C_PRIME, DESK_C_OUT, 5, 5),
+            (6, 4, 3, 3, 3),
+            (6, 4, 3, 5, 1),
+        ],
+    )
+    def test_fortran_ordered_weights_keep_frames(self, c_in, c_prime, c_out, tau, grid):
+        # A nonzero offset head, so every weight takes part in the frames.
+        rng = np.random.default_rng(30)
+        cfg = dataclasses.replace(
+            random_cfg(rng, tau, grid, c_in, c_prime, c_out),
+            offset_w2=rng.uniform(-2.0, 2.0, (2, 2 * grid * grid)),
+        )
+        fortran = dataclasses.replace(
+            cfg,
+            **{
+                name: np.asfortranarray(getattr(cfg, name))
+                for name in ("theta_t", "theta_s", "offset_w1", "offset_w2")
+            },
+        )
+        assert fortran.theta_s.flags.c_contiguous
+        clip = FeatureClip(rng.standard_normal((8, c_in, 6, 6)))
+        got, ref = multi_scale_frames(clip, [fortran]), multi_scale_frames(clip, [cfg])
+        assert np.array_equal(got[0], ref[0])
+
+    def test_broadcast_taps_get_a_c_ordered_map(self):
+        cfg = ScaleConfig.from_seed(3, 3, c_in=6, c_prime=4, c_out=3, seed=2)
+        fortran = np.broadcast_to(np.asfortranarray(cfg.theta_t[0]), cfg.theta_t.shape)
+        taps = dataclasses.replace(cfg, theta_t=fortran).theta_t
+        assert taps.strides[0] == 0
+        assert taps[0].flags.c_contiguous
+        assert np.array_equal(taps, cfg.theta_t)
 
     def test_scans_broadcast_base_and_every_dense_tap(self):
         cfg = ScaleConfig.from_seed(3, 3, c_in=6, c_prime=4, c_out=3, seed=2)
