@@ -10,6 +10,11 @@ process with BLAS at one thread, and reports:
   representations, on seeded random clips: T = 5, 8 and 28 at desk widths
   and T = 5 and 8 at C_in = 2048 (paper widths), scale seeds 0 and 1, each
   at zero offsets and at fractional ones through a nonzero offset head;
+- sha256 digests of ``similarity_matrix``, of ``marginal_masses`` (``mu``
+  and ``gamma``) and of the ``solve_emd`` plan, on seeded pairs of each
+  representation: one of equal lengths, one of mixed lengths (T = 8 against
+  T = 10) and one with the query scaled by 2^-40. The stdout checks print 6
+  to 9 decimals; these see every bit of the pair layer;
 - the digest of the default and the paper-dims datasets that ``synth``
   writes;
 - the stdout of the 200-episode six-metric ``eval`` at ``--workers 1`` and
@@ -55,6 +60,15 @@ ENV = {
 CLIPS = ((5, 64, 3), (8, 64, 3), (28, 64, 2), (5, 2048, 1), (8, 2048, 1))
 SCALE_SEEDS = (0, 1)
 SIX_METRICS = "a2,pp,cr,gap-a2,cov-mn-a2,ms-a2"
+
+#: Pair-layer inputs: (query clip, candidate clip, binary exponent of the
+#: query's scale) over ``PAIR_FRAMES`` clips; clip 2 is the longer one.
+PAIR_FRAMES = (8, 8, 10)
+PAIRS = ((0, 1, 0), (0, 2, 0), (1, 0, -40))
+REPRESENTATIONS = (
+    "multi_scale_descriptors", "multi_scale_first_order", "cov_mn_descriptors", "gap_descriptor",
+)
+PAIR_OUTPUTS = ("similarity_matrix", "marginal_masses", "solve_emd")
 
 #: ``synth`` datasets: name -> (config lines, extra arguments).
 DATASETS = {
@@ -115,6 +129,39 @@ def descriptor_digests() -> dict[str, str]:
     return out
 
 
+def pair_digests() -> dict[str, str]:
+    """sha256 of the raw bytes of the pair layer's outputs, one digest per
+    (representation, output) over ``PAIRS``, at desk widths and scale seed 0."""
+    import numpy as np
+
+    from momalign import alignment, descriptor
+
+    rng = np.random.default_rng(list(PAIR_FRAMES))
+    clips = [
+        descriptor.FeatureClip(rng.standard_normal((frames, descriptor.DESK_C_IN, 6, 6)))
+        for frames in PAIR_FRAMES
+    ]
+    scales = descriptor.default_scales(
+        descriptor.DESK_C_IN, descriptor.DESK_C_PRIME, descriptor.DESK_C_OUT, seed=0
+    )
+    frames = [descriptor.multi_scale_frames(clip, scales) for clip in clips]
+    digests = {}
+    for rep in REPRESENTATIONS:
+        source = frames if rep.startswith("multi_scale") else clips
+        seqs = [getattr(descriptor, rep)(x) for x in source]
+        outputs = {name: hashlib.sha256() for name in PAIR_OUTPUTS}
+        for qi, si, exponent in PAIRS:
+            q, s = seqs[qi], seqs[si]
+            q = descriptor.DescriptorSequence(np.ldexp(q.vectors, exponent), q.scale_ids, q.times)
+            sim = alignment.similarity_matrix(q, s)
+            masses = alignment.marginal_masses(q, s)
+            outputs["similarity_matrix"].update(sim.tobytes())
+            outputs["marginal_masses"].update(masses.mu.tobytes() + masses.gamma.tobytes())
+            outputs["solve_emd"].update(alignment.solve_emd(sim, masses).values.tobytes())
+        digests.update({f"pair {rep} {name}": h.hexdigest() for name, h in outputs.items()})
+    return digests
+
+
 def _tree_digest(path: Path) -> str:
     """sha256 over every file under ``path``: relative name and bytes."""
     h = hashlib.sha256()
@@ -145,6 +192,7 @@ def run_tree(synth_dir: str, data_dir: str) -> dict[str, str]:
         _cli_stdout(["synth", "--seed", "0", "--config", str(cfg), "--out", str(out), *extra])
         checks[f"synth {name} dataset"] = _tree_digest(out)
     checks.update(descriptor_digests())
+    checks.update(pair_digests())
     desk, paper = Path(data_dir) / "desk", Path(data_dir) / "paper"
     manifest = str(desk / "manifest.tsv")
     commands = {

@@ -72,18 +72,11 @@ class TransportPlan:
 
 
 def similarity_matrix(q: DescriptorSequence, s: DescriptorSequence) -> np.ndarray:
-    """Pairwise cosine similarities, in [-1, 1], of the sequences' ``scaled``
-    rows. Each row is divided by its own norm, however small, so only a row
-    of zero norm scores 0."""
+    """Pairwise cosine similarities, in [-1, 1]: products of the sequences'
+    ``unit`` rows, derived once per sequence, so only a row of zero norm scores 0."""
     if q.dim != s.dim:
         raise ValueError(f"similarity_matrix: descriptor length mismatch {q.dim} vs {s.dim}")
-    qv, sv = q.scaled, s.scaled
-    qn = np.linalg.norm(qv, axis=1, keepdims=True)
-    sn = np.linalg.norm(sv, axis=1, keepdims=True)
-    qu = np.divide(qv, qn, out=np.zeros_like(qv), where=qn != 0.0)
-    su = np.divide(sv, sn, out=np.zeros_like(sv), where=sn != 0.0)
-    sim = qu @ su.T
-    return np.clip(sim, -1.0, 1.0)
+    return np.clip(q.unit @ s.unit.T, -1.0, 1.0)
 
 
 def _floor_normalize(raw: np.ndarray) -> np.ndarray:
@@ -109,12 +102,11 @@ def marginal_masses(q: DescriptorSequence, s: DescriptorSequence) -> Masses:
     """Cross-reference masses, clamped at EPS_MASS and normalized to sum 1.
 
     The raw masses are the cross-reference products of the sequences'
-    ``scaled`` rows, mu_l = <Q[l], mean(S)> and gamma_l' = <S[l'], mean(Q)>.
-    ``q`` and ``s`` share one descriptor length, as ``similarity_matrix``
-    checks first.
+    ``scaled`` rows, mu_l = <Q[l], mean(S)> and gamma_l' = <S[l'], mean(Q)>,
+    each mean the other sequence's ``mean``, which it derives once. ``q`` and
+    ``s`` share one descriptor length, as ``similarity_matrix`` checks first.
     """
-    qv, sv = q.scaled, s.scaled
-    return Masses(_floor_normalize(qv @ sv.mean(axis=0)), _floor_normalize(sv @ qv.mean(axis=0)))
+    return Masses(_floor_normalize(q.scaled @ s.mean), _floor_normalize(s.scaled @ q.mean))
 
 
 def _least_cost_start(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):

@@ -15,6 +15,7 @@ plain arrays in that layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -189,6 +190,8 @@ class DescriptorSequence:
     rows keep their bits, and no square or product of two entries over- or
     underflows at any float64 scale. It is computed once, when the sequence
     is built; ordinary scales have e = 0, and ``scaled`` is ``vectors``.
+    ``unit`` (each ``scaled`` row over its own norm, a zero row staying zero)
+    and ``mean`` (the mean ``scaled`` row) are read-only, derived once, on first read.
     """
 
     vectors: np.ndarray
@@ -220,6 +223,19 @@ class DescriptorSequence:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
+
+    @cached_property
+    def unit(self) -> np.ndarray:
+        norm = np.linalg.norm(self.scaled, axis=1, keepdims=True)
+        unit = np.divide(self.scaled, norm, out=np.zeros_like(self.scaled), where=norm != 0.0)
+        unit.flags.writeable = False
+        return unit
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        mean = self.scaled.mean(axis=0)
+        mean.flags.writeable = False
+        return mean
 
     def same_structure(self, other: "DescriptorSequence") -> bool:
         return (

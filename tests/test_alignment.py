@@ -370,7 +370,9 @@ class TestSimilarityMatrix:
 
     def test_rejects_dim_mismatch(self):
         rng = np.random.default_rng(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match=r"^similarity_matrix: descriptor length mismatch 3 vs 4$"
+        ):
             similarity_matrix(random_seq(rng, 2, dim=3), random_seq(rng, 2, dim=4))
 
 
@@ -385,6 +387,72 @@ def assert_masses_of(q: DescriptorSequence, s: DescriptorSequence, raw_mu, raw_g
     masses = marginal_masses(q, s)
     assert np.array_equal(masses.mu, _floor_normalize(raw_mu))
     assert np.array_equal(masses.gamma, _floor_normalize(raw_gamma))
+
+
+def reference_similarity(q: DescriptorSequence, s: DescriptorSequence) -> np.ndarray:
+    """Cosines of the pair's scaled rows, each row divided by its own norm
+    here, for this pair alone: the per-pair oracle of ``similarity_matrix``."""
+    qv, sv = q.scaled, s.scaled
+    qn = np.linalg.norm(qv, axis=1, keepdims=True)
+    sn = np.linalg.norm(sv, axis=1, keepdims=True)
+    qu = np.divide(qv, qn, out=np.zeros_like(qv), where=qn != 0.0)
+    su = np.divide(sv, sn, out=np.zeros_like(sv), where=sn != 0.0)
+    return np.clip(qu @ su.T, -1.0, 1.0)
+
+
+def pair_layer_cases():
+    """(name, q, s) pairs of mixed lengths, with zero rows, and scaled by
+    powers of two: 2^-40 keeps ``scaled`` at ``vectors``, 2^+-300 does not."""
+    rng = np.random.default_rng(40)
+    seqs = {n: random_seq(rng, n, dim=12) for n in (8, 18, 24, 78)}
+    zero_rows = {}
+    for n, rows in ((8, [0, 5]), (18, [17])):
+        v = np.array(seqs[n].vectors)
+        v[rows] = 0.0
+        zero_rows[n] = make_seq(v)
+    cases = [
+        ("8 vs 18", seqs[8], seqs[18]),
+        ("18 vs 24", seqs[18], seqs[24]),
+        ("78 vs 8", seqs[78], seqs[8]),
+        ("zero rows vs 18", zero_rows[8], seqs[18]),
+        ("24 vs zero rows", seqs[24], zero_rows[18]),
+        ("zero rows vs zero rows", zero_rows[8], zero_rows[18]),
+        ("equal copies", seqs[18], make_seq(seqs[18].vectors)),
+    ]
+    for c in (-40, 300, -300):
+        cases.append((f"2^{c} vs 8", make_seq(np.ldexp(seqs[18].vectors, c)), seqs[8]))
+        tiny = make_seq(np.ldexp(zero_rows[18].vectors, c))
+        cases.append((f"24 vs 2^{c} zero rows", seqs[24], tiny))
+    return cases
+
+
+class TestPairLayerBits:
+    """The pair layer reads each sequence's ``unit`` and ``mean``, and keeps
+    the bits of deriving them for every pair."""
+
+    @pytest.mark.parametrize(
+        "q, s", [pytest.param(q, s, id=name) for name, q, s in pair_layer_cases()]
+    )
+    def test_matches_per_pair_derivation(self, q, s):
+        for _ in range(2):
+            assert np.array_equal(similarity_matrix(q, s), reference_similarity(q, s))
+            assert_masses_of(q, s, *raw_products(q, s))
+
+    def test_self_pair_is_a_symmetric_product(self):
+        # One sequence on both sides multiplies its unit rows by their own
+        # transpose, which numpy computes as a symmetric (syrk) product: it
+        # agrees with the per-pair derivation to rounding, not bit for bit.
+        # No command scores a sequence against itself.
+        q = random_seq(np.random.default_rng(42), 18, dim=12)
+        sim = similarity_matrix(q, q)
+        assert np.array_equal(sim, sim.T)
+        assert np.allclose(sim, reference_similarity(q, q), rtol=0.0, atol=1e-15)
+        assert_masses_of(q, q, *raw_products(q, q))
+
+    def test_cases_cover_both_scalings(self):
+        seqs = [seq for _, q, s in pair_layer_cases() for seq in (q, s)]
+        assert any(seq.scaled is seq.vectors for seq in seqs)
+        assert any(seq.scaled is not seq.vectors for seq in seqs)
 
 
 class TestMarginalMasses:

@@ -1,9 +1,14 @@
-"""``scripts/bitcheck.py``'s comparison of two trees' checks; no tree is run."""
+"""``scripts/bitcheck.py``'s comparison of two trees' checks, and its
+pair-layer digests of the tree under test; no other tree is run."""
 
 import importlib.util
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from momalign import alignment
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bitcheck.py"
 
@@ -50,3 +55,38 @@ def test_moved_stdout_prints_unified_diff(bitcheck, capsys):
 def test_single_line_digests_print_no_diff(bitcheck, capsys):
     assert bitcheck.compare({"d": "aa"}, {"d": "bb"}) == ["d"]
     assert capsys.readouterr().out.splitlines() == ["MOVED d"]
+
+
+def test_pair_digests_name_every_representation_and_output(bitcheck):
+    digests = bitcheck.pair_digests()
+    assert sorted(digests) == sorted(
+        f"pair {rep} {out}" for rep in bitcheck.REPRESENTATIONS for out in bitcheck.PAIR_OUTPUTS
+    )
+    assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests.values())
+    assert bitcheck.pair_digests() == digests
+
+
+def test_pairs_mix_lengths_and_scale_by_2_to_minus_40(bitcheck, monkeypatch):
+    pairs = []
+    real = alignment.similarity_matrix
+
+    def spy(q, s):
+        pairs.append((len(q), len(s), np.frexp(np.abs(q.vectors).max())[1]))
+        return real(q, s)
+
+    monkeypatch.setattr(alignment, "similarity_matrix", spy)
+    bitcheck.pair_digests()
+    assert len(pairs) == len(bitcheck.REPRESENTATIONS) * len(bitcheck.PAIRS)
+    assert {(lq, ls) for lq, ls, _ in pairs} >= {(18, 18), (18, 24), (8, 8), (8, 10)}
+    assert min(exponent for _, _, exponent in pairs) < -30
+
+
+def test_one_ulp_in_similarity_moves_its_digests(bitcheck, monkeypatch, capsys):
+    before = bitcheck.pair_digests()
+    real = alignment.similarity_matrix
+    monkeypatch.setattr(
+        alignment, "similarity_matrix", lambda q, s: np.nextafter(real(q, s), 2.0)
+    )
+    moved = bitcheck.compare(before, bitcheck.pair_digests())
+    assert {f"pair {rep} similarity_matrix" for rep in bitcheck.REPRESENTATIONS} <= set(moved)
+    assert not any("marginal_masses" in name for name in moved)

@@ -616,6 +616,20 @@ class TestEval:
         assert {L for _, _, L in named} == {"18", "24"}
         assert all(int(L) == 3 * int(t) - 6 for _, t, L in named)
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_mixed_clip_lengths_score_as_recorded(self, mixed_lengths, capsys, workers):
+        """Every metric that scores candidates of different lengths runs to
+        completion on the mixed manifest, with the RECORD lines of
+        tests/data/mixed_records.txt."""
+        code, out, _ = run_cli(
+            capsys, "eval", "--manifest", str(mixed_lengths), "--ways", "3", "--queries", "3",
+            "--episodes", "6", "--metric", "a2,cr,gap-a2,cov-mn-a2,ms-a2", "--workers", workers,
+        )
+        assert code == 0
+        records = "".join(f"{l}\n" for l in out.splitlines() if l.startswith("RECORD"))
+        expected = Path(__file__).resolve().parent / "data" / "mixed_records.txt"
+        assert records == expected.read_text(encoding="utf-8")
+
     @pytest.mark.parametrize(
         "metrics, reason",
         [("a2,a2", "metric 'a2' given twice"), ("", "unknown metric ''")],

@@ -1,6 +1,7 @@
 """Descriptor pipeline: shapes, naive oracles, and baseline reductions."""
 
 import dataclasses
+import pickle
 import tracemalloc
 import warnings
 
@@ -1250,3 +1251,47 @@ class TestScaleConfig:
         seq = DescriptorSequence(v, np.zeros(4, dtype=int), np.arange(4))
         assert np.array_equal(seq.scaled, np.ldexp(seq.vectors, -e))
         assert 2.0**-129 <= np.abs(seq.scaled).max() <= 2.0**129
+
+
+def rows_sequence(exponent=0):
+    """A sequence with a zero row, its entries scaled by 2^exponent."""
+    v = np.random.default_rng(33).standard_normal((5, 4))
+    v[2] = 0.0
+    return DescriptorSequence(np.ldexp(v, exponent), np.zeros(5, dtype=int), np.arange(5))
+
+
+class TestDescriptorSequenceRows:
+    """``unit`` and ``mean``: derived once per sequence, on first read."""
+
+    @pytest.mark.parametrize("exponent", [0, -40, 300, -300])
+    def test_values(self, exponent):
+        seq = rows_sequence(exponent)
+        norm = np.linalg.norm(seq.scaled, axis=1, keepdims=True)
+        live = norm[:, 0] != 0.0
+        assert list(live) == [True, True, False, True, True]
+        assert np.array_equal(seq.unit[live], seq.scaled[live] / norm[live])
+        assert np.array_equal(seq.unit[~live], np.zeros((1, 4)))
+        assert np.array_equal(seq.mean, seq.scaled.mean(axis=0))
+
+    def test_second_read_is_the_same_object(self):
+        seq = rows_sequence()
+        assert seq.unit is seq.unit
+        assert seq.mean is seq.mean
+
+    @pytest.mark.parametrize("name", ["unit", "mean"])
+    def test_read_only(self, name):
+        seq = rows_sequence()
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(seq, name)[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(seq, name, np.zeros(4))
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_pickle_round_trip(self, read_first):
+        seq = rows_sequence(300)
+        if read_first:
+            seq.unit, seq.mean
+        back = pickle.loads(pickle.dumps(seq))
+        assert np.array_equal(back.scaled, seq.scaled)
+        assert np.array_equal(back.unit, seq.unit)
+        assert np.array_equal(back.mean, seq.mean)

@@ -107,6 +107,16 @@ class TestBuildPrototypes:
         protos = build_prototypes([{"u": make_seq(u), "v": make_seq(v)}])
         assert np.allclose(protos[0].vectors, (u + v) / 2, atol=1e-15)
 
+    def test_prototype_derives_its_own_rows(self):
+        rng = np.random.default_rng(3)
+        u, v = (make_seq(rng.standard_normal((3, 4))) for _ in range(2))
+        for support in (u, v):
+            support.unit, support.mean
+        for proto in build_prototypes([{"u": u}, {"u": u, "v": v}]):
+            assert all(proto.unit is not x.unit and proto.mean is not x.mean for x in (u, v))
+            assert np.array_equal(proto.unit, make_seq(proto.vectors).unit)
+            assert np.array_equal(proto.mean, proto.scaled.mean(axis=0))
+
     def test_rejects_structure_mismatch(self):
         a = make_seq(np.zeros((2, 2)))
         b = make_seq(np.zeros((3, 2)))
