@@ -11,7 +11,8 @@ process with BLAS at one thread, and reports:
   and T = 5 and 8 at C_in = 2048 (paper widths), scale seeds 0 and 1, each
   at zero offsets and at fractional ones through a nonzero offset head;
 - sha256 digests of ``similarity_matrix``, of ``marginal_masses`` (``mu``
-  and ``gamma``) and of the ``solve_emd`` plan, on seeded pairs of each
+  and ``gamma``) and of the ``solve_emd`` result (plan, objective, score and
+  pivots), on seeded pairs of each
   representation: one of equal lengths, one of mixed lengths (T = 8 against
   T = 10) and one with the query scaled by 2^-40. The stdout checks print 6
   to 9 decimals; these see every bit of the pair layer;
@@ -157,7 +158,12 @@ def pair_digests() -> dict[str, str]:
             masses = alignment.marginal_masses(q, s)
             outputs["similarity_matrix"].update(sim.tobytes())
             outputs["marginal_masses"].update(masses.mu.tobytes() + masses.gamma.tobytes())
-            outputs["solve_emd"].update(alignment.solve_emd(sim, masses).values.tobytes())
+            plan = alignment.solve_emd(sim, masses)
+            outputs["solve_emd"].update(
+                plan.values.tobytes()
+                + np.array([plan.objective, plan.score]).tobytes()
+                + np.int64(plan.pivots).tobytes()
+            )
         digests.update({f"pair {rep} {name}": h.hexdigest() for name, h in outputs.items()})
     return digests
 

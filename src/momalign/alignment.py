@@ -33,25 +33,11 @@ _OPT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Masses:
-    """Balanced marginal masses: finite entries >= EPS_MASS, and the two
-    sides' totals agree to 1e-9."""
+    """Marginal masses of a transport problem, as given: ``solve_emd`` checks
+    them, and ``marginal_masses`` builds them valid by construction."""
 
     mu: np.ndarray
     gamma: np.ndarray
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64)
-        gamma = np.asarray(self.gamma, dtype=np.float64)
-        if mu.ndim != 1 or gamma.ndim != 1 or mu.size == 0 or gamma.size == 0:
-            raise ValueError("Masses: mu and gamma must be non-empty vectors")
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(gamma))):
-            raise ValueError("Masses: non-finite entries")
-        if np.min(mu) < EPS_MASS - 1e-15 or np.min(gamma) < EPS_MASS - 1e-15:
-            raise ValueError("Masses: entries must be >= EPS_MASS")
-        if abs(mu.sum() - gamma.sum()) > 1e-9:
-            raise ValueError("Masses: unbalanced totals")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "gamma", gamma)
 
 
 @dataclass(frozen=True)
@@ -62,13 +48,8 @@ class TransportPlan:
     objective: float
     #: The alignment score <SIM, A*>, in [-1, 1] when the masses sum to 1.
     score: float
-    #: Pivots made, and the minimum reduced cost at the terminating optimality
-    #: check (>= -_OPT_TOL): a cheap certificate that the basis is optimal.
+    #: Pivots made, below the limit of 200 (L_q + L_s) + 1000.
     pivots: int
-    min_reduced_cost: float
-    #: Largest marginal violation of ``values``, max |row sum - mu| and
-    #: |column sum - gamma|: the certificate's primal side.
-    primal_residual: float
 
 
 def similarity_matrix(q: DescriptorSequence, s: DescriptorSequence) -> np.ndarray:
@@ -105,6 +86,9 @@ def marginal_masses(q: DescriptorSequence, s: DescriptorSequence) -> Masses:
     ``scaled`` rows, mu_l = <Q[l], mean(S)> and gamma_l' = <S[l'], mean(Q)>,
     each mean the other sequence's ``mean``, which it derives once. ``q`` and
     ``s`` share one descriptor length, as ``similarity_matrix`` checks first.
+    The result is not checked again: ``_floor_normalize`` builds two finite
+    vectors with entries >= EPS_MASS that each sum to 1, which is all that
+    ``solve_emd`` asks of masses.
     """
     return Masses(_floor_normalize(q.scaled @ s.mean), _floor_normalize(s.scaled @ q.mean))
 
@@ -141,16 +125,16 @@ def _least_cost_start(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
 
 def _simplex(sim: np.ndarray, masses: Masses, stop: float):
     """The transportation simplex behind ``solve_emd`` and ``best_alignment``:
-    a plan, its score, the pivots made and the minimum reduced cost of the
-    last pricing (-inf before the first).
+    ``(plan, score, pivots)``.
 
     It pivots to the optimum, unless a basis tree on the way carries a plan
     that is feasible for the unperturbed masses and scores above ``stop``;
     that plan is returned instead. The perturbed plan's score, kept in O(1)
     per pivot, says when to look: only once it clears ``stop`` is the tree's
     plan re-solved and checked for a negative flow. With ``stop = inf`` it
-    never looks, so it runs to the optimum. It trusts ``sim``: ``solve_emd``
-    checks it, and ``best_alignment`` gets it from ``similarity_matrix``.
+    never looks, so it runs to the optimum. It trusts its inputs: ``solve_emd``
+    checks them, and ``best_alignment`` gets them from ``similarity_matrix``
+    and ``marginal_masses``.
     """
     m, n = sim.shape
     cost = 1.0 - sim
@@ -212,14 +196,13 @@ def _simplex(sim: np.ndarray, masses: Masses, stop: float):
     # The perturbed plan's score: a pivot lowers its cost by theta times the
     # entering cell's reduced cost, and raises its score by as much.
     running = sum(f * (1.0 - c) for f, c in zip(flows, edge_cost))
-    min_reduced_cost = -np.inf
     for pivots in range(200 * (m + n) + 1000):
         if running > stop:
             plan = exact_plan()
             if np.min(plan) >= 0.0:
                 score = float(np.sum(sim * plan))
                 if score > stop:
-                    return plan, score, pivots, min_reduced_cost
+                    return plan, score, pivots
         p = np.array(pot)
         reduced = cost - p[:m, None] - p[None, m:]
         reduced[basic] = 0.0
@@ -270,7 +253,7 @@ def _simplex(sim: np.ndarray, masses: Masses, stop: float):
     if np.min(plan) < -1e-9:
         raise RuntimeError("solve_emd: negative flow beyond tolerance on final basis")
     plan = np.maximum(plan, 0.0)
-    return plan, float(np.sum(sim * plan)), pivots, min_reduced_cost
+    return plan, float(np.sum(sim * plan)), pivots
 
 
 def solve_emd(sim: np.ndarray, masses: Masses) -> TransportPlan:
@@ -282,21 +265,34 @@ def solve_emd(sim: np.ndarray, masses: Masses) -> TransportPlan:
     floating-point coincidence: supplies gain delta each and the last demand
     m * delta (Orden's perturbation), so in exact arithmetic no basic flow is
     zero and the minimum ratio is attained by one edge, from any basic start.
+
+    This is where transport inputs are checked: ``sim`` is a finite 2-D
+    array, and ``masses`` are two non-empty vectors of its row and column
+    counts, finite, each entry >= EPS_MASS (less 1e-15 of rounding), whose
+    totals agree to 1e-9. Anything else raises a ``solve_emd:`` ValueError.
     """
-    sim = np.asarray(sim, dtype=np.float64)
+    try:
+        sim = np.asarray(sim, dtype=np.float64)
+        mu = np.asarray(masses.mu, dtype=np.float64)
+        gamma = np.asarray(masses.gamma, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError("solve_emd: similarity and masses must be numeric arrays") from None
     if sim.ndim != 2:
         raise ValueError("solve_emd: similarity matrix must be 2-D")
     if not np.all(np.isfinite(sim)):
         raise ValueError("solve_emd: non-finite cost entries")
-    if masses.mu.size != sim.shape[0] or masses.gamma.size != sim.shape[1]:
+    if mu.shape != sim.shape[:1] or gamma.shape != sim.shape[1:]:
         raise ValueError("solve_emd: masses inconsistent with similarity shape")
-    plan, score, pivots, min_reduced_cost = _simplex(sim, masses, np.inf)
-    objective = float(np.sum((1.0 - sim) * plan))
-    primal_residual = max(
-        float(np.max(np.abs(plan.sum(axis=1) - masses.mu))),
-        float(np.max(np.abs(plan.sum(axis=0) - masses.gamma))),
-    )
-    return TransportPlan(plan, objective, score, pivots, min_reduced_cost, primal_residual)
+    if sim.size == 0:
+        raise ValueError("solve_emd: empty transport problem")
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(gamma))):
+        raise ValueError("solve_emd: non-finite masses")
+    if min(mu.min(), gamma.min()) < EPS_MASS - 1e-15:
+        raise ValueError("solve_emd: masses must be >= EPS_MASS")
+    if abs(mu.sum() - gamma.sum()) > 1e-9:
+        raise ValueError("solve_emd: unbalanced mass totals")
+    plan, score, pivots = _simplex(sim, Masses(mu, gamma), np.inf)
+    return TransportPlan(plan, float(np.sum((1.0 - sim) * plan)), score, pivots)
 
 
 def _score_upper_bound(sim: np.ndarray, masses: Masses) -> float:

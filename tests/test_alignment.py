@@ -488,16 +488,53 @@ class TestMarginalMasses:
             assert raw_gamma[l] == pytest.approx(float(s.vectors[l] @ q_mean), abs=1e-12)
         assert_masses_of(q, s, raw_mu, raw_gamma)
 
+    @staticmethod
+    def edge_pairs():
+        """Pairs at the edges of the mass rule: every raw mass negative (the
+        uniform fallback), all-zero and some-zero rows, L = 1 on either side,
+        and sequences scaled by 2^+-300."""
+        rng = np.random.default_rng(44)
+        v = rng.standard_normal(5)
+        some_zero = rng.standard_normal((4, 5))
+        some_zero[[0, 2]] = 0.0
+        pairs = [
+            (make_seq([v, 2 * v]), make_seq([-v, -v, -3 * v])),
+            (make_seq(np.zeros((3, 5))), random_seq(rng, 4)),
+            (make_seq(some_zero), random_seq(rng, 3)),
+            (random_seq(rng, 1), random_seq(rng, 6)),
+            (random_seq(rng, 6), random_seq(rng, 1)),
+            (random_seq(rng, 1), random_seq(rng, 1)),
+        ]
+        for c in (300, -300):
+            q, s = rng.standard_normal((4, 5)), rng.standard_normal((6, 5))
+            pairs.append((make_seq(np.ldexp(q, c)), make_seq(s)))
+            pairs.append((make_seq(np.ldexp(q, c)), make_seq(np.ldexp(s, c))))
+        return pairs
+
     def test_output_satisfies_invariants(self):
+        # ``solve_emd`` is the one check of the masses; ``best_alignment``
+        # trusts ``marginal_masses`` to pass it, so every output must.
         rng = np.random.default_rng(4)
-        for _ in range(100):
-            q = random_seq(rng, int(rng.integers(1, 7)))
-            s = random_seq(rng, int(rng.integers(1, 7)))
+        pairs = [
+            (random_seq(rng, int(rng.integers(1, 7))), random_seq(rng, int(rng.integers(1, 7))))
+            for _ in range(100)
+        ]
+        for q, s in pairs + self.edge_pairs():
             masses = marginal_masses(q, s)
+            assert masses.mu.shape == (len(q),) and masses.gamma.shape == (len(s),)
             assert masses.mu.min() >= EPS_MASS - 1e-15
             assert masses.gamma.min() >= EPS_MASS - 1e-15
             assert masses.mu.sum() == pytest.approx(1.0, abs=1e-12)
             assert masses.gamma.sum() == pytest.approx(1.0, abs=1e-12)
+            plan = solve_emd(similarity_matrix(q, s), masses)
+            assert plan.values.shape == (len(q), len(s))
+
+    def test_non_positive_raw_masses_fall_back_to_uniform(self):
+        q, s = self.edge_pairs()[0]
+        assert np.all(raw_products(q, s)[0] < 0) and np.all(raw_products(q, s)[1] < 0)
+        masses = marginal_masses(q, s)
+        assert np.allclose(masses.mu, 1 / 2, rtol=0, atol=1e-15)
+        assert np.allclose(masses.gamma, 1 / 3, rtol=0, atol=1e-15)
 
     def test_rejects_empty(self):
         rng = np.random.default_rng(5)
@@ -531,8 +568,8 @@ class TestSolveEmd:
         for sim, masses in emd_instances(seed=7, draws=20):
             plan = solve_emd(sim, masses)
             assert plan.values.min() >= 0.0
-            assert np.allclose(plan.values.sum(axis=1), masses.mu, atol=1e-8)
-            assert np.allclose(plan.values.sum(axis=0), masses.gamma, atol=1e-8)
+            assert np.max(np.abs(plan.values.sum(axis=1) - masses.mu)) <= 1e-12
+            assert np.max(np.abs(plan.values.sum(axis=0) - masses.gamma)) <= 1e-12
 
     @staticmethod
     def pivot_rule_cases():
@@ -577,21 +614,12 @@ class TestSolveEmd:
             assert abs(plan.objective - objective) <= 1e-15
 
     def test_optimality_certificate(self):
+        # Optimality itself is pinned by the LP oracle and, bit for bit, by
+        # the reference pivot rule; this keeps the pivots below the limit.
         for sim, masses in emd_instances(seed=20, draws=10):
             m, n = sim.shape
             plan = solve_emd(sim, masses)
-            assert -_OPT_TOL <= plan.min_reduced_cost <= 0.0
             assert 0 <= plan.pivots < 200 * (m + n) + 1000
-
-    def test_primal_residual(self):
-        for sim, masses in emd_instances(seed=20, draws=10):
-            plan = solve_emd(sim, masses)
-            violation = max(
-                np.max(np.abs(plan.values.sum(axis=1) - masses.mu)),
-                np.max(np.abs(plan.values.sum(axis=0) - masses.gamma)),
-            )
-            assert plan.primal_residual == violation
-            assert 0.0 <= plan.primal_residual <= 1e-12
 
     def test_degenerate_ties_terminate(self):
         # Uniform costs and equal masses: heavily degenerate, must not cycle.
@@ -608,8 +636,8 @@ class TestSolveEmd:
         assert np.array_equal(a.values, b.values)
 
     def test_rejects_unbalanced(self):
-        with pytest.raises(ValueError):
-            Masses([0.6, 0.5], [0.5, 0.5])
+        with pytest.raises(ValueError, match="^solve_emd: unbalanced mass totals$"):
+            solve_emd(np.zeros((2, 2)), Masses([0.6, 0.5], [0.5, 0.5]))
 
     @pytest.mark.parametrize(
         "mu, gamma",
@@ -621,8 +649,55 @@ class TestSolveEmd:
         ],
     )
     def test_rejects_non_finite_masses(self, mu, gamma):
-        with pytest.raises(ValueError, match="^Masses: non-finite entries$"):
-            Masses(mu, gamma)
+        with pytest.raises(ValueError, match="^solve_emd: non-finite masses$"):
+            solve_emd(np.zeros((len(mu), len(gamma))), Masses(mu, gamma))
+
+    @pytest.mark.parametrize(
+        "sim, mu, gamma, message",
+        [
+            pytest.param(
+                np.zeros((1, 0)), [1.0], np.zeros(0), "empty transport problem", id="empty"
+            ),
+            pytest.param(
+                np.zeros((1, 2)), np.array([[1.0]]), [0.5, 0.5],
+                "masses inconsistent with similarity shape", id="2-D mu",
+            ),
+            pytest.param(
+                np.zeros((2, 1)), [1.0 - EPS_MASS + 2e-15, EPS_MASS - 2e-15], [1.0],
+                "masses must be >= EPS_MASS", id="below floor",
+            ),
+            pytest.param(
+                [[0.5, 0.5]], [1.0], [0.5, 0.4], "unbalanced mass totals", id="lists",
+            ),
+            pytest.param(
+                [[0.5, 0.5]], [1.0], [[0.5], [0.5, 0.5]],
+                "similarity and masses must be numeric arrays", id="ragged list",
+            ),
+            pytest.param(
+                [[0.5]], ["one"], [1.0],
+                "similarity and masses must be numeric arrays", id="string entry",
+            ),
+        ],
+    )
+    def test_rejects_bad_masses(self, sim, mu, gamma, message):
+        # None may surface as a raw numpy error, such as ``min()`` of an
+        # empty array.
+        with pytest.raises(ValueError, match=f"^solve_emd: {message}$"):
+            solve_emd(sim, Masses(mu, gamma))
+
+    def test_floor_allows_rounding(self):
+        mu = np.array([1.0 - EPS_MASS + 1e-16, EPS_MASS - 1e-16])
+        plan = solve_emd(np.zeros((2, 1)), Masses(mu, np.ones(1)))
+        assert np.allclose(plan.values[:, 0], mu, rtol=0.0, atol=1e-15)
+
+    def test_list_inputs_solve_as_arrays(self):
+        sim, masses = emd_instance(np.random.default_rng(21), 4, 3)
+        listed = solve_emd(sim.tolist(), Masses(masses.mu.tolist(), masses.gamma.tolist()))
+        plan = solve_emd(sim, masses)
+        assert listed.values.tobytes() == plan.values.tobytes()
+        assert (listed.objective, listed.score, listed.pivots) == (
+            plan.objective, plan.score, plan.pivots,
+        )
 
     def test_rejects_non_finite_cost(self):
         with pytest.raises(ValueError, match="^solve_emd: non-finite cost entries$"):
@@ -693,7 +768,7 @@ class TestSimplexStop:
         for sim, masses in emd_instances(seed=41, draws=10, max_size=80):
             full = solve_emd(sim, masses)
             for stop in (-np.inf, full.score - 0.05, full.score - 1e-3):
-                plan, score, pivots, _ = _simplex(sim, masses, stop)
+                plan, score, pivots = _simplex(sim, masses, stop)
                 assert score > stop
                 assert score == float(np.sum(sim * plan))
                 assert score <= full.score + CERTIFIED_ROUNDING

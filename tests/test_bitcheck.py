@@ -1,6 +1,7 @@
 """``scripts/bitcheck.py``'s comparison of two trees' checks, and its
 pair-layer digests of the tree under test; no other tree is run."""
 
+import dataclasses
 import importlib.util
 import re
 from pathlib import Path
@@ -90,3 +91,16 @@ def test_one_ulp_in_similarity_moves_its_digests(bitcheck, monkeypatch, capsys):
     moved = bitcheck.compare(before, bitcheck.pair_digests())
     assert {f"pair {rep} similarity_matrix" for rep in bitcheck.REPRESENTATIONS} <= set(moved)
     assert not any("marginal_masses" in name for name in moved)
+
+
+def test_one_ulp_in_objective_moves_only_the_solve_digests(bitcheck, monkeypatch):
+    before = bitcheck.pair_digests()
+    real = alignment.solve_emd
+
+    def nudged(sim, masses):
+        plan = real(sim, masses)
+        return dataclasses.replace(plan, objective=np.nextafter(plan.objective, np.inf))
+
+    monkeypatch.setattr(alignment, "solve_emd", nudged)
+    moved = bitcheck.compare(before, bitcheck.pair_digests())
+    assert sorted(moved) == sorted(f"pair {rep} solve_emd" for rep in bitcheck.REPRESENTATIONS)
