@@ -16,8 +16,10 @@ process with BLAS at one thread, and reports:
   representation: one of equal lengths, one of mixed lengths (T = 8 against
   T = 10) and one with the query scaled by 2^-40. The stdout checks print 6
   to 9 decimals; these see every bit of the pair layer;
-- the digest of the default and the paper-dims datasets that ``synth``
-  writes;
+- the digest of each dataset in ``DATASETS`` that ``synth`` writes: the
+  default and the paper-dims ones, ``eval-long``'s T = 28 one, an odd
+  schedule (3 subactions over 7 frames, jitter 3, every instance swapped)
+  and one with fewer frames than subactions (4 over 3);
 - the stdout of the 200-episode six-metric ``eval`` at ``--workers 1`` and
   ``2``, of ``ablate``, of ``align`` and of ``align --paper-dims``. Both trees
   run these on the datasets REV wrote.
@@ -75,6 +77,9 @@ PAIR_OUTPUTS = ("similarity_matrix", "marginal_masses", "solve_emd")
 DATASETS = {
     "desk": ("", []),
     "paper": ("classes = 2\ninstances_per_class = 2\n", ["--paper-dims"]),
+    "long": ("frames = 28\n", []),
+    "odd": ("classes = 4\nsubactions = 3\nframes = 7\njitter = 3.0\nreorder = 1.0\n", []),
+    "short": ("subactions = 4\nframes = 3\n", []),
 }
 
 

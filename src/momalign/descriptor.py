@@ -191,7 +191,8 @@ class DescriptorSequence:
     underflows at any float64 scale. It is computed once, when the sequence
     is built; ordinary scales have e = 0, and ``scaled`` is ``vectors``.
     ``unit`` (each ``scaled`` row over its own norm, a zero row staying zero)
-    and ``mean`` (the mean ``scaled`` row) are read-only, derived once, on first read.
+    and ``mean`` (the mean ``scaled`` row) are read-only, derived once, on
+    first read; a pickled copy derives its own.
     """
 
     vectors: np.ndarray
@@ -236,6 +237,10 @@ class DescriptorSequence:
         mean = self.scaled.mean(axis=0)
         mean.flags.writeable = False
         return mean
+
+    def __getstate__(self) -> dict:
+        # Pickle protocol 4 would carry the cached arrays writeable.
+        return {k: v for k, v in self.__dict__.items() if k not in ("unit", "mean")}
 
     def same_structure(self, other: "DescriptorSequence") -> bool:
         return (

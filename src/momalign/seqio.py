@@ -57,19 +57,26 @@ def write_container(tensors: dict[str, np.ndarray], path: str | Path) -> None:
 
     Four-byte floats of either byte order are stored as f32, and every
     other bool, integer or float dtype as f64; a complex or non-numeric
-    array is refused before the file is opened. Names must be unique (dict
-    enforces) and non-empty.
+    array is refused before the file is opened, and so are a name that is not
+    encodable as UTF-8 and a dimension beyond the format's 2**32 - 1. Names
+    must be unique (dict enforces) and non-empty.
     """
     entries = []
     for name, arr in tensors.items():
         if not name:
             raise ValueError("tensor names must be non-empty")
+        try:
+            nb = name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"tensor {name!r}: name is not encodable as UTF-8") from None
         a = np.asarray(arr)
         if a.dtype.kind not in "biuf":
-            raise ValueError(f"tensor '{name}': dtype {a.dtype} is not bool, int or float")
+            raise ValueError(f"tensor {name!r}: dtype {a.dtype} is not bool, int or float")
+        if max(a.shape, default=0) > 0xFFFFFFFF:
+            raise ValueError(f"tensor {name!r}: shape {a.shape} has a dimension above 2**32 - 1")
         a = a.astype("<f4" if a.dtype.kind == "f" and a.dtype.itemsize == 4 else "<f8", copy=False)
         # ascontiguousarray promotes rank-0 arrays to rank 1; restore shape.
-        entries.append((name, np.ascontiguousarray(a).reshape(a.shape)))
+        entries.append((nb, np.ascontiguousarray(a).reshape(a.shape)))
 
     header = bytearray()
     header += MAGIC
@@ -77,12 +84,11 @@ def write_container(tensors: dict[str, np.ndarray], path: str | Path) -> None:
 
     # Two passes: sizes first, then offsets relative to the full header.
     fixed = len(header)
-    for name, a in entries:
-        fixed += 4 + len(name.encode("utf-8")) + 4 + 4 * a.ndim + 4 + 8
+    for nb, a in entries:
+        fixed += 4 + len(nb) + 4 + 4 * a.ndim + 4 + 8
 
     offset = fixed
-    for name, a in entries:
-        nb = name.encode("utf-8")
+    for nb, a in entries:
         header += struct.pack("<I", len(nb)) + nb
         header += struct.pack("<I", a.ndim)
         for d in a.shape:

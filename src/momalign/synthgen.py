@@ -20,37 +20,6 @@ from .descriptor import DESK_C_IN, FeatureClip
 
 
 @dataclass(frozen=True)
-class SubactionSpec:
-    """One temporally contiguous segment: unit-norm latent, nominal duration
-    in frames, and a fixed spatial activation mask."""
-
-    sub_id: int
-    latent: np.ndarray
-    duration: int
-    mask: np.ndarray
-
-    def __post_init__(self):
-        latent = np.asarray(self.latent, dtype=np.float64)
-        mask = np.asarray(self.mask, dtype=np.float64)
-        if abs(np.linalg.norm(latent) - 1.0) > 1e-9:
-            raise ValueError("SubactionSpec: latent must be unit norm")
-        if self.duration < 1:
-            raise ValueError("SubactionSpec: duration must be >= 1")
-        object.__setattr__(self, "latent", latent)
-        object.__setattr__(self, "mask", mask)
-
-
-@dataclass(frozen=True)
-class ClassDef:
-    """One class plus the shared pool of all library latents, used as
-    flickering clutter directions during rendering."""
-
-    label: str
-    subactions: tuple[SubactionSpec, ...]
-    clutter_pool: np.ndarray
-
-
-@dataclass(frozen=True)
 class SynthConfig:
     """Generator settings; the field names are also the config-file keys.
     ``cli.RunConfig`` extends this class with the run's own settings, so
@@ -107,17 +76,19 @@ def _blob_mask(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
     return bump - bump.mean() + 0.05
 
 
-def generate_class_library(cfg: SynthConfig) -> list[ClassDef]:
-    """Class definitions with pairwise-orthonormal subaction latents.
+def generate_class_library(cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The class library as three arrays ``(pool, latents, masks)``.
 
-    Latents are the Q factor of a seeded Gaussian matrix (Gram-Schmidt), so
-    every latent is orthogonal to every other one, within and across classes.
+    ``pool`` is the Q factor of a seeded Gaussian ``(c_in, classes *
+    subactions)`` matrix (Gram-Schmidt), so its columns are pairwise
+    orthogonal within and across classes; column ``c * subactions + k`` is
+    subaction k of class c. ``latents`` is each column over its own norm,
+    and ``masks`` the ``(classes, subactions, height, width)`` spatial blobs.
+    Every class flickers the whole ``pool`` as clutter.
     """
     total = cfg.classes * cfg.subactions
     if total > cfg.c_in:
-        raise ValueError(
-            f"generate_class_library: {total} latents do not fit in c_in={cfg.c_in}"
-        )
+        raise ValueError(f"generate_class_library: {total} latents do not fit in c_in={cfg.c_in}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 0xC1A55])))
     try:
         gauss = rng.standard_normal((cfg.c_in, total))
@@ -127,76 +98,54 @@ def generate_class_library(cfg: SynthConfig) -> list[ClassDef]:
     q, r = np.linalg.qr(gauss)
     # Fix the sign convention so the library is a deterministic function of
     # the seed regardless of LAPACK's internal choices.
-    q = q[:, :total] * np.sign(np.diag(r))[np.newaxis, :]
-
-    base = cfg.frames // cfg.subactions
-    extra = cfg.frames - base * cfg.subactions
-    classes = []
-    for c in range(cfg.classes):
-        subs = []
-        for k in range(cfg.subactions):
-            latent = q[:, c * cfg.subactions + k]
-            latent = latent / np.linalg.norm(latent)
-            duration = base + (1 if k < extra else 0)
-            subs.append(
-                SubactionSpec(
-                    sub_id=k,
-                    latent=latent,
-                    duration=max(1, duration),
-                    mask=_blob_mask(rng, cfg.height, cfg.width),
-                )
-            )
-        classes.append(
-            ClassDef(
-                label=f"class{c:03d}",
-                subactions=tuple(subs),
-                clutter_pool=q[:, :total],
-            )
-        )
-    return classes
+    pool = q * np.sign(np.diag(r))
+    # One norm per column: norm(axis=0) sums in another order.
+    latents = pool / np.array([np.linalg.norm(pool[:, j]) for j in range(total)])
+    blobs = [_blob_mask(rng, cfg.height, cfg.width) for _ in range(total)]
+    masks = np.array(blobs).reshape(cfg.classes, cfg.subactions, cfg.height, cfg.width)
+    return pool, latents, masks
 
 
 def render_instance(
-    class_def: ClassDef, cfg: SynthConfig, seed: int
+    library: tuple[np.ndarray, np.ndarray, np.ndarray], c: int, cfg: SynthConfig, seed: int
 ) -> tuple[FeatureClip, np.ndarray]:
-    """One instance clip plus its ground-truth frame -> subaction labels.
+    """One instance clip of class ``c`` plus its ground-truth frame ->
+    subaction labels.
 
-    Durations are warped by per-instance log-uniform factors in
-    [1/jitter, jitter]; with probability ``reorder`` one random adjacent
-    subaction pair swaps order. If the warped schedule cannot fill T frames
-    the final subaction is repeated.
+    Nominal durations split T frames evenly over the subactions (the first
+    ``T % subactions`` take one more, each at least 1). With probability
+    ``reorder`` one random adjacent subaction pair swaps order, and the
+    durations are warped by per-instance log-uniform factors in
+    [1/jitter, jitter]. If the warped schedule cannot fill T frames the
+    final subaction is repeated.
     """
+    pool, latents, masks = library
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, seed])))
-    subs = list(class_def.subactions)
+    order = list(range(cfg.subactions))
+    if cfg.subactions > 1 and rng.uniform() < cfg.reorder:
+        k = int(rng.integers(0, cfg.subactions - 1))
+        order[k], order[k + 1] = order[k + 1], order[k]
 
-    if len(subs) > 1 and rng.uniform() < cfg.reorder:
-        k = int(rng.integers(0, len(subs) - 1))
-        subs[k], subs[k + 1] = subs[k + 1], subs[k]
-
+    base, extra = divmod(cfg.frames, cfg.subactions)
     log_j = np.log(cfg.jitter)
     warped = np.array(
-        [s.duration * np.exp(rng.uniform(-log_j, log_j)) for s in subs]
+        [max(1, base + (k < extra)) * np.exp(rng.uniform(-log_j, log_j)) for k in order]
     )
     lengths = np.maximum(1, np.round(warped * cfg.frames / warped.sum()).astype(int))
     # Trim overshoot from the longest segments, then pad the final subaction.
     while lengths.sum() > cfg.frames:
         lengths[int(np.argmax(lengths))] -= 1
-    schedule: list[SubactionSpec] = []
-    for s, length in zip(subs, lengths):
-        schedule.extend([s] * int(length))
-    while len(schedule) < cfg.frames:
-        schedule.append(subs[-1])
+    labels = np.full(cfg.frames, order[-1], dtype=np.int64)
+    labels[: lengths.sum()] = np.repeat(order, lengths)
 
     data = np.empty((cfg.frames, cfg.c_in, cfg.height, cfg.width))
-    labels = np.empty(cfg.frames, dtype=np.int64)
-    for t, s in enumerate(schedule):
-        frame = s.latent[:, None, None] * s.mask[None, :, :]
+    for t, k in enumerate(labels.tolist()):
+        frame = latents[:, c * cfg.subactions + k, None, None] * masks[c, k]
         if cfg.distractor > 0:
             # Flickering clutter: every frame briefly shows a random latent
             # from the shared pool (usually another class's subaction).
             # Per-frame statistics absorb the wrong-class evidence in full;
             # temporal windows average it down.
-            pool = class_def.clutter_pool
             d = pool[:, int(rng.integers(pool.shape[1]))]
             frame = frame + cfg.distractor * (
                 d[:, None, None] * _blob_mask(rng, cfg.height, cfg.width)[None, :, :]
@@ -204,7 +153,6 @@ def render_instance(
         if cfg.noise > 0:
             frame = frame + cfg.noise * rng.standard_normal(frame.shape)
         data[t] = frame
-        labels[t] = s.sub_id
     return FeatureClip(data), labels
 
 
@@ -226,12 +174,12 @@ def generate_dataset(cfg: SynthConfig, out_dir: str | Path) -> seqio.Manifest:
     clips_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     try:
-        for c, class_def in enumerate(library):
+        for c in range(cfg.classes):
             for i in range(cfg.instances_per_class):
                 clip_id = f"c{c:03d}_i{i:03d}"
                 try:
                     with np.errstate(over="ignore"):
-                        clip, labels = render_instance(class_def, cfg, seed=c * 100_003 + i)
+                        clip, labels = render_instance(library, c, cfg, seed=c * 100_003 + i)
                         data = clip.data.astype(np.float32)
                 except ValueError as exc:
                     raise ValueError(f"generate_dataset: clip {clip_id}: {exc}") from None
@@ -239,7 +187,7 @@ def generate_dataset(cfg: SynthConfig, out_dir: str | Path) -> seqio.Manifest:
                     size = f"frames={cfg.frames} c_in={cfg.c_in} height={cfg.height} width={cfg.width}"
                     raise MemoryError(f"generate_dataset: clip {clip_id} ({size})") from None
                 rel = f"clips/{clip_id}.fsq"
-                entries.append(seqio.ManifestEntry(clip_id, class_def.label, rel))
+                entries.append(seqio.ManifestEntry(clip_id, f"class{c:03d}", rel))
                 tensors = {"clip": data, "labels": labels.astype(np.float64)}
                 seqio.write_container(tensors, out / f"{rel}.partial")
     except BaseException:

@@ -345,9 +345,8 @@ class TestSynth:
             assert (cli / name).read_bytes() == (direct / name).read_bytes()
 
     def test_unallocatable_clip_is_one_error_line(self, tmp_path, capsys):
-        # With jitter 2 the first subaction takes at least T/5 of the frame
-        # schedule, a list of 2e16 entries: 142 PiB in one request, past any
-        # x86-64 user address space, so it is refused.
+        # The clip's int64 label array of 1e17 entries is 711 PiB in one
+        # request, past any x86-64 user address space, so it is refused.
         p = tmp_path / "huge.cfg"
         p.write_text("frames = 100000000000000000\n")
         out_dir = tmp_path / "data"

@@ -1291,7 +1291,11 @@ class TestDescriptorSequenceRows:
         seq = rows_sequence(300)
         if read_first:
             seq.unit, seq.mean
-        back = pickle.loads(pickle.dumps(seq))
-        assert np.array_equal(back.scaled, seq.scaled)
-        assert np.array_equal(back.unit, seq.unit)
-        assert np.array_equal(back.mean, seq.mean)
+        # Protocol 4 drops an array's read-only flag, protocol 5 keeps it.
+        for protocol in (4, 5):
+            back = pickle.loads(pickle.dumps(seq, protocol=protocol))
+            assert np.array_equal(back.scaled, seq.scaled)
+            assert np.array_equal(back.unit, seq.unit)
+            assert np.array_equal(back.mean, seq.mean)
+            assert not back.unit.flags.writeable
+            assert not back.mean.flags.writeable

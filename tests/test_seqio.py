@@ -95,6 +95,29 @@ class TestContainerRoundTrip:
             write_container({"ok": np.zeros(2), "x": a}, p)
         assert not p.exists()
 
+    def test_rejects_dimension_beyond_header_field(self, tmp_path):
+        # An empty array can have a dimension the 4-byte header field cannot
+        # hold; struct used to raise its own error.
+        p = tmp_path / "bad.fsq"
+        message = r"^tensor 'x': shape \(4294967296, 0\) has a dimension above 2\*\*32 - 1$"
+        with pytest.raises(ValueError, match=message):
+            write_container({"ok": np.zeros(2), "x": np.zeros((2**32, 0))}, p)
+        assert not p.exists()
+
+    def test_largest_dimension_round_trips(self, tmp_path):
+        p = tmp_path / "edge.fsq"
+        write_container({"x": np.zeros((0, 2**32 - 1))}, p)
+        assert read_container(p)["x"].shape == (0, 2**32 - 1)
+
+    def test_rejects_name_not_encodable(self, tmp_path):
+        # A lone surrogate has no UTF-8 encoding; str.encode used to raise
+        # UnicodeEncodeError.
+        p = tmp_path / "bad.fsq"
+        message = r"^tensor 'a\\udc80': name is not encodable as UTF-8$"
+        with pytest.raises(ValueError, match=message):
+            write_container({"ok": np.zeros(2), "a\udc80": np.zeros(2)}, p)
+        assert not p.exists()
+
     @pytest.mark.parametrize("dtype", [np.bool_, np.int8, np.int64, np.uint32])
     def test_bool_and_int_stored_as_f64(self, dtype, tmp_path):
         p = tmp_path / "n.fsq"
